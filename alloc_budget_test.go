@@ -3,11 +3,12 @@ package astrea
 import (
 	"testing"
 
+	"astrea/internal/astrea"
 	"astrea/internal/mwpm"
 	"astrea/internal/sparsemwpm"
 )
 
-// Committed steady-state allocation budgets for warm d=7 sparse decode.
+// Committed steady-state allocation budgets for warm d=7 decode.
 // The hotalloc analyzer forbids the constructs that put allocations on the
 // per-shot path statically; this test is the dynamic side of the same
 // gate. Budgets are exact ceilings, not targets — lowering them is free,
@@ -93,5 +94,48 @@ func TestDenseDecodeAllocBudget(t *testing.T) {
 	// reuses them warm; the adapter adds the Pairs copy.
 	if got > 1.0 {
 		t.Errorf("warm dense Decode: %.2f allocs/op, budget 1 (the Result.Pairs copy)", got)
+	}
+}
+
+// TestAstreaDecodeAllocBudget holds the paper's own decoder to the same
+// budget over the whole range it decodes (HW 1..10): one allocation per
+// Decode — the caller-owned Result.Pairs, which must not alias instance
+// scratch because pooled instances are reused while a Result is still being
+// read — and none for BestMatching, whose pairs are a view of that scratch.
+func TestAstreaDecodeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a d=7 Monte-Carlo environment")
+	}
+	cell := matchingCell{D: 7, P: 1e-3, LoHW: 1, HiHW: astrea.MaxHW}
+	env, pool := matchingPool(t, cell, 2000)
+	var seen [astrea.MaxHW + 1]bool
+	flagged := make([][]int, len(pool))
+	for i, s := range pool {
+		flagged[i] = s.Ones(nil)
+		seen[len(flagged[i])] = true
+	}
+	for hw := 1; hw <= astrea.MaxHW; hw++ {
+		if !seen[hw] {
+			t.Fatalf("pool has no syndrome of Hamming weight %d", hw)
+		}
+	}
+	dec := astrea.New(env.GWT)
+
+	j := 0
+	got := testing.AllocsPerRun(4*len(pool), func() {
+		dec.Decode(pool[j%len(pool)])
+		j++
+	})
+	if got > 1.0 {
+		t.Errorf("warm Astrea Decode: %.2f allocs/op, budget 1 (the Result.Pairs copy)", got)
+	}
+
+	i := 0
+	got = testing.AllocsPerRun(4*len(pool), func() {
+		dec.BestMatching(flagged[i%len(flagged)])
+		i++
+	})
+	if got > 0 {
+		t.Errorf("warm Astrea BestMatching: %.2f allocs/op, budget 0 (pairs are a view of decoder scratch)", got)
 	}
 }

@@ -3,15 +3,19 @@
 // flagged syndrome bits, feasible because near-term surface codes (d ≤ 7)
 // almost never produce syndromes of Hamming weight above 10 (§4–§5).
 //
-// The search enumerates perfect matchings exactly as the hardware does: the
-// lowest-indexed unmatched bit is paired against every remaining candidate
-// (the pre-match step of Figure 7(b)), recursing until at most six bits
-// remain, which the HW6Decoder block resolves exhaustively (15 matchings,
-// 30 adders). Weights are the 8-bit quantised Global Weight Table entries
-// the hardware stores in SRAM; pair weights already fold in the
-// through-boundary alternative, so pairing-only enumeration is exact MWPM
-// (property-tested against the blossom baseline). Odd-weight syndromes gain
-// one virtual boundary bit (§5.2.2, footnote 2).
+// One flat kernel (hw6.go) does the search in the shape of Figures 7 and 8:
+// the ≤ 45 pair weights of the flagged bits are gathered once from the
+// Global Weight Table into a decoder-owned array, the HW6Decoder's fixed
+// table of 15 matchings resolves six slots, and the pre-match loops extend
+// it to eight slots (7 alternatives) and ten (9 × 7). Weights are the 8-bit
+// quantised GWT entries the hardware stores in SRAM; pair weights already
+// fold in the through-boundary alternative, so pairing-only enumeration is
+// exact MWPM (property-tested against the blossom baseline). Odd-weight
+// syndromes gain one virtual boundary bit (§5.2.2, footnote 2). Matchings
+// are visited in first-slot-ascending order and only a strictly cheaper one
+// replaces the incumbent, so the result is the lexicographically first
+// minimum; the recursive enumerator the kernel replaced lives on as the
+// test oracle that pins this bit for bit.
 //
 // Syndromes with Hamming weight above 10 are skipped — the core design
 // trade-off of §5.7: at d ≤ 7 and p = 10⁻⁴ they occur less often than the
@@ -37,10 +41,22 @@ const MaxHW = 10
 type Decoder struct {
 	gwt *decodegraph.GWT
 
-	ones  []int
-	pairs [][2]int
-	best  [][2]int
+	// Kernel scratch (hw6.go). Slot a is nodes[a]; slot len(nodes) is the
+	// virtual boundary bit of an odd node count.
+	w    [256]int32          // gathered pair weights, w[a<<4|b] for slots a < b
+	near [16]int32           // per slot, its cheapest pairing (8 and 10 slots only)
+	best int32               // incumbent total; the search accepts only below it
+	win  [MaxHW / 2][2]uint8 // incumbent matching as slot pairs, first slot ascending
+	tail [MaxHW / 2][2]int   // backing array of BestMatching's returned pairs
 }
+
+// cycles is the §5.4 cycle model per decodable Hamming weight.
+var cycles = func() (c [MaxHW + 1]int) {
+	for hw := range c {
+		c[hw], _ = hwmodel.AstreaCycles(hw)
+	}
+	return c
+}()
 
 // New returns an Astrea decoder over the given Global Weight Table.
 func New(gwt *decodegraph.GWT) *Decoder {
@@ -53,136 +69,54 @@ func (d *Decoder) Name() string { return "Astrea" }
 // Decode implements decoder.Decoder. Syndromes of Hamming weight above
 // MaxHW are returned with Skipped set and the identity correction.
 func (d *Decoder) Decode(syndrome bitvec.Vec) decoder.Result {
-	d.ones = syndrome.Ones(d.ones[:0])
-	hw := len(d.ones)
+	if syndrome.PopCount() > MaxHW {
+		return decoder.Result{Skipped: true, RealTime: true}
+	}
+	var flagged [MaxHW]int
+	return d.DecodeFlagged(syndrome.Ones(flagged[:0]))
+}
+
+// DecodeFlagged is Decode for a caller that has already extracted the
+// flagged detectors (ascending, as bitvec.Vec.Ones returns them); Astrea-G
+// hands its low-Hamming-weight syndromes over this way.
+func (d *Decoder) DecodeFlagged(flagged []int) decoder.Result {
+	hw := len(flagged)
 	if hw == 0 {
 		return decoder.Result{RealTime: true}
 	}
 	if hw > MaxHW {
 		return decoder.Result{Skipped: true, RealTime: true}
 	}
-	cycles, _ := hwmodel.AstreaCycles(hw)
-
-	pairs, totalQ, obs := BestMatching(d.gwt, d.ones, &d.pairs, &d.best)
+	n := d.solve(flagged)
+	// The one allocation of a decode: Pairs belongs to the caller and must
+	// outlive this instance's next decode (pooled instances are reused while
+	// a previous Result is still being read).
+	pairs := make([][2]int, n/2)
 	return decoder.Result{
-		ObsPrediction: obs,
-		Pairs:         append([][2]int(nil), pairs...),
-		Weight:        float64(totalQ),
-		Cycles:        cycles,
+		ObsPrediction: d.emit(flagged, pairs),
+		Pairs:         pairs,
+		Weight:        float64(d.best),
+		Cycles:        cycles[hw],
 		RealTime:      true,
 	}
 }
 
-// BestMatching exhaustively searches all perfect matchings of the given
+// BestMatching exhaustively searches all perfect matchings of at most MaxHW
 // flagged detectors under quantised GWT weights and returns the optimal
 // pairing, its total quantised weight, and its observable parity. An odd
-// node count is completed with one virtual boundary bit. scratch and best
-// are optional reusable buffers. This is the same logic block Astrea-G uses
-// as its HW6Decoder finishing stage, exported for that purpose.
-func BestMatching(gwt *decodegraph.GWT, nodes []int, scratch, best *[][2]int) (pairs [][2]int, totalQ int, obs uint64) {
-	var scratchBuf, bestBuf [][2]int
-	if scratch == nil {
-		scratch = &scratchBuf
-	}
-	if best == nil {
-		best = &bestBuf
-	}
-	k := len(nodes)
-	if k == 0 {
+// node count is completed with one virtual boundary bit. The returned pairs
+// are a view of decoder scratch, valid until the instance's next call. This
+// is the logic block Astrea-G uses as its HW6Decoder finishing stage.
+func (d *Decoder) BestMatching(nodes []int) (pairs [][2]int, totalQ int, obs uint64) {
+	if len(nodes) == 0 {
 		return nil, 0, 0
 	}
-	n := k
-	if n%2 == 1 {
-		n++ // virtual boundary bit occupies index k
+	if len(nodes) > MaxHW {
+		panic("astrea: BestMatching called with more than MaxHW nodes")
 	}
-	e := enumerator{
-		gwt:      gwt,
-		nodes:    nodes,
-		n:        n,
-		used:     make([]bool, n),
-		cur:      (*scratch)[:0],
-		best:     (*best)[:0],
-		bestCost: -1,
-	}
-	e.search(0)
-	*scratch = e.cur
-	*best = e.best
-	return e.best, e.bestCost, e.bestObs
-}
-
-// enumerator walks the perfect matchings of nodes (plus virtual boundary),
-// always extending the lowest-indexed unmatched bit — the canonical order
-// that makes every matching reachable exactly once, mirroring the
-// pre-match/HW6 hardware structure.
-type enumerator struct {
-	gwt   *decodegraph.GWT
-	nodes []int
-	n     int
-	used  []bool
-
-	cur      [][2]int
-	cost     int
-	curObs   uint64
-	best     [][2]int
-	bestCost int
-	bestObs  uint64
-}
-
-// pairCost returns the quantised weight and observable parity of matching
-// slots a < b (slot index == len(nodes) means the virtual boundary bit).
-func (e *enumerator) pairCost(a, b int) (int, uint64) {
-	i := e.nodes[a]
-	if b >= len(e.nodes) { // partner is the virtual boundary
-		return int(e.gwt.Q(i, i)), e.gwt.Obs(i, i)
-	}
-	j := e.nodes[b]
-	return int(e.gwt.Q(i, j)), e.gwt.Obs(i, j)
-}
-
-func (e *enumerator) search(from int) {
-	// Find the lowest unmatched slot.
-	first := -1
-	for i := from; i < e.n; i++ {
-		if !e.used[i] {
-			first = i
-			break
-		}
-	}
-	if first == -1 {
-		if e.bestCost < 0 || e.cost < e.bestCost {
-			e.bestCost = e.cost
-			e.bestObs = e.curObs
-			e.best = append(e.best[:0], e.cur...)
-		}
-		return
-	}
-	e.used[first] = true
-	for j := first + 1; j < e.n; j++ {
-		if e.used[j] {
-			continue
-		}
-		w, o := e.pairCost(first, j)
-		// Branch-and-bound: prune paths already worse than the incumbent.
-		if e.bestCost >= 0 && e.cost+w >= e.bestCost {
-			continue
-		}
-		e.used[j] = true
-		e.cost += w
-		e.curObs ^= o
-		partner := decoder.Boundary
-		if j < len(e.nodes) {
-			partner = e.nodes[j]
-		}
-		e.cur = append(e.cur, [2]int{e.nodes[first], partner})
-
-		e.search(first + 1)
-
-		e.cur = e.cur[:len(e.cur)-1]
-		e.curObs ^= o
-		e.cost -= w
-		e.used[j] = false
-	}
-	e.used[first] = false
+	n := d.solve(nodes)
+	pairs = d.tail[:n/2]
+	return pairs, int(d.best), d.emit(nodes, pairs)
 }
 
 // CountMatchings returns the number of perfect matchings a Hamming-weight-w

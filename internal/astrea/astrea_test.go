@@ -212,7 +212,7 @@ func TestThroughBoundaryPairing(t *testing.T) {
 	for i := 0; i < n && !found; i++ {
 		for j := i + 1; j < n; j++ {
 			if gwt.BoundaryWeight(i)+gwt.BoundaryWeight(j) < gwt.DirectWeight(i, j) {
-				pairs, total, obs := BestMatching(gwt, []int{i, j}, nil, nil)
+				pairs, total, obs := New(gwt).BestMatching([]int{i, j})
 				if len(pairs) != 1 {
 					t.Fatalf("pairs = %v", pairs)
 				}

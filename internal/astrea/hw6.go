@@ -3,275 +3,220 @@ package astrea
 import (
 	"math"
 
-	"astrea/internal/decodegraph"
 	"astrea/internal/decoder"
-	"astrea/internal/hwmodel"
 )
 
-// This file mirrors the paper's hardware structure literally (Figures 7 and
-// 8) rather than as a pruned recursive search: a fixed table of the 15
-// perfect matchings of six bits evaluated by an adder network (HW6Decoder),
-// plus the pre-match loops that extend it to Hamming weights 8 (7 cycles)
-// and 10 (63 cycles). BestMatching (astrea.go) is the optimised software
-// equivalent; HW6Path exists to cross-validate it and to document the
-// microarchitecture, and its tests pin the two implementations together.
+// The matching kernel, in the structure of the paper's hardware (Figures 7
+// and 8): a weight array gathered once per syndrome, the HW6Decoder's fixed
+// table of the 15 perfect matchings of six slots, and the pre-match loops
+// that extend it to eight slots (7 table evaluations) and ten (9 × 7 = 63).
+// Every level walks its alternatives in ascending slot order and keeps an
+// incumbent only when strictly beaten, so the winner is the
+// lexicographically first minimum-weight matching.
 
 // hw6Matchings is the HW6Decoder's matching table: the 15 perfect matchings
-// of slots {0..5}, each three pairs. Built deterministically at init in
-// first-slot-ascending order, exactly the enumeration the weight array
-// feeds the 30-adder network with.
-var hw6Matchings [15][3][2]int
+// of positions {0..5}, each three pairs, in first-position-ascending order.
+// hw6Rows restates each matching as three indices into the HW6 weight array,
+// which holds the 15 position pairs a < b in lexicographic order.
+var (
+	hw6Matchings [15][3][2]uint8
+	hw6Rows      [15][3]uint8
+)
+
+// hw4Matchings are the three perfect matchings of four slots: the tail of
+// every HW6 table row, and the whole search at Hamming weights 3 and 4.
+var hw4Matchings = [3][2][2]uint8{
+	{{0, 1}, {2, 3}},
+	{{0, 2}, {1, 3}},
+	{{0, 3}, {1, 2}},
+}
 
 func init() {
+	// Position 0 pre-matches each of 1..5; the four positions left over take
+	// the three HW4 matchings.
 	n := 0
-	var rec func(used uint8, cur [][2]int)
-	rec = func(used uint8, cur [][2]int) {
-		first := -1
-		for i := 0; i < 6; i++ {
-			if used&(1<<uint(i)) == 0 {
-				first = i
-				break
+	for p := uint8(1); p < 6; p++ {
+		var rest [4]uint8
+		without(rest[:], identity[:6], int(p))
+		for _, m := range hw4Matchings {
+			hw6Matchings[n] = [3][2]uint8{
+				{0, p},
+				{rest[m[0][0]], rest[m[0][1]]},
+				{rest[m[1][0]], rest[m[1][1]]},
+			}
+			for i, pr := range hw6Matchings[n] {
+				a, b := pr[0], pr[1]
+				hw6Rows[n][i] = a*(11-a)/2 + b - a - 1
+			}
+			n++
+		}
+	}
+}
+
+var identity = [MaxHW]uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+
+// without copies src minus its first element and element j (the slots a
+// pre-match just consumed) into dst, preserving ascending order.
+func without(dst, src []uint8, j int) {
+	copy(dst, src[1:j])
+	copy(dst[j-1:], src[j+1:])
+}
+
+// wt is the gathered weight of pairing slots a < b. The array is indexed by
+// one byte, a in the high nibble, so no access needs a bounds check.
+func (d *Decoder) wt(a, b uint8) int32 { return d.w[a<<4|b] }
+
+// solve gathers the pair weights of nodes and searches every perfect
+// matching of the n slots (len(nodes) rounded up to even, which it returns),
+// leaving the minimum total in d.best and the winning slot pairs in
+// d.win[:n/2]. len(nodes) must be in 1..MaxHW.
+func (d *Decoder) solve(nodes []int) int {
+	k := len(nodes)
+	n := k + k&1
+	for a, i := range nodes {
+		row := d.w[a<<4:][:MaxHW]
+		for b := a + 1; b < k; b++ {
+			row[b] = int32(d.gwt.Q(i, nodes[b]))
+		}
+		if n > k {
+			row[k] = int32(d.gwt.Q(i, i))
+		}
+	}
+	d.best = math.MaxInt32
+	switch n {
+	case 2:
+		d.best, d.win[0] = d.wt(0, 1), [2]uint8{0, 1}
+	case 4:
+		for _, m := range hw4Matchings {
+			if t := d.wt(m[0][0], m[0][1]) + d.wt(m[1][0], m[1][1]); t < d.best {
+				d.best, d.win[0], d.win[1] = t, m[0], m[1]
 			}
 		}
-		if first == -1 {
-			copy(hw6Matchings[n][:], cur)
-			n++
-			return
-		}
-		for j := first + 1; j < 6; j++ {
-			if used&(1<<uint(j)) != 0 {
+	case 6:
+		d.search6((*[6]uint8)(identity[:6]), 0, 0)
+	case 8:
+		d.search8((*[8]uint8)(identity[:8]), 0, d.bound(8), 0)
+	default: // 10: slot 0 pre-matches each of 1..9 (Figure 8's outer loop)
+		slack := d.bound(10)
+		for j := uint8(1); j < 10; j++ {
+			c := d.wt(0, j)
+			rem := slack - d.near[0] - d.near[j]
+			if 2*c+rem >= 2*d.best {
 				continue
 			}
-			rec(used|1<<uint(first)|1<<uint(j), append(cur, [2]int{first, j}))
+			var rest [8]uint8
+			without(rest[:], identity[:], int(j))
+			if d.search8(&rest, c, rem, 1) {
+				d.win[0] = [2]uint8{0, j}
+			}
 		}
 	}
-	rec(0, nil)
-	if n != 15 {
-		panic("astrea: HW6 matching table must have 15 entries")
-	}
+	return n
 }
 
-// hw6Infinity marks a forbidden pairing (real bit with a padding slot).
-const hw6Infinity = math.MaxInt32
-
-// hw6Weights is the HW6Decoder weight array: one entry per unordered slot
-// pair, plus the chain observable parities.
-type hw6Weights struct {
-	w   [6][6]int
-	obs [6][6]uint64
+// bound prepares the pruning of the 8- and 10-slot searches. It seeds the
+// incumbent with one more than the weight of the greedy matching (each
+// lowest unmatched slot takes its nearest unmatched partner): an upper bound
+// the true minimum is strictly below, so nothing that could win is cut. And
+// it fills d.near with every slot's cheapest pairing and returns their sum:
+// a pair costs at least the mean of its two slots' entries, so any perfect
+// matching of a slot set costs at least half the set's sum — the levels
+// skip an alternative when committed weight plus that cannot beat the
+// incumbent. Both only skip matchings that would lose the strict
+// comparison, so the winner is unchanged.
+func (d *Decoder) bound(n int) (nearSum int32) {
+	near := &d.near
+	for a := range near {
+		near[a] = math.MaxInt32
+	}
+	var used uint16
+	d.best = 1
+	for a := 0; a < n; a++ {
+		row := d.w[a<<4:][:16]
+		na, partner, free := near[a&15], 0, int32(math.MaxInt32)
+		for b := a + 1; b < n; b++ {
+			v := row[b&15]
+			na = min(na, v)
+			near[b&15] = min(near[b&15], v)
+			if v < free && used>>b&1 == 0 {
+				partner, free = b, v
+			}
+		}
+		near[a&15] = na
+		nearSum += na
+		if used>>a&1 == 0 {
+			used |= 1 << partner
+			d.best += free
+		}
+	}
+	return nearSum
 }
 
-// decodeHW6 evaluates all 15 matchings of the weight array and returns the
-// minimum total, its observable parity and its pair list over slot indices
-// (the HW6Decoder block of Figure 7(a)).
-func (hw *hw6Weights) decode() (best int, obs uint64, pairs [3][2]int) {
-	best = -1
-	for _, m := range hw6Matchings {
-		total := 0
-		var o uint64
-		for _, pr := range m {
-			total += hw.w[pr[0]][pr[1]]
-			o ^= hw.obs[pr[0]][pr[1]]
+// search8 is the pre-match step of Figure 7(b): the lowest of eight slots
+// pairs with each of the other seven in turn, and the HW6 table resolves the
+// six left over. base is the weight already committed above this level,
+// slack the d.near sum of the eight slots, and lvl the position in d.win
+// this level's pair takes. It reports whether the incumbent improved.
+func (d *Decoder) search8(s *[8]uint8, base, slack int32, lvl int) bool {
+	improved := false
+	for j := 1; j < 8; j++ {
+		c := base + d.wt(s[0], s[j])
+		if 2*c+slack-d.near[s[0]&15]-d.near[s[j]&15] >= 2*d.best {
+			continue
 		}
-		if best < 0 || total < best {
-			best, obs, pairs = total, o, m
+		var rest [6]uint8
+		without(rest[:], s[:], j)
+		if d.search6(&rest, c, lvl+1) {
+			d.win[lvl] = [2]uint8{s[0], s[j]}
+			improved = true
 		}
 	}
-	return best, obs, pairs
+	return improved
 }
 
-// HW6Path decodes a syndrome of Hamming weight ≤ 10 using the literal
-// hardware dataflow: pad to six slots for weights ≤ 6 (one decode cycle),
-// pre-match one bit against each alternative for weights 7–8 (seven
-// cycles), and pre-match two pairs for weights 9–10 (63 cycles). It returns
-// the same Result a Decoder would. Syndromes above weight 10 (after the
-// virtual boundary bit) are rejected with Skipped.
-func HW6Path(gwt *decodegraph.GWT, flagged []int) decoder.Result {
-	k := len(flagged)
-	if k == 0 {
-		return decoder.Result{RealTime: true}
-	}
-	// Slot values: real detector ids; slot k is the virtual boundary bit
-	// when k is odd; slots beyond that are zero-cost padding.
-	n := k
-	if n%2 == 1 {
-		n++
-	}
-	if n > 10 {
-		return decoder.Result{Skipped: true, RealTime: true}
-	}
-
-	// weight/obs between slot values a, b in [0, n); index >= len(flagged)
-	// is the boundary bit.
-	//lint:allow hotalloc local closures are inlined at every call site and never materialise (go build -gcflags=-m: "can inline HW6Path.funcN", no escape)
-	wOf := func(a, b int) (int, uint64) {
-		if b < a {
-			a, b = b, a
-		}
-		if b >= k { // pairing with the virtual boundary bit
-			if a >= k {
-				return 0, 0
-			}
-			i := flagged[a]
-			return int(gwt.Q(i, i)), gwt.Obs(i, i)
-		}
-		i, j := flagged[a], flagged[b]
-		return int(gwt.Q(i, j)), gwt.Obs(i, j)
-	}
-
-	// fill builds the HW6 weight array for the six slot values in vals,
-	// with padding slots (value -1) free among themselves and forbidden
-	// against real slots.
-	var hw hw6Weights
-	//lint:allow hotalloc local closures are inlined at every call site and never materialise (go build -gcflags=-m: "can inline HW6Path.funcN", no escape)
-	fill := func(vals *[6]int) {
-		for a := 0; a < 6; a++ {
-			for b := a + 1; b < 6; b++ {
-				va, vb := vals[a], vals[b]
-				var w int
-				var o uint64
-				switch {
-				case va < 0 && vb < 0:
-					w = 0
-				case va < 0 || vb < 0:
-					w = hw6Infinity
-				default:
-					w, o = wOf(va, vb)
-				}
-				hw.w[a][b], hw.w[b][a] = w, w
-				hw.obs[a][b], hw.obs[b][a] = o, o
-			}
+// search6 is the HW6Decoder block of Figure 7(a): load the 15 pair weights
+// of six slots, sum the three pairs of each of the 15 table rows on top of
+// base, and keep the first strict minimum.
+func (d *Decoder) search6(s *[6]uint8, base int32, lvl int) bool {
+	var p [16]int32
+	i := 0
+	for a := 0; a < 5; a++ {
+		for b := a + 1; b < 6; b++ {
+			p[i&15] = d.wt(s[a], s[b])
+			i++
 		}
 	}
-
-	//lint:allow hotalloc local closures are inlined at every call site and never materialise (go build -gcflags=-m: "can inline HW6Path.funcN", no escape)
-	toPairs := func(vals *[6]int, slotPairs [3][2]int, dst [][2]int) [][2]int {
-		for _, pr := range slotPairs {
-			va, vb := vals[pr[0]], vals[pr[1]]
-			if va < 0 && vb < 0 {
-				continue // padding pair
-			}
-			pair := [2]int{0, decoder.Boundary}
-			switch {
-			case va < k:
-				pair[0] = flagged[va]
-				if vb < k {
-					pair[1] = flagged[vb]
-				}
-			default: // va is boundary, vb real
-				pair[0] = flagged[vb]
-			}
-			dst = append(dst, pair)
+	best, row := d.best, -1
+	for r := range hw6Rows {
+		m := &hw6Rows[r]
+		if t := base + p[m[0]&15] + p[m[1]&15] + p[m[2]&15]; t < best {
+			best, row = t, r
 		}
-		return dst
 	}
-
-	var res decoder.Result
-	res.RealTime = true
-	res.Cycles, _ = hwmodel.AstreaCycles(k)
-
-	switch {
-	case n <= 6:
-		var vals [6]int
-		for i := 0; i < 6; i++ {
-			if i < n {
-				vals[i] = i
-			} else {
-				vals[i] = -1
-			}
-		}
-		fill(&vals)
-		total, obs, pairs := hw.decode()
-		res.Weight = float64(total)
-		res.ObsPrediction = obs
-		res.Pairs = toPairs(&vals, pairs, nil)
-		return res
-
-	case n == 8:
-		// Figure 7(b): slot value 0 pre-matches each of 1..7 in turn.
-		best := -1
-		for other := 1; other < 8; other++ {
-			preW, preObs := wOf(0, other)
-			var vals [6]int
-			vi := 0
-			for v := 1; v < 8; v++ {
-				if v == other {
-					continue
-				}
-				vals[vi] = v
-				vi++
-			}
-			fill(&vals)
-			total, obs, pairs := hw.decode()
-			total += preW
-			if best < 0 || total < best {
-				best = total
-				res.Weight = float64(total)
-				res.ObsPrediction = obs ^ preObs
-				res.Pairs = toPairs(&vals, pairs, nil)
-				pre := [2]int{0, decoder.Boundary}
-				if other < k {
-					pre = [2]int{flagged[0], flagged[other]}
-				} else {
-					pre[0] = flagged[0]
-				}
-				res.Pairs = append(res.Pairs, pre)
-			}
-		}
-		return res
-
-	default: // n == 10: two pre-matched pairs, 9 × 7 = 63 combinations
-		best := -1
-		for o1 := 1; o1 < 10; o1++ {
-			pre1W, pre1Obs := wOf(0, o1)
-			// Second pre-match: lowest remaining value pairs with each of
-			// the other remaining values.
-			var rem [8]int
-			ri := 0
-			for v := 1; v < 10; v++ {
-				if v == o1 {
-					continue
-				}
-				rem[ri] = v
-				ri++
-			}
-			for oi := 1; oi < 8; oi++ {
-				pre2W, pre2Obs := wOf(rem[0], rem[oi])
-				var vals [6]int
-				vi := 0
-				for i := 1; i < 8; i++ {
-					if i == oi {
-						continue
-					}
-					vals[vi] = rem[i]
-					vi++
-				}
-				fill(&vals)
-				total, obs, pairs := hw.decode()
-				total += pre1W + pre2W
-				if best < 0 || total < best {
-					best = total
-					res.Weight = float64(total)
-					res.ObsPrediction = obs ^ pre1Obs ^ pre2Obs
-					res.Pairs = toPairs(&vals, pairs, nil)
-					res.Pairs = append(res.Pairs,
-						valuePair(flagged, 0, o1),
-						valuePair(flagged, rem[0], rem[oi]))
-				}
-			}
-		}
-		return res
+	if row < 0 {
+		return false
 	}
+	d.best = best
+	for i, pr := range hw6Matchings[row] {
+		d.win[lvl+i] = [2]uint8{s[pr[0]], s[pr[1]]}
+	}
+	return true
 }
 
-// valuePair converts a slot-value pair to a detector pair.
-func valuePair(flagged []int, a, b int) [2]int {
-	k := len(flagged)
-	if b < a {
-		a, b = b, a
+// emit writes the winning matching into dst (one entry per pair of d.win) as
+// detector pairs and returns its observable parity — the only reads of the
+// GWT's observable table a decode makes.
+func (d *Decoder) emit(nodes []int, dst [][2]int) uint64 {
+	var obs uint64
+	for i := range dst {
+		a, b := int(d.win[i][0]), int(d.win[i][1])
+		u := nodes[a]
+		v, partner := u, decoder.Boundary // slot len(nodes): the virtual boundary bit
+		if b < len(nodes) {
+			v, partner = nodes[b], nodes[b]
+		}
+		dst[i] = [2]int{u, partner}
+		obs ^= d.gwt.Obs(u, v)
 	}
-	if b >= k {
-		return [2]int{flagged[a], decoder.Boundary}
-	}
-	return [2]int{flagged[a], flagged[b]}
+	return obs
 }

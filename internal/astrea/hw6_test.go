@@ -3,81 +3,64 @@ package astrea
 import (
 	"testing"
 
-	"astrea/internal/bitvec"
 	"astrea/internal/decoder"
-	"astrea/internal/dem"
-	"astrea/internal/prng"
 )
 
-// The literal hardware dataflow (fixed 15-matching table + pre-match
-// loops) must find exactly the same optimal total as the recursive search
-// on every decodable syndrome — the two implementations pin each other.
-func TestHW6PathMatchesSearch(t *testing.T) {
-	m, gwt := build(t, 5, 5e-3)
-	dec := New(gwt)
-	rng := prng.New(515)
-	smp := dem.NewSampler(m)
-	s := bitvec.New(gwt.N)
-	byHW := map[int]int{}
-	for shot := 0; shot < 8000; shot++ {
-		smp.Sample(rng, s)
-		hw := s.PopCount()
-		if hw == 0 || hw > MaxHW {
-			continue
-		}
-		byHW[hw]++
-		want := dec.Decode(s)
-		got := HW6Path(gwt, s.Ones(nil))
-		if got.Weight != want.Weight {
-			t.Fatalf("shot %d hw=%d: hardware %v vs search %v", shot, hw, got.Weight, want.Weight)
-		}
-		if got.Cycles != want.Cycles {
-			t.Fatalf("shot %d hw=%d: cycles %d vs %d", shot, hw, got.Cycles, want.Cycles)
-		}
-		if ok, why := decoder.Validate(s, got); !ok {
-			t.Fatalf("shot %d: hardware matching invalid: %s", shot, why)
-		}
-	}
-	for hw := 1; hw <= MaxHW; hw++ {
-		if byHW[hw] == 0 {
-			t.Logf("note: no syndromes of weight %d sampled", hw)
-		}
-	}
-	// Must cover the three hardware regimes.
-	if byHW[4] == 0 || byHW[7]+byHW[8] == 0 || byHW[9]+byHW[10] == 0 {
-		t.Fatalf("regime coverage too thin: %v", byHW)
-	}
-}
-
-func TestHW6PathTrivial(t *testing.T) {
+// BestMatching on the degenerate inputs Astrea-G's finishing stage can hand
+// it: nothing left to match, and one bit left (it takes the boundary).
+func TestBestMatchingTrivial(t *testing.T) {
 	_, gwt := build(t, 3, 1e-3)
-	r := HW6Path(gwt, nil)
-	if r.ObsPrediction != 0 || r.Pairs != nil {
-		t.Fatalf("empty decode %+v", r)
+	d := New(gwt)
+	if pairs, total, obs := d.BestMatching(nil); pairs != nil || total != 0 || obs != 0 {
+		t.Fatalf("empty matching %v %d %d", pairs, total, obs)
 	}
-	r = HW6Path(gwt, []int{4})
-	if len(r.Pairs) != 1 || r.Pairs[0] != [2]int{4, decoder.Boundary} {
-		t.Fatalf("hw1 pairs %v", r.Pairs)
+	pairs, total, obs := d.BestMatching([]int{4})
+	if len(pairs) != 1 || pairs[0] != [2]int{4, decoder.Boundary} {
+		t.Fatalf("hw1 pairs %v", pairs)
 	}
-	if r.Weight != float64(gwt.Q(4, 4)) {
-		t.Fatalf("hw1 weight %v", r.Weight)
+	if total != int(gwt.Q(4, 4)) || obs != gwt.Obs(4, 4) {
+		t.Fatalf("hw1 weight %d obs %d", total, obs)
 	}
 }
 
-func TestHW6PathSkipsAbove10(t *testing.T) {
+// More than MaxHW nodes is a caller bug (Decode skips such syndromes before
+// the kernel; Astrea-G hands over at most six): it must fail loudly, not
+// index past the weight array.
+func TestBestMatchingRejectsAbove10(t *testing.T) {
 	_, gwt := build(t, 5, 1e-3)
-	flagged := make([]int, 11)
-	for i := range flagged {
-		flagged[i] = i
+	nodes := make([]int, MaxHW+1)
+	for i := range nodes {
+		nodes[i] = i
 	}
-	if r := HW6Path(gwt, flagged); !r.Skipped {
-		t.Fatal("hw 11 must be skipped")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BestMatching accepted 11 nodes")
+		}
+	}()
+	New(gwt).BestMatching(nodes)
+}
+
+// hw6Rows is hw6Matchings in weight-array coordinates: index i names the
+// i-th position pair a < b in lexicographic order.
+func TestHW6RowsIndexPairs(t *testing.T) {
+	var pairs [][2]uint8
+	for a := uint8(0); a < 6; a++ {
+		for b := a + 1; b < 6; b++ {
+			pairs = append(pairs, [2]uint8{a, b})
+		}
+	}
+	for r, m := range hw6Matchings {
+		for i, pr := range m {
+			if got := pairs[hw6Rows[r][i]]; got != pr {
+				t.Fatalf("row %d pair %d: index %d names %v, want %v", r, i, hw6Rows[r][i], got, pr)
+			}
+		}
 	}
 }
 
 func TestHW6MatchingTable(t *testing.T) {
 	// Every entry is a perfect matching of {0..5}; all 15 are distinct.
-	seen := map[[3][2]int]bool{}
+	seen := map[[3][2]uint8]bool{}
 	for _, m := range hw6Matchings {
 		var used uint8
 		for _, pr := range m {

@@ -23,7 +23,6 @@ package astreag
 
 import (
 	"fmt"
-	"sort"
 
 	"astrea/internal/astrea"
 	"astrea/internal/bitvec"
@@ -50,8 +49,7 @@ type Decoder struct {
 	cand    [][]candidate // per slot, ascending by weight
 	contrib []float64     // per slot: admissible completion-cost share
 	queues  [][]*prematch
-	scratch [][2]int
-	bestBuf [][2]int
+	tail    [][2]int // the pairs the HW6Decoder finish added to the MWPM register's chain
 }
 
 // candidate is one surviving LWT entry: partner slot (or boundary) plus the
@@ -123,7 +121,7 @@ func (d *Decoder) Decode(syndrome bitvec.Vec) decoder.Result {
 	d.ones = syndrome.Ones(d.ones[:0])
 	hw := len(d.ones)
 	if hw <= astrea.MaxHW {
-		return d.lhw.Decode(syndrome)
+		return d.lhw.DecodeFlagged(d.ones)
 	}
 	if hw > MaxNodes {
 		return decoder.Result{Skipped: true}
@@ -154,7 +152,7 @@ func (d *Decoder) buildLWT() {
 		// The boundary chain always survives filtering (§7.1 requires every
 		// bit to remain matchable).
 		c = append(c, candidate{slot: boundarySlot, w: int(d.gwt.Q(i, i)), obs: d.gwt.Obs(i, i)})
-		sort.SliceStable(c, func(x, y int) bool { return c[x].w < c[y].w })
+		sortByWeight(c)
 		d.cand[a] = c
 	}
 	// Per-bit admissible completion share: a bit is resolved either by its
@@ -179,11 +177,28 @@ func (d *Decoder) buildLWT() {
 	}
 }
 
-// push inserts p into queue q keeping ascending priority order, evicting
-// the worst entry on overflow.
+// sortByWeight orders an LWT row ascending by weight, equal weights keeping
+// their slot order. The rows are short (at most one entry per flagged bit),
+// so an insertion sort beats a closure-driven one and allocates nothing.
+func sortByWeight(c []candidate) {
+	for i := 1; i < len(c); i++ {
+		x := c[i]
+		j := i
+		for ; j > 0 && c[j-1].w > x.w; j-- {
+			c[j] = c[j-1]
+		}
+		c[j] = x
+	}
+}
+
+// push inserts p into queue q keeping ascending priority order (after every
+// entry of equal priority), evicting the worst entry on overflow.
 func (d *Decoder) push(q int, p *prematch) {
 	queue := d.queues[q]
-	pos := sort.Search(len(queue), func(i int) bool { return queue[i].priority > p.priority })
+	pos := len(queue)
+	for pos > 0 && queue[pos-1].priority > p.priority {
+		pos--
+	}
 	queue = append(queue, nil)
 	copy(queue[pos+1:], queue[pos:])
 	queue[pos] = p
@@ -211,7 +226,7 @@ func (d *Decoder) decodeHHW() decoder.Result {
 	bestCost := -1
 	var bestObs uint64
 	var bestLeaf *prematch
-	var bestTail [][2]int
+	d.tail = d.tail[:0]
 
 	fetchCycles := hwmodel.AstreaFetchCycles(k)
 	budget := d.cfg.BudgetCycles - fetchCycles
@@ -267,7 +282,7 @@ func (d *Decoder) decodeHHW() decoder.Result {
 				unmatched := k - child.nbits
 				if child.mask == fullMask {
 					if bestCost < 0 || child.cost < bestCost {
-						bestCost, bestLeaf, bestTail = child.cost, child, nil
+						bestCost, bestLeaf, d.tail = child.cost, child, d.tail[:0]
 						bestObs = chainObs(child)
 					}
 				} else if unmatched <= 6 {
@@ -278,13 +293,13 @@ func (d *Decoder) decodeHHW() decoder.Result {
 							remaining = append(remaining, d.ones[s])
 						}
 					}
-					pairs, tq, tobs := astrea.BestMatching(d.gwt, remaining, &d.scratch, &d.bestBuf)
+					pairs, tq, tobs := d.lhw.BestMatching(remaining)
 					total := child.cost + tq
 					if bestCost < 0 || total < bestCost {
 						bestCost = total
 						bestObs = chainObs(child) ^ tobs
 						bestLeaf = child
-						bestTail = append([][2]int(nil), pairs...)
+						d.tail = append(d.tail[:0], pairs...)
 					}
 				} else {
 					d.push((qi+committed)%d.cfg.FetchWidth, child)
@@ -306,7 +321,10 @@ func (d *Decoder) decodeHHW() decoder.Result {
 		cycles++
 	}
 
+	// Pairs is the returned result itself — the caller's, a fresh slice per
+	// decode — sized once for the most pairs k bits can form.
 	res := decoder.Result{
+		Pairs:    make([][2]int, 0, k),
 		Cycles:   fetchCycles + cycles,
 		RealTime: fetchCycles+cycles <= hwmodel.BudgetCycles,
 	}
@@ -330,7 +348,7 @@ func (d *Decoder) decodeHHW() decoder.Result {
 		}
 		res.Pairs = append(res.Pairs, pair)
 	}
-	res.Pairs = append(res.Pairs, bestTail...)
+	res.Pairs = append(res.Pairs, d.tail...)
 	return res
 }
 

@@ -20,7 +20,8 @@ type Result struct {
 	ObsPrediction uint64
 	// Pairs is the matching: each entry is (detector, partner) with partner
 	// == Boundary for boundary matches. May be nil for table-based decoders
-	// that predict the observable directly.
+	// that predict the observable directly. Pairs is owned by the caller and
+	// remains valid after the instance is reused.
 	Pairs [][2]int
 	// Weight is the total matching weight in the decoder's own unit
 	// (decades for float decoders, quantised units for hardware decoders).

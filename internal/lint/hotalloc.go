@@ -12,7 +12,8 @@ import (
 // truncated, never reallocated — so the list is explicit and curated:
 // constructors, String/Clone conveniences, and cold error paths are
 // deliberately absent. Adding a function here promises it allocates
-// nothing in steady state; TestSparseDecodeAllocBudget enforces the same
+// nothing in steady state beyond the Result it returns; the
+// Test{Sparse,Dense,Astrea}DecodeAllocBudget gates enforce the same
 // promise dynamically.
 var hotallocFuncs = map[string]map[string]bool{
 	"internal/sparsemwpm": set(
@@ -27,8 +28,11 @@ var hotallocFuncs = map[string]map[string]bool{
 	),
 	"internal/unionfind": set("find", "union", "active", "Decode", "peel"),
 	"internal/astrea": set(
-		"Decode", "BestMatching", "pairCost", "search", "decode",
-		"HW6Path", "valuePair",
+		"Decode", "DecodeFlagged", "BestMatching", "solve", "bound",
+		"search8", "search6", "emit", "wt", "without",
+	),
+	"internal/astreag": set(
+		"Decode", "decodeHHW", "buildLWT", "sortByWeight", "push", "chainObs",
 	),
 	"internal/bitvec": set(
 		"Get", "Set", "Clear", "Flip", "SetTo", "Reset", "XorWith",

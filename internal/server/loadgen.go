@@ -62,8 +62,8 @@ type LoadReport struct {
 	// VerifyEngine names the exact-matching engine behind the local
 	// verification decoder (decoder.EngineOf; empty without Verify), so a
 	// clean report states which engine the daemon's answers were checked
-	// against — "mwpm" resolves to the sparse engine, "mwpm-dense" to the
-	// classic dense one.
+	// against — "mwpm" resolves to the dense engine, "mwpm-sparse" to the
+	// sparse one.
 	VerifyEngine string
 
 	// OtherGeneration counts responses produced by tables other than the

@@ -559,21 +559,21 @@ func (s *Server) reaper(idle time.Duration) {
 // FactoryFor maps a decoder name ("astrea", "astrea-g", "mwpm",
 // "mwpm-sparse", "mwpm-dense", "uf", "uf-unweighted") to its montecarlo
 // factory; the daemon, the load generator and the cluster client all
-// resolve verification decoders through it. "mwpm" is served by the sparse
-// exact-matching engine — bit-identical to the dense blossom baseline
-// (enforced by internal/sparsemwpm's cross-engine suites) while holding
-// only O(E) matching state; "mwpm-dense" pins the classic dense engine
-// explicitly, and both engines are attributed per pool on /stats.
+// resolve verification decoders through it. "mwpm" is served by the dense
+// blossom engine, the faster of the two exact engines against a warm GWT
+// (bench workload lib_highhw); "mwpm-sparse" selects the sparse engine —
+// bit-identical by internal/sparsemwpm's cross-engine suites, O(E) matching
+// state — and both engines are attributed per pool on /stats.
 func FactoryFor(name string) (montecarlo.Factory, error) {
 	switch name {
 	case "astrea":
 		return experiments.AstreaFactory, nil
 	case "astrea-g":
 		return experiments.AstreaGFactory, nil
-	case "mwpm", "mwpm-sparse":
-		return experiments.SparseMWPMFactory, nil
-	case "mwpm-dense":
+	case "mwpm", "mwpm-dense":
 		return experiments.MWPMFactory, nil
+	case "mwpm-sparse":
+		return experiments.SparseMWPMFactory, nil
 	case "uf":
 		return func(env *montecarlo.Env) (decoder.Decoder, error) {
 			return unionfind.New(env.Graph, true), nil

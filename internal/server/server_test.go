@@ -461,15 +461,15 @@ func TestDecoderNamesValidated(t *testing.T) {
 }
 
 // TestStatsEngineAttribution pins the exact-engine names the /stats snapshot
-// reports per served distance: "mwpm" pools are served by the sparse engine
-// (the dense baseline stays reachable as "mwpm-dense"), and the attribution
+// reports per served distance: "mwpm" pools are served by the dense engine
+// (the sparse one stays reachable as "mwpm-sparse"), and the attribution
 // follows the pool, not the decoder name.
 func TestStatsEngineAttribution(t *testing.T) {
 	env := testEnv(t, 3)
 	for _, tc := range []struct {
 		decoder, engine string
 	}{
-		{"mwpm", "sparse"},
+		{"mwpm", "dense"},
 		{"mwpm-sparse", "sparse"},
 		{"mwpm-dense", "dense"},
 		{"astrea", "Astrea"},
