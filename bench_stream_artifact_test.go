@@ -136,13 +136,14 @@ func TestStreamingBenchArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		go srv.Serve(ln)
-		rrep, err := server.RunStreamResumeLoad(server.StreamResumeLoadConfig{
+		rrep, err := server.RunStreamLoad(server.StreamLoadConfig{
 			Addr:     ln.Addr().String(),
 			Distance: distance,
 			P:        p,
 			Codec:    compress.IDSparse,
 			Rounds:   len(rows),
 			Seed:     1,
+			Resume:   true,
 			Kills:    3,
 			Verify:   true,
 		})

@@ -87,6 +87,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -147,14 +149,35 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Mode conflicts are settled before anything dials or listens.
+	streaming := *streamMode || *streamResume
+	switch {
+	case *servers != "" && *chaos:
+		return fmt.Errorf("-chaos applies to the single-daemon path; fleet mode injects faults server-side")
+	case *servers != "" && streaming:
+		return fmt.Errorf("-stream/-stream-resume apply to the single-daemon path; a windowed session pins one connection")
+	case *chaos && *streamResume:
+		return fmt.Errorf("-chaos and -stream-resume are mutually exclusive; resume mode interposes its own connection-killing proxy")
+	case streaming && deadline.Nanoseconds() > math.MaxUint32:
+		// The stream row budget travels as a uint32 of nanoseconds; a larger
+		// -deadline would silently wrap (5s → 705ms).
+		return fmt.Errorf("-deadline %v exceeds the stream row budget limit of %v (%d ns)",
+			*deadline, time.Duration(math.MaxUint32), uint32(math.MaxUint32))
+	}
+	load := server.LoadConfig{
+		Addr:          *addr,
+		Distance:      *d,
+		P:             *p,
+		Codec:         codecID,
+		Shots:         *n,
+		RatePerSec:    *rate,
+		DeadlineNs:    uint64(deadline.Nanoseconds()),
+		Seed:          *seed,
+		Verify:        *verify,
+		VerifyDecoder: *verifyDecoder,
+	}
 
 	if *servers != "" {
-		if *chaos {
-			return fmt.Errorf("-chaos applies to the single-daemon path; fleet mode injects faults server-side")
-		}
-		if *streamMode || *streamResume {
-			return fmt.Errorf("-stream/-stream-resume apply to the single-daemon path; a windowed session pins one connection")
-		}
 		var fp decodegraph.Fingerprint
 		switch {
 		case *expectFP != "" && *expectFPArtifact != "":
@@ -169,35 +192,20 @@ func run(args []string) error {
 			}
 			fmt.Fprintf(os.Stderr, "astrea-loadgen: pinning fingerprint %s from %s\n", fp, *expectFPArtifact)
 		}
-		addrs := strings.Split(*servers, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
+		addrs := splitList(*servers)
 		var dirs []string
 		if *rotate != "" {
 			if *rotateDirs == "" {
 				return fmt.Errorf("-rotate needs -rotate-dirs (one watch directory per replica)")
 			}
-			dirs = strings.Split(*rotateDirs, ",")
-			for i := range dirs {
-				dirs[i] = strings.TrimSpace(dirs[i])
-			}
-			if len(dirs) != len(addrs) {
-				return fmt.Errorf("-rotate-dirs lists %d directories for %d replicas", len(dirs), len(addrs))
-			}
+			dirs = splitList(*rotateDirs) // cluster.RunLoad checks one per replica
 		}
-		cfg := cluster.LoadConfig{
+		fmt.Fprintf(os.Stderr, "astrea-loadgen: offering %d d=%d syndromes across %d replicas (codec=%s, rate=%s, failover=%v, hedge=%v)\n",
+			*n, *d, len(addrs), *codecName, rateLabel(*rate), *failover, *hedge)
+		rep, err := cluster.RunLoad(cluster.LoadConfig{
+			LoadConfig:           load,
 			Addrs:                addrs,
-			Distance:             *d,
-			P:                    *p,
-			Codec:                codecID,
-			Shots:                *n,
 			Concurrency:          *workers,
-			RatePerSec:           *rate,
-			DeadlineNs:           uint64(deadline.Nanoseconds()),
-			Seed:                 *seed,
-			Verify:               *verify,
-			VerifyDecoder:        *verifyDecoder,
 			Failover:             *failover,
 			Hedge:                *hedge,
 			HedgeAfter:           *hedgeAfter,
@@ -207,17 +215,13 @@ func run(args []string) error {
 			RotateDirs:           dirs,
 			RotateAfterFrac:      *rotateAfter,
 			RotateConfirmTimeout: *rotateConfirm,
-		}
-		fmt.Fprintf(os.Stderr, "astrea-loadgen: offering %d d=%d syndromes across %d replicas (codec=%s, rate=%s, failover=%v, hedge=%v)\n",
-			*n, *d, len(addrs), *codecName, rateLabel(*rate), *failover, *hedge)
-		rep, err := cluster.RunLoad(cfg)
+		})
 		if err != nil {
 			return err
 		}
-		return renderFleet(rep, cfg)
+		return renderRequests(&rep.LoadReport, rep, load, *rotate != "")
 	}
 
-	target := *addr
 	if *chaos {
 		proxy, err := faultinject.NewProxy(*addr, faultinject.Config{
 			Seed:       *chaosSeed,
@@ -233,16 +237,13 @@ func run(args []string) error {
 			return err
 		}
 		defer proxy.Close()
-		target = proxy.Addr()
-		fmt.Fprintf(os.Stderr, "astrea-loadgen: chaos proxy on %s (seed=%d)\n", target, *chaosSeed)
+		load.Addr = proxy.Addr()
+		fmt.Fprintf(os.Stderr, "astrea-loadgen: chaos proxy on %s (seed=%d)\n", load.Addr, *chaosSeed)
 	}
 
-	if *streamResume {
-		if *chaos {
-			return fmt.Errorf("-chaos and -stream-resume are mutually exclusive; resume mode interposes its own connection-killing proxy")
-		}
-		rcfg := server.StreamResumeLoadConfig{
-			Addr:       target,
+	if streaming {
+		scfg := server.StreamLoadConfig{
+			Addr:       load.Addr,
 			Distance:   *d,
 			P:          *p,
 			Codec:      codecID,
@@ -257,97 +258,53 @@ func run(args []string) error {
 				MaxInflight:  *inflight,
 			},
 			Seed:          *seed,
+			Resume:        *streamResume,
 			Kills:         *streamKills,
 			Verify:        *verify,
 			VerifyDecoder: *verifyDecoder,
 		}
-		fmt.Fprintf(os.Stderr, "astrea-loadgen: streaming %d d=%d rounds to %s with %d scheduled connection kills (codec=%s, rate=%s, batch=%d)\n",
-			*n, *d, *addr, *streamKills, *codecName, rateLabel(*rate), *streamBatch)
-		rep, err := server.RunStreamResumeLoad(rcfg)
+		kills := ""
+		if *streamResume {
+			kills = fmt.Sprintf(" with %d scheduled connection kills", *streamKills)
+		}
+		fmt.Fprintf(os.Stderr, "astrea-loadgen: streaming %d d=%d rounds to %s%s (codec=%s, rate=%s, batch=%d)\n",
+			*n, *d, *addr, kills, *codecName, rateLabel(*rate), *streamBatch)
+		rep, err := server.RunStreamLoad(scfg)
+		if err != nil && *chaos {
+			scfg.Addr, scfg.Rounds, scfg.RatePerSec = *addr, 2000, 0
+			rep, err = probeAfterChaos(err, func() (*server.StreamLoadReport, error) { return server.RunStreamLoad(scfg) })
+		}
 		if err != nil {
 			return err
-		}
-		return renderStreamResume(rep, rcfg)
-	}
-
-	if *streamMode {
-		scfg := server.StreamLoadConfig{
-			Addr:       target,
-			Distance:   *d,
-			P:          *p,
-			Codec:      codecID,
-			Rounds:     *n,
-			RatePerSec: *rate,
-			Batch:      *streamBatch,
-			Window: server.StreamOptions{
-				WindowRounds: *windowRounds,
-				GapRounds:    *gapRounds,
-				PadRounds:    *padRounds,
-				RowBudgetNs:  uint32(deadline.Nanoseconds()),
-				MaxInflight:  *inflight,
-			},
-			Seed:          *seed,
-			Verify:        *verify,
-			VerifyDecoder: *verifyDecoder,
-		}
-		fmt.Fprintf(os.Stderr, "astrea-loadgen: streaming %d d=%d rounds to %s (codec=%s, rate=%s, batch=%d)\n",
-			*n, *d, *addr, *codecName, rateLabel(*rate), *streamBatch)
-		rep, err := server.RunStreamLoad(scfg)
-		if err != nil {
-			if !*chaos {
-				return err
-			}
-			// Under -chaos a severed session IS the injected fault; the smoke
-			// test is whether the daemon survived and still serves clean
-			// streams. Probe with a short fault-free session.
-			fmt.Fprintf(os.Stderr, "astrea-loadgen: chaos severed the session (%v); probing the daemon directly\n", err)
-			probe := scfg
-			probe.Addr = *addr
-			probe.Rounds = 2000
-			probe.RatePerSec = 0
-			if rep, err = server.RunStreamLoad(probe); err != nil {
-				return fmt.Errorf("daemon did not survive the chaos run: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "astrea-loadgen: daemon survived; reporting the post-chaos probe")
-			scfg = probe
 		}
 		return renderStream(rep, scfg)
 	}
 
-	cfg := server.LoadConfig{
-		Addr:          target,
-		Distance:      *d,
-		P:             *p,
-		Codec:         codecID,
-		Shots:         *n,
-		RatePerSec:    *rate,
-		DeadlineNs:    uint64(deadline.Nanoseconds()),
-		Seed:          *seed,
-		Verify:        *verify,
-		VerifyDecoder: *verifyDecoder,
-	}
 	fmt.Fprintf(os.Stderr, "astrea-loadgen: offering %d d=%d syndromes to %s (codec=%s, rate=%s)\n",
 		*n, *d, *addr, *codecName, rateLabel(*rate))
-	rep, err := server.RunLoad(cfg)
-	if err != nil {
-		if !*chaos {
-			return err
-		}
-		// Under -chaos a severed stream IS the injected fault, not a failed
-		// run; the smoke-test question is whether the daemon survived it.
-		// Probe it with a short fault-free run straight at the real address.
-		fmt.Fprintf(os.Stderr, "astrea-loadgen: chaos severed the stream (%v); probing the daemon directly\n", err)
-		probe := cfg
-		probe.Addr = *addr
-		probe.Shots = 100
-		probe.RatePerSec = 0
-		if rep, err = server.RunLoad(probe); err != nil {
-			return fmt.Errorf("daemon did not survive the chaos run: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "astrea-loadgen: daemon survived; reporting the post-chaos probe")
-		cfg = probe
+	rep, err := server.RunLoad(load)
+	if err != nil && *chaos {
+		load.Addr, load.Shots, load.RatePerSec = *addr, 100, 0
+		rep, err = probeAfterChaos(err, func() (*server.LoadReport, error) { return server.RunLoad(load) })
 	}
-	return render(rep, cfg)
+	if err != nil {
+		return err
+	}
+	return renderRequests(rep, nil, load, false)
+}
+
+// probeAfterChaos handles a run that -chaos severed. The severed connection
+// IS the injected fault, not a failed run; the smoke-test question is
+// whether the daemon survived it, so probe runs a short fault-free load
+// straight at the real address and its report stands in for the run's.
+func probeAfterChaos[R any](severed error, probe func() (R, error)) (R, error) {
+	fmt.Fprintf(os.Stderr, "astrea-loadgen: chaos severed the connection (%v); probing the daemon directly\n", severed)
+	rep, err := probe()
+	if err != nil {
+		return rep, fmt.Errorf("daemon did not survive the chaos run: %w", err)
+	}
+	fmt.Fprintln(os.Stderr, "astrea-loadgen: daemon survived; reporting the post-chaos probe")
+	return rep, nil
 }
 
 func rateLabel(rate float64) string {
@@ -357,8 +314,44 @@ func rateLabel(rate float64) string {
 	return fmt.Sprintf("%g/s", rate)
 }
 
-func render(rep *server.LoadReport, cfg server.LoadConfig) error {
-	out := os.Stdout
+// splitList splits a comma-separated flag value, trimming each element.
+func splitList(s string) []string {
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
+}
+
+// reportWriter prints a report's sections to stdout, a blank line between
+// them, and keeps the first write error.
+type reportWriter struct {
+	sections int
+	err      error
+}
+
+func (w *reportWriter) section(write func(io.Writer) error) {
+	if w.err != nil {
+		return
+	}
+	if w.sections > 0 {
+		fmt.Fprintln(os.Stdout)
+	}
+	w.sections++
+	w.err = write(os.Stdout)
+}
+
+func (w *reportWriter) cdf(title string, samplesNs []float64, budgetNs float64) {
+	w.section(func(out io.Writer) error { return report.CDF(out, title, samplesNs, budgetNs) })
+}
+
+// renderRequests prints a request-mode report and applies the exit-code
+// gates. A fleet run (fleet != nil) labels the tallies a fleet counts
+// differently, adds the requests no replica answered, and appends its
+// replica and rollout tables; rotating additionally gates on the rollout
+// having completed.
+func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg server.LoadConfig, rotating bool) error {
+	var out reportWriter
 	budget := float64(cfg.DeadlineNs)
 	if budget == 0 {
 		budget = 1000 // server default: the 1 µs window
@@ -368,15 +361,25 @@ func render(rep *server.LoadReport, cfg server.LoadConfig) error {
 		Title:   "astread load report",
 		Headers: []string{"metric", "value"},
 	}
+	rttTitle := "client round-trip latency"
 	t.AddRow("offered", rep.Offered)
-	t.AddRow("accepted", rep.Accepted)
-	t.AddRow("rejected (backpressure)", rep.Rejected)
-	t.AddRow("errored", rep.Errored)
+	if fleet == nil {
+		t.AddRow("accepted", rep.Accepted)
+		t.AddRow("rejected (backpressure)", rep.Rejected)
+		t.AddRow("errored", rep.Errored)
+	} else {
+		t.Title = "astread fleet load report"
+		rttTitle = "fleet round-trip latency (incl. failover/hedge)"
+		t.AddRow("answered", rep.Accepted)
+		t.AddRow("rejected (all replicas shed)", rep.Rejected)
+		t.AddRow("errored (server error)", rep.Errored)
+		t.AddRow("failed (no replica answered)", fleet.Failed)
+	}
 	t.AddRow("degraded (UF fallback)", rep.Degraded)
 	t.AddRow("offered/s", rep.OfferedPerSec)
 	t.AddRow("achieved/s", rep.AchievedPerSec)
 	t.AddRow("deadline misses (server)", fmt.Sprintf("%d (%.2f%% of accepted)",
-		rep.DeadlineMisses, 100*missRate(rep)))
+		rep.DeadlineMisses, 100*float64(rep.DeadlineMisses)/float64(max(rep.Accepted, 1))))
 	if rep.Rejected > 0 {
 		t.AddRow("max retry-after", time.Duration(rep.MaxRetryAfterNs).String())
 	}
@@ -387,39 +390,83 @@ func render(rep *server.LoadReport, cfg server.LoadConfig) error {
 	if rep.OtherGeneration > 0 {
 		t.AddRow("other-generation answers (unverified)", rep.OtherGeneration)
 	}
-	if err := t.Write(out); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
+	out.section(t.Write)
 	if rep.OtherGeneration > 0 {
-		fmt.Fprintf(out, "note: the daemon rotated artifacts mid-run; %d answers came from a\n"+
-			"generation this generator holds no tables for and were not verified.\n\n", rep.OtherGeneration)
+		out.section(func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "note: the daemon rotated artifacts mid-run; %d answers came from a\n"+
+				"generation this generator holds no tables for and were not verified.\n", rep.OtherGeneration)
+			return err
+		})
 	}
 
-	if err := report.CDF(out, "client round-trip latency", rep.RTTNs, budget); err != nil {
-		return err
+	if fleet != nil {
+		// Per-replica traffic split: how failover, hedging and the breaker
+		// actually distributed the load.
+		rt := report.Table{
+			Title:   "replica traffic split",
+			Headers: []string{"replica", "state", "req", "ok", "fail", "rej", "hedge", "probes ok/total"},
+		}
+		for _, rs := range fleet.Replicas {
+			rt.AddRow(rs.Addr, rs.State, rs.Requests, rs.Successes, rs.Failures, rs.Rejections,
+				rs.Hedges, fmt.Sprintf("%d/%d", rs.Probes-rs.ProbeFailures, rs.Probes))
+		}
+		out.section(rt.Write)
+		if fleet.Rotation != nil {
+			st := report.Table{
+				Title:   "staged rollout",
+				Headers: []string{"replica", "outcome", "baseline ok/deg/miss", "post ok/deg/miss"},
+			}
+			for _, step := range fleet.Rotation.Steps {
+				outcome := "passed"
+				if step.RolledBack {
+					outcome = "ROLLED BACK: " + step.Reason
+				}
+				st.AddRow(step.Addr, outcome,
+					fmt.Sprintf("%d/%d/%d", step.Baseline.Successes, step.Baseline.Degraded, step.Baseline.DeadlineMisses),
+					fmt.Sprintf("%d/%d/%d", step.Post.Successes, step.Post.Degraded, step.Post.DeadlineMisses))
+			}
+			out.section(st.Write)
+		}
 	}
-	fmt.Fprintln(out)
-	if err := report.CDF(out, "server-side sojourn (arrival→decode)", rep.ServerSojournNs, budget); err != nil {
-		return err
-	}
-	if rep.Mismatches > 0 {
+	out.cdf(rttTitle, rep.RTTNs, budget)
+	out.cdf("server-side sojourn (arrival→decode)", rep.ServerSojournNs, budget)
+	switch {
+	case out.err != nil:
+		return out.err
+	case rep.Mismatches > 0:
 		return fmt.Errorf("%d responses disagree with the local %s decoder", rep.Mismatches, cfg.VerifyDecoder)
+	case fleet == nil:
+		return nil
+	case fleet.Failed > 0:
+		return fmt.Errorf("%d requests exhausted every replica", fleet.Failed)
+	case fleet.RotationErr != "":
+		return fmt.Errorf("staged rollout failed: %s", fleet.RotationErr)
+	case rotating && (fleet.Rotation == nil || !fleet.Rotation.Completed):
+		return fmt.Errorf("staged rollout never completed")
 	}
 	return nil
 }
 
+// renderStream prints a stream-mode report and applies the zero-mismatch
+// gate; a resume run appends its recovery rows and CDF.
 func renderStream(rep *server.StreamLoadReport, cfg server.StreamLoadConfig) error {
-	out := os.Stdout
-
+	var out reportWriter
 	t := report.Table{
 		Title:   "astread streaming load report",
 		Headers: []string{"metric", "value"},
+	}
+	if cfg.Resume {
+		t.Title = "astread stream-resume resilience report"
 	}
 	t.AddRow("rounds streamed", rep.Rounds)
 	t.AddRow("windows committed", rep.Windows)
 	t.AddRow("forced cuts", rep.ForcedCuts)
 	t.AddRow("degraded (fallback decode)", rep.Degraded)
+	if cfg.Resume {
+		t.AddRow("connection kills landed", rep.Kills)
+		t.AddRow("reconnects", rep.Reconnects)
+		t.AddRow("rounds replayed", rep.ReplayedRounds)
+	}
 	t.AddRow("rounds/s", rep.RoundsPerSec)
 	t.AddRow("windows/s", rep.WindowsPerSec)
 	t.AddRow("window cap / gap / pad", fmt.Sprintf("%d / %d / %d rounds",
@@ -431,144 +478,20 @@ func renderStream(rep *server.StreamLoadReport, cfg server.StreamLoadConfig) err
 	if cfg.Verify {
 		t.AddRow("verified mismatches", rep.Mismatches)
 	}
-	if err := t.Write(out); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-
+	out.section(t.Write)
 	// The commit-latency budget scales with the window height: a window of
 	// R rounds is on time within R × RowBudgetNs of its cut.
 	budget := float64(rep.Resolved.RowBudgetNs) * float64(rep.Resolved.WindowRounds)
-	if err := report.CDF(out, "commit latency (last round sent → commit received)", rep.CommitLatencyNs, budget); err != nil {
-		return err
+	out.cdf("commit latency (last round sent → commit received)", rep.CommitLatencyNs, budget)
+	out.cdf("server-side commit sojourn (cut → commit)", rep.ServerSojournNs, budget)
+	if cfg.Resume {
+		out.cdf("recovery time (connection death → session re-established)", rep.RecoveryNs, 0)
 	}
-	fmt.Fprintln(out)
-	if err := report.CDF(out, "server-side commit sojourn (cut → commit)", rep.ServerSojournNs, budget); err != nil {
-		return err
-	}
-	if rep.Mismatches > 0 {
-		return fmt.Errorf("%d commits disagree with the local windowed decode", rep.Mismatches)
-	}
-	return nil
-}
-
-func renderFleet(rep *cluster.LoadReport, cfg cluster.LoadConfig) error {
-	out := os.Stdout
-	budget := float64(cfg.DeadlineNs)
-	if budget == 0 {
-		budget = 1000 // server default: the 1 µs window
-	}
-
-	t := report.Table{
-		Title:   "astread fleet load report",
-		Headers: []string{"metric", "value"},
-	}
-	t.AddRow("offered", rep.Offered)
-	t.AddRow("answered", rep.Answered)
-	t.AddRow("rejected (all replicas shed)", rep.Rejected)
-	t.AddRow("errored (server error)", rep.Errored)
-	t.AddRow("failed (no replica answered)", rep.Failed)
-	t.AddRow("degraded (UF fallback)", rep.Degraded)
-	t.AddRow("achieved/s", rep.AchievedPerSec)
-	if cfg.Verify {
-		t.AddRow("verified mismatches", rep.Mismatches)
-	}
-	if err := t.Write(out); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-
-	// Per-replica traffic split: how failover, hedging and the breaker
-	// actually distributed the load.
-	rt := report.Table{
-		Title:   "replica traffic split",
-		Headers: []string{"replica", "state", "req", "ok", "fail", "rej", "hedge", "probes ok/total"},
-	}
-	for _, rs := range rep.Replicas {
-		rt.AddRow(rs.Addr, rs.State, rs.Requests, rs.Successes, rs.Failures, rs.Rejections,
-			rs.Hedges, fmt.Sprintf("%d/%d", rs.Probes-rs.ProbeFailures, rs.Probes))
-	}
-	if err := rt.Write(out); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-
-	if rep.Rotation != nil {
-		st := report.Table{
-			Title:   "staged rollout",
-			Headers: []string{"replica", "outcome", "baseline ok/deg/miss", "post ok/deg/miss"},
-		}
-		for _, step := range rep.Rotation.Steps {
-			outcome := "passed"
-			if step.RolledBack {
-				outcome = "ROLLED BACK: " + step.Reason
-			}
-			st.AddRow(step.Addr, outcome,
-				fmt.Sprintf("%d/%d/%d", step.Baseline.Successes, step.Baseline.Degraded, step.Baseline.DeadlineMisses),
-				fmt.Sprintf("%d/%d/%d", step.Post.Successes, step.Post.Degraded, step.Post.DeadlineMisses))
-		}
-		if err := st.Write(out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-
-	if err := report.CDF(out, "fleet round-trip latency (incl. failover/hedge)", rep.RTTNs, budget); err != nil {
-		return err
+	if out.err != nil {
+		return out.err
 	}
 	if rep.Mismatches > 0 {
-		return fmt.Errorf("%d responses disagree with the local decoder", rep.Mismatches)
-	}
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d requests exhausted every replica", rep.Failed)
-	}
-	if rep.RotationErr != "" {
-		return fmt.Errorf("staged rollout failed: %s", rep.RotationErr)
-	}
-	if cfg.RotateArtifact != "" && (rep.Rotation == nil || !rep.Rotation.Completed) {
-		return fmt.Errorf("staged rollout never completed")
-	}
-	return nil
-}
-
-func missRate(rep *server.LoadReport) float64 {
-	if rep.Accepted == 0 {
-		return 0
-	}
-	return float64(rep.DeadlineMisses) / float64(rep.Accepted)
-}
-
-func renderStreamResume(rep *server.StreamResumeLoadReport, cfg server.StreamResumeLoadConfig) error {
-	out := os.Stdout
-
-	t := report.Table{
-		Title:   "astread stream-resume resilience report",
-		Headers: []string{"metric", "value"},
-	}
-	t.AddRow("rounds streamed", rep.Rounds)
-	t.AddRow("windows committed", rep.Windows)
-	t.AddRow("forced cuts", rep.ForcedCuts)
-	t.AddRow("connection kills landed", rep.Kills)
-	t.AddRow("reconnects", rep.Reconnects)
-	t.AddRow("rounds replayed", rep.ReplayedRounds)
-	t.AddRow("rounds/s", rep.RoundsPerSec)
-	t.AddRow("windows/s", rep.WindowsPerSec)
-	t.AddRow("window cap / gap / pad", fmt.Sprintf("%d / %d / %d rounds",
-		rep.Resolved.WindowRounds, rep.Resolved.GapRounds, rep.Resolved.PadRounds))
-	t.AddRow("cumulative correction", fmt.Sprintf("%#x", rep.ObsMask))
-	if cfg.Verify {
-		t.AddRow("verified mismatches", rep.Mismatches)
-	}
-	if err := t.Write(out); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-
-	if err := report.CDF(out, "recovery time (connection death → session re-established)", rep.RecoveryNs, 0); err != nil {
-		return err
-	}
-	if rep.Mismatches > 0 {
-		return fmt.Errorf("%d commits disagree with the local %s decoder — resume broke bit-identity", rep.Mismatches, cfg.VerifyDecoder)
+		return fmt.Errorf("%d commits disagree with the local windowed %s decode", rep.Mismatches, cfg.VerifyDecoder)
 	}
 	return nil
 }

@@ -1,0 +1,88 @@
+package main
+
+import (
+	"net"
+	"strings"
+	"testing"
+
+	"astrea/internal/leakcheck"
+	"astrea/internal/server"
+)
+
+// startDaemon serves d=3 from an in-process daemon on a loopback port and
+// returns its address.
+func startDaemon(t *testing.T) string {
+	t.Helper()
+	srv, err := server.New(server.Config{Distances: []int{3}, P: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// TestRunModes drives every mode of the one load driver through run(args)
+// against live in-process daemons. -verify is on by default, so a nil
+// error is the zero-mismatch gate; the default 1 µs deadline makes the
+// request modes exercise the degraded-answer (Union-Find) verification too.
+func TestRunModes(t *testing.T) {
+	leakcheck.Check(t)
+	a, b := startDaemon(t), startDaemon(t)
+	for name, args := range map[string][]string{
+		"request":       {"-addr", a, "-d", "3", "-n", "400"},
+		"stream":        {"-addr", a, "-d", "3", "-stream", "-n", "800"},
+		"stream-resume": {"-addr", a, "-d", "3", "-stream-resume", "-n", "800", "-stream-kills", "2"},
+		"fleet":         {"-servers", a + "," + b, "-d", "3", "-n", "400"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := run(args); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRunRejectsConflictingFlags checks every mutually exclusive flag pair
+// and the stream-mode -deadline overflow: each must fail with an error
+// naming the conflict, before anything is dialled (no daemon listens on
+// the addresses used here).
+func TestRunRejectsConflictingFlags(t *testing.T) {
+	leakcheck.Check(t)
+	const dead = "127.0.0.1:1"
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"servers+stream":        {[]string{"-servers", dead, "-stream"}, "single-daemon path"},
+		"servers+stream-resume": {[]string{"-servers", dead, "-stream-resume"}, "single-daemon path"},
+		"servers+chaos":         {[]string{"-servers", dead, "-chaos"}, "single-daemon path"},
+		"chaos+stream-resume":   {[]string{"-addr", dead, "-chaos", "-stream-resume"}, "mutually exclusive"},
+		"both fingerprints": {[]string{"-servers", dead, "-expect-fingerprint", "0123456789abcdef",
+			"-expect-fingerprint-artifact", "none.astc"}, "mutually exclusive"},
+		"rotate without dirs":    {[]string{"-servers", dead, "-rotate", "none.astc"}, "-rotate-dirs"},
+		"stream deadline wraps":  {[]string{"-addr", dead, "-stream", "-deadline", "5s"}, "4.294967295s"},
+		"resume deadline wraps":  {[]string{"-addr", dead, "-stream-resume", "-deadline", "5s"}, "4.294967295s"},
+		"unknown codec":          {[]string{"-addr", dead, "-codec", "zstd"}, "zstd"},
+		"malformed fingerprint":  {[]string{"-servers", dead, "-expect-fingerprint", "xyz"}, "xyz"},
+		"rotate dirs != servers": {[]string{"-servers", dead, "-rotate", "none.astc", "-rotate-dirs", "a,b"}, "2 rotate dirs for 1 replicas"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			err := run(tc.args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"astrea/internal/faultinject"
+	"astrea/internal/server"
 )
 
 // TestFleetChaosSoak is the fleet-level chaos test: three replicas serve a
@@ -32,14 +33,16 @@ func TestFleetChaosSoak(t *testing.T) {
 	defer stop()
 
 	rep, err := RunLoad(LoadConfig{
+		LoadConfig: server.LoadConfig{
+			Distance:   3,
+			Shots:      2000,
+			RatePerSec: 5000, // ~400ms run, so every scheduled fault lands mid-stream
+			DeadlineNs: bigDeadline,
+			Seed:       42,
+			Verify:     true,
+		},
 		Addrs:       []string{addr0, addr1, addr2},
-		Distance:    3,
-		Shots:       2000,
 		Concurrency: 4,
-		RatePerSec:  5000, // ~400ms run, so every scheduled fault lands mid-stream
-		DeadlineNs:  bigDeadline,
-		Seed:        42,
-		Verify:      true,
 		Failover:    true,
 		Hedge:       true,
 		HedgeAfter:  2 * time.Millisecond,
@@ -53,8 +56,8 @@ func TestFleetChaosSoak(t *testing.T) {
 	}
 	<-done
 
-	if rep.Answered != rep.Offered {
-		t.Errorf("answered %d of %d offered requests:\n%s", rep.Answered, rep.Offered, rep.Summary())
+	if rep.Accepted != rep.Offered {
+		t.Errorf("answered %d of %d offered requests:\n%s", rep.Accepted, rep.Offered, rep.Summary())
 	}
 	if rep.Failed != 0 || rep.Errored != 0 || rep.Rejected != 0 {
 		t.Errorf("failed %d, errored %d, rejected %d; want 0 of each:\n%s",

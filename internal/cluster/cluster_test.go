@@ -186,13 +186,9 @@ func TestFleetFailoverDeadReplica(t *testing.T) {
 	_, live := startReplica(t, env)
 	dead := deadAddr(t)
 	rep, err := RunLoad(LoadConfig{
+		LoadConfig:     server.LoadConfig{Distance: 3, Shots: 60, DeadlineNs: bigDeadline, Seed: 1, Verify: true},
 		Addrs:          []string{dead, live},
-		Distance:       3,
-		Shots:          60,
 		Concurrency:    3,
-		DeadlineNs:     bigDeadline,
-		Seed:           1,
-		Verify:         true,
 		Failover:       true,
 		CallTimeout:    2 * time.Second,
 		HealthInterval: 30 * time.Millisecond,
@@ -201,7 +197,7 @@ func TestFleetFailoverDeadReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Answered != rep.Offered || rep.Failed != 0 || rep.Rejected != 0 || rep.Errored != 0 {
+	if rep.Accepted != rep.Offered || rep.Failed != 0 || rep.Rejected != 0 || rep.Errored != 0 {
 		t.Fatalf("not every request was answered:\n%s", rep.Summary())
 	}
 	if rep.Mismatches != 0 {

@@ -9,44 +9,26 @@ import (
 	"time"
 
 	"astrea/internal/artifact"
-	"astrea/internal/bitvec"
 	"astrea/internal/decodegraph"
-	"astrea/internal/decoder"
-	"astrea/internal/dem"
 	"astrea/internal/montecarlo"
-	"astrea/internal/prng"
 	"astrea/internal/server"
-	"astrea/internal/unionfind"
 )
 
-// LoadConfig parameterises one load run against a replica fleet.
+// LoadConfig parameterises one load run against a replica fleet: the
+// request-load fields a single-daemon run has too, plus what only a fleet
+// adds.
 type LoadConfig struct {
+	// LoadConfig carries the shared fields — operating point, codec, shots,
+	// rate, deadline, seed, verification (its Addr is unused: Addrs lists
+	// the replicas).
+	server.LoadConfig
+
 	// Addrs lists the replica endpoints.
 	Addrs []string
-	// Distance and P select the DEM the syndromes are sampled from (they
-	// must match a distance every replica serves).
-	Distance int
-	P        float64
-	// Codec is the compress wire ID to negotiate.
-	Codec uint8
-	// Shots is the number of syndromes to offer.
-	Shots int
 	// Concurrency is the number of synchronous decode workers driving the
 	// fleet (each Fleet.Decode borrows its own connection). Default 4.
+	// RatePerSec is the arrival rate across all of them.
 	Concurrency int
-	// RatePerSec is the open-loop arrival rate across all workers; 0 sends
-	// as fast as the fleet accepts.
-	RatePerSec float64
-	// DeadlineNs is the per-request real-time budget (0 = server default).
-	DeadlineNs uint64
-	// Seed drives the syndrome sampler.
-	Seed uint64
-	// Verify re-decodes every answered syndrome locally with the named
-	// decoder (default "astrea") and counts observable-prediction
-	// mismatches; degraded responses are checked against the server's
-	// weighted Union-Find fallback instead.
-	Verify        bool
-	VerifyDecoder string
 
 	// Failover allows re-sending an unanswered request to the next healthy
 	// replica; false pins each request to a single attempt.
@@ -86,21 +68,14 @@ type LoadConfig struct {
 
 // LoadReport is the outcome of a fleet load run.
 type LoadReport struct {
-	Offered  int
-	Answered int // responses carrying a decode result
-	Rejected int // requests every attempted replica shed
-	Errored  int // per-request server errors (terminal)
-	Failed   int // requests no replica answered (transport exhaustion)
-
-	// Mismatches counts verified responses whose observable prediction
-	// disagreed with the local decoder (Verify only).
-	Mismatches int
-	// Degraded counts responses answered by a replica's fallback decoder.
-	Degraded int
-
-	// RTTNs holds one client-observed fleet latency (Decode call to
-	// answer) per answered response.
-	RTTNs []float64
+	// LoadReport is the shared tally. Accepted counts answered requests,
+	// Rejected those every attempted replica shed, and RTTNs the fleet
+	// latency (Decode call to answer, failover and hedging included). An
+	// answer signed by a generation the run was not told about counts as a
+	// mismatch, never as OtherGeneration.
+	server.LoadReport
+	// Failed counts requests no replica answered (transport exhaustion).
+	Failed int
 
 	// Replicas is each endpoint's final health and traffic split — the
 	// per-replica request/success counts expose how failover and hedging
@@ -111,34 +86,40 @@ type LoadReport struct {
 	// RotationErr carries its failure (including a fired regression gate).
 	Rotation    *RolloutReport
 	RotationErr string
-
-	ElapsedSec     float64
-	AchievedPerSec float64
 }
 
 // RunLoad samples DEM syndromes and drives them through a Fleet with the
-// configured concurrency, collecting per-replica traffic splits.
+// configured concurrency, collecting per-replica traffic splits. Sampling,
+// pacing, classification and verification are server.LoadRun's; this
+// function owns the fleet, the worker loop and the rotation.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
-	if cfg.Shots <= 0 {
-		cfg.Shots = 1000
-	}
-	if cfg.Distance == 0 {
-		cfg.Distance = 5
-	}
-	if cfg.P <= 0 {
-		cfg.P = 1e-3
-	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
 	}
-	env := cfg.env
-	if env == nil {
+	// Rotation chaos mode: resolve the target generation up front, so its
+	// verification tables exist before the first rotated answer arrives.
+	var rotArt *artifact.Artifact
+	var rotated []*montecarlo.Env
+	if cfg.RotateArtifact != "" {
+		if len(cfg.RotateDirs) != len(cfg.Addrs) {
+			return nil, fmt.Errorf("cluster: %d rotate dirs for %d replicas — pass one watch directory per address",
+				len(cfg.RotateDirs), len(cfg.Addrs))
+		}
 		var err error
-		env, err = montecarlo.SharedEnv(cfg.Distance, cfg.Distance, cfg.P)
+		if rotArt, err = artifact.ReadFile(cfg.RotateArtifact); err != nil {
+			return nil, err
+		}
+		envNew, err := montecarlo.NewEnvFromArtifact(rotArt)
 		if err != nil {
 			return nil, err
 		}
+		rotated = append(rotated, envNew)
 	}
+	run, err := server.NewLoadRun(cfg.LoadConfig, cfg.env, rotated...)
+	if err != nil {
+		return nil, err
+	}
+	cfg.LoadConfig = run.Config
 
 	maxAttempts := 1
 	if cfg.Failover {
@@ -166,100 +147,17 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	defer fleet.Close()
 
-	// Rotation chaos mode: resolve the target generation up front, so its
-	// verification tables exist before the first rotated answer arrives.
-	baseFP := uint64(decodegraph.FingerprintOf(env.Model, env.GWT))
-	verifyEnvs := map[uint64]*montecarlo.Env{baseFP: env}
-	var rotArt *artifact.Artifact
-	if cfg.RotateArtifact != "" {
-		if len(cfg.RotateDirs) != len(cfg.Addrs) {
-			return nil, fmt.Errorf("cluster: %d rotate dirs for %d replicas — pass one watch directory per address",
-				len(cfg.RotateDirs), len(cfg.Addrs))
-		}
-		if rotArt, err = artifact.ReadFile(cfg.RotateArtifact); err != nil {
-			return nil, err
-		}
-		envNew, err := montecarlo.NewEnvFromArtifact(rotArt)
-		if err != nil {
-			return nil, err
-		}
-		verifyEnvs[uint64(rotArt.Fingerprint)] = envNew
-	}
-
-	// Per-generation verification tables: an answer is checked against the
-	// tables of the generation whose digest it carries, so the zero-mismatch
-	// gate stays meaningful across a mid-run rotation.
-	type genTables struct{ expected, expectedUF []uint64 }
-	var verify map[uint64]*genTables
-	if cfg.Verify {
-		name := cfg.VerifyDecoder
-		if name == "" {
-			name = "astrea"
-		}
-		factory, err := server.FactoryFor(name)
-		if err != nil {
-			return nil, err
-		}
-		verify = make(map[uint64]*genTables, len(verifyEnvs))
-		for fp, venv := range verifyEnvs {
-			if _, err := factory(venv); err != nil {
-				return nil, err
-			}
-			verify[fp] = &genTables{
-				expected:   make([]uint64, cfg.Shots),
-				expectedUF: make([]uint64, cfg.Shots),
-			}
-		}
-	}
-
-	// Pre-sample every syndrome so the run measures the fleet, not the
-	// sampler; keep local predictions (per generation, decoded serially —
-	// decoder instances carry scratch state) for verification.
-	rng := prng.New(cfg.Seed)
-	smp := dem.NewSampler(env.Model)
-	syndromes := make([]bitvec.Vec, cfg.Shots)
-	buf := bitvec.New(env.Model.NumDetectors)
-	for i := 0; i < cfg.Shots; i++ {
-		smp.Sample(rng, buf)
-		syndromes[i] = buf.Clone()
-	}
-	if verify != nil {
-		name := cfg.VerifyDecoder
-		if name == "" {
-			name = "astrea"
-		}
-		factory, err := server.FactoryFor(name)
-		if err != nil {
-			return nil, err
-		}
-		for fp, venv := range verifyEnvs {
-			local, err := factory(venv)
-			if err != nil {
-				return nil, err
-			}
-			localUF := decoder.Decoder(unionfind.New(venv.Graph, true))
-			for i, s := range syndromes {
-				verify[fp].expected[i] = local.Decode(s).ObsPrediction
-				verify[fp].expectedUF[i] = localUF.Decode(s).ObsPrediction
-			}
-		}
-	}
-
-	rep := &LoadReport{Offered: cfg.Shots}
-	var mu sync.Mutex // guards rep during the run
+	rep := &LoadReport{}
+	var mu sync.Mutex // guards rep and run during the run
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	var gap time.Duration
-	if cfg.RatePerSec > 0 {
-		gap = time.Duration(float64(time.Second) / cfg.RatePerSec)
-	}
 
 	// The staged rollout runs concurrently with the load once the trigger
 	// fraction of shots has been offered; the load itself is the gate's
 	// sample source.
 	var rotWG sync.WaitGroup
 	if rotArt != nil {
-		revertArt, err := env.Artifact()
+		revertArt, err := run.Env.Artifact()
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +197,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		}()
 	}
 
-	start := time.Now()
+	run.Start()
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
 		go func() {
@@ -309,44 +207,15 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				if i >= cfg.Shots {
 					return
 				}
-				if gap > 0 {
-					if d := time.Until(start.Add(time.Duration(i) * gap)); d > 0 {
-						time.Sleep(d)
-					}
-				}
+				run.Pace(i, nil)
 				t0 := time.Now()
-				resp, err := fleet.Decode(uint64(i), cfg.DeadlineNs, syndromes[i])
+				resp, err := fleet.Decode(uint64(i), cfg.DeadlineNs, run.Syndromes[i])
 				rtt := time.Since(t0)
 				mu.Lock()
-				switch {
-				case err != nil:
+				if err != nil {
 					rep.Failed++
-				case resp.Rejected:
-					rep.Rejected++
-				case resp.Err != "":
-					rep.Errored++
-				default:
-					rep.Answered++
-					rep.RTTNs = append(rep.RTTNs, float64(rtt.Nanoseconds()))
-					if resp.Degraded {
-						rep.Degraded++
-					}
-					if verify != nil {
-						// Legacy daemons carry no digest; their answers can
-						// only come from the base generation.
-						fp := baseFP
-						if resp.HaveFingerprint {
-							fp = resp.Fingerprint
-						}
-						tables := verify[fp]
-						switch {
-						case tables == nil:
-							rep.Mismatches++ // a generation nobody compiled
-						case resp.Degraded && resp.ObsMask != tables.expectedUF[i],
-							!resp.Degraded && resp.ObsMask != tables.expected[i]:
-							rep.Mismatches++
-						}
-					}
+				} else {
+					run.Record(i, resp, float64(rtt.Nanoseconds()))
 				}
 				mu.Unlock()
 			}
@@ -355,9 +224,12 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	wg.Wait()
 	rotWG.Wait()
 
-	rep.ElapsedSec = time.Since(start).Seconds()
-	if rep.ElapsedSec > 0 {
-		rep.AchievedPerSec = float64(rep.Answered) / rep.ElapsedSec
+	rep.LoadReport = *run.Finish()
+	if cfg.Verify {
+		// Every generation this run can meet was compiled into its verifier;
+		// an answer signed by any other is a generation nobody compiled.
+		rep.Mismatches += rep.OtherGeneration
+		rep.OtherGeneration = 0
 	}
 	rep.Replicas = fleet.Stats()
 	return rep, nil
@@ -378,7 +250,7 @@ func dropArtifact(dir string, a *artifact.Artifact) error {
 // Summary renders the report's headline numbers for CLI output.
 func (r *LoadReport) Summary() string {
 	s := fmt.Sprintf("offered %d  answered %d  rejected %d  errored %d  failed %d (%.0f/s)",
-		r.Offered, r.Answered, r.Rejected, r.Errored, r.Failed, r.AchievedPerSec)
+		r.Offered, r.Accepted, r.Rejected, r.Errored, r.Failed, r.AchievedPerSec)
 	for _, rs := range r.Replicas {
 		s += fmt.Sprintf("\n  %-22s %-11s req %-6d ok %-6d fail %-4d rej %-4d hedge %-4d probes %d/%d",
 			rs.Addr, rs.State, rs.Requests, rs.Successes, rs.Failures, rs.Rejections,

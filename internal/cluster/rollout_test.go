@@ -550,15 +550,17 @@ func TestRunLoadRotationSoak(t *testing.T) {
 	}
 
 	rep, err := RunLoad(LoadConfig{
+		LoadConfig: server.LoadConfig{
+			Distance:   3,
+			P:          1e-3,
+			Shots:      5000,
+			RatePerSec: 2000,
+			DeadlineNs: bigDeadline,
+			Seed:       11,
+			Verify:     true,
+		},
 		Addrs:                addrs,
-		Distance:             3,
-		P:                    1e-3,
-		Shots:                5000,
 		Concurrency:          4,
-		RatePerSec:           2000,
-		DeadlineNs:           bigDeadline,
-		Seed:                 11,
-		Verify:               true,
 		Failover:             true,
 		CallTimeout:          2 * time.Second,
 		HealthInterval:       15 * time.Millisecond,
@@ -583,7 +585,7 @@ func TestRunLoadRotationSoak(t *testing.T) {
 	if rep.Failed != 0 || rep.Errored != 0 {
 		t.Fatalf("dropped traffic across the rotation: %d failed, %d errored", rep.Failed, rep.Errored)
 	}
-	if rep.Answered == 0 {
+	if rep.Accepted == 0 {
 		t.Fatal("nothing answered")
 	}
 }

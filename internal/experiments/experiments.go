@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"astrea/internal/astrea"
@@ -76,6 +77,39 @@ func AstreaGWithConfig(cfg hwmodel.AstreaGConfig) montecarlo.Factory {
 // UFFactory builds the unweighted Union-Find decoder (the AFS baseline).
 func UFFactory(env *montecarlo.Env) (decoder.Decoder, error) {
 	return unionfind.New(env.Graph, false), nil
+}
+
+// WeightedUFFactory builds the weighted Union-Find decoder — the service's
+// "uf" and the fallback a daemon degrades to.
+func WeightedUFFactory(env *montecarlo.Env) (decoder.Decoder, error) {
+	return unionfind.New(env.Graph, true), nil
+}
+
+// FactoryFor maps a service decoder name ("astrea", "astrea-g", "mwpm",
+// "mwpm-sparse", "mwpm-dense", "uf", "uf-unweighted") to its factory. It is
+// the one registry behind the daemon's pools, the stream pipeline's window
+// decoders and every load-generator verifier, so a name one layer accepts
+// is a name all of them accept. "mwpm" is served by the dense blossom
+// engine, the faster of the two exact engines against a warm GWT (bench
+// workload lib_highhw); "mwpm-sparse" selects the sparse engine —
+// bit-identical by internal/sparsemwpm's cross-engine suites, O(E) matching
+// state — and both engines are attributed per pool on /stats.
+func FactoryFor(name string) (montecarlo.Factory, error) {
+	switch name {
+	case "astrea":
+		return AstreaFactory, nil
+	case "astrea-g":
+		return AstreaGFactory, nil
+	case "mwpm", "mwpm-dense":
+		return MWPMFactory, nil
+	case "mwpm-sparse":
+		return SparseMWPMFactory, nil
+	case "uf":
+		return WeightedUFFactory, nil
+	case "uf-unweighted":
+		return UFFactory, nil
+	}
+	return nil, fmt.Errorf("experiments: unknown decoder %q (want astrea, astrea-g, mwpm, mwpm-sparse, mwpm-dense, uf or uf-unweighted)", name)
 }
 
 // CliqueFactory builds the hierarchical Clique+MWPM decoder.

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"astrea/internal/decoder"
-	"astrea/internal/montecarlo"
 	"astrea/internal/report"
-	"astrea/internal/unionfind"
 )
 
 // UFAblationResult separates the two gaps between the AFS baseline and
@@ -28,15 +25,12 @@ func UFAblation(b Budget, p float64, distances ...int) (*UFAblationResult, error
 		distances = []int{3, 5, 7}
 	}
 	res := &UFAblationResult{P: p, Distances: distances}
-	wf := func(env *montecarlo.Env) (decoder.Decoder, error) {
-		return unionfind.New(env.Graph, true), nil
-	}
 	for _, d := range distances {
 		env, err := Env(d, p)
 		if err != nil {
 			return nil, err
 		}
-		lers, _, err := stratifiedLERs(env, b, MWPMFactory, wf, UFFactory)
+		lers, _, err := stratifiedLERs(env, b, MWPMFactory, WeightedUFFactory, UFFactory)
 		if err != nil {
 			return nil, err
 		}

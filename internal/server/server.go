@@ -556,33 +556,10 @@ func (s *Server) reaper(idle time.Duration) {
 	}
 }
 
-// FactoryFor maps a decoder name ("astrea", "astrea-g", "mwpm",
-// "mwpm-sparse", "mwpm-dense", "uf", "uf-unweighted") to its montecarlo
-// factory; the daemon, the load generator and the cluster client all
-// resolve verification decoders through it. "mwpm" is served by the dense
-// blossom engine, the faster of the two exact engines against a warm GWT
-// (bench workload lib_highhw); "mwpm-sparse" selects the sparse engine —
-// bit-identical by internal/sparsemwpm's cross-engine suites, O(E) matching
-// state — and both engines are attributed per pool on /stats.
-func FactoryFor(name string) (montecarlo.Factory, error) {
-	switch name {
-	case "astrea":
-		return experiments.AstreaFactory, nil
-	case "astrea-g":
-		return experiments.AstreaGFactory, nil
-	case "mwpm", "mwpm-dense":
-		return experiments.MWPMFactory, nil
-	case "mwpm-sparse":
-		return experiments.SparseMWPMFactory, nil
-	case "uf":
-		return func(env *montecarlo.Env) (decoder.Decoder, error) {
-			return unionfind.New(env.Graph, true), nil
-		}, nil
-	case "uf-unweighted":
-		return experiments.UFFactory, nil
-	}
-	return nil, fmt.Errorf("server: unknown decoder %q (want astrea, astrea-g, mwpm, mwpm-sparse, mwpm-dense, uf or uf-unweighted)", name)
-}
+// FactoryFor resolves a decoder name through the one registry the daemon,
+// the stream pipeline, the load generator and the cluster client share
+// (experiments.FactoryFor, which lists the names).
+func FactoryFor(name string) (montecarlo.Factory, error) { return experiments.FactoryFor(name) }
 
 // Distances returns the served distances in ascending order.
 func (s *Server) Distances() []int {

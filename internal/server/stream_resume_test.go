@@ -545,12 +545,12 @@ func TestStreamResumeEviction(t *testing.T) {
 	}
 }
 
-// TestRunStreamResumeLoad drives the resilience load generator against a
-// live daemon: the generator's own proxy severs connections on schedule,
-// and the run must still finish with zero mismatches against the local
+// TestRunStreamLoadResume drives the stream load generator's resume mode
+// against a live daemon: the generator's own proxy severs connections on
+// schedule, and the run must still finish with zero mismatches against the local
 // windowed decode, at least one recovery sample, and recovery quantiles
 // that parse as a CDF (sorted ascending).
-func TestRunStreamResumeLoad(t *testing.T) {
+func TestRunStreamLoadResume(t *testing.T) {
 	leakCheck(t)
 	env := testEnv(t, 3)
 	srv := startServer(t, Config{
@@ -563,13 +563,14 @@ func TestRunStreamResumeLoad(t *testing.T) {
 	if testing.Short() {
 		rounds = 120
 	}
-	rep, err := RunStreamResumeLoad(StreamResumeLoadConfig{
+	rep, err := RunStreamLoad(StreamLoadConfig{
 		Addr:     srv.Addr().String(),
 		Distance: 3,
 		P:        1e-3,
 		Codec:    compress.IDSparse,
 		Rounds:   rounds,
 		Seed:     13,
+		Resume:   true,
 		Kills:    3,
 		Retry:    fastRetry,
 		Verify:   true,

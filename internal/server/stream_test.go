@@ -249,6 +249,43 @@ func TestRunStreamLoad(t *testing.T) {
 	}
 }
 
+// TestEveryDecoderNameOpensAStream pins the one decoder-name registry: every
+// name the service accepts for its request pools must also open a stream
+// session on that daemon (stream.New fails fast on a name it cannot
+// resolve), and the session's commits must match a local pipeline running
+// the same decoder.
+func TestEveryDecoderNameOpensAStream(t *testing.T) {
+	leakCheck(t)
+	env := testEnv(t, 3)
+	for _, name := range []string{"astrea", "astrea-g", "mwpm", "mwpm-dense", "mwpm-sparse", "uf", "uf-unweighted"} {
+		t.Run(name, func(t *testing.T) {
+			srv := startServer(t, Config{
+				Distances: []int{3},
+				P:         1e-3,
+				Decoder:   name,
+				Envs:      map[int]*montecarlo.Env{3: env},
+			})
+			rep, err := RunStreamLoad(StreamLoadConfig{
+				Addr:          srv.Addr().String(),
+				Distance:      3,
+				P:             1e-3,
+				Codec:         compress.IDSparse,
+				Rounds:        400,
+				Seed:          5,
+				Verify:        true,
+				VerifyDecoder: name,
+				env:           env,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Windows == 0 || rep.Mismatches != 0 {
+				t.Fatalf("%d windows, %d mismatches against the local %s pipeline", rep.Windows, rep.Mismatches, name)
+			}
+		})
+	}
+}
+
 // TestStreamRequiresFeature checks both refusal sides: a client that did
 // not negotiate FeatureStream refuses OpenStream locally, and a server
 // receiving a stream-open on a legacy connection closes it as a protocol

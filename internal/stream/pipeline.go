@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"astrea/internal/bitvec"
+	"astrea/internal/experiments"
 	"astrea/internal/realtime"
 )
 
@@ -83,7 +84,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	// Fail fast on an unresolvable decoder name (workers would only hit it
 	// on the first non-empty window).
-	if _, err := factoryFor(cfg.Decoder); err != nil {
+	if _, err := experiments.FactoryFor(cfg.Decoder); err != nil {
 		return nil, err
 	}
 	width := rowWidth(cfg.Env)

@@ -59,14 +59,10 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"astrea/internal/decoder"
-	"astrea/internal/experiments"
 	"astrea/internal/hwmodel"
 	"astrea/internal/montecarlo"
-	"astrea/internal/unionfind"
 )
 
 // Sentinel errors for pipeline lifecycle violations.
@@ -164,26 +160,6 @@ func (c *Config) applyDefaults() error {
 		c.MaxInflight = 4
 	}
 	return nil
-}
-
-// factoryFor resolves a window-decoder name. It mirrors the service
-// layer's registry (the stream package cannot import it without a cycle).
-func factoryFor(name string) (montecarlo.Factory, error) {
-	switch name {
-	case "astrea":
-		return experiments.AstreaFactory, nil
-	case "astrea-g":
-		return experiments.AstreaGFactory, nil
-	case "mwpm":
-		return experiments.MWPMFactory, nil
-	case "uf":
-		return func(env *montecarlo.Env) (decoder.Decoder, error) {
-			return unionfind.New(env.Graph, true), nil
-		}, nil
-	case "uf-unweighted":
-		return experiments.UFFactory, nil
-	}
-	return nil, fmt.Errorf("stream: unknown decoder %q (want astrea, astrea-g, mwpm, uf or uf-unweighted)", name)
 }
 
 // Commit is one committed window: the correction for rounds

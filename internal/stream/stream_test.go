@@ -8,6 +8,7 @@ import (
 
 	"astrea/internal/bitvec"
 	"astrea/internal/dem"
+	"astrea/internal/experiments"
 	"astrea/internal/leakcheck"
 	"astrea/internal/montecarlo"
 	"astrea/internal/prng"
@@ -169,7 +170,7 @@ func TestClosedStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("d=%d: %v", tc.d, err)
 		}
-		whole, err := factoryFor("mwpm")
+		whole, err := experiments.FactoryFor("mwpm")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"astrea/internal/bitvec"
 	"astrea/internal/decoder"
+	"astrea/internal/experiments"
 	"astrea/internal/montecarlo"
 )
 
@@ -57,7 +58,7 @@ func sharedPool(env *montecarlo.Env, name string) (*decPool, error) {
 	if p, ok := pools[key]; ok {
 		return p, nil
 	}
-	f, err := factoryFor(name)
+	f, err := experiments.FactoryFor(name)
 	if err != nil {
 		return nil, err
 	}
