@@ -1,10 +1,14 @@
 package astrea
 
 import (
+	"net"
 	"testing"
 
 	"astrea/internal/astrea"
+	"astrea/internal/compress"
+	"astrea/internal/montecarlo"
 	"astrea/internal/mwpm"
+	"astrea/internal/server"
 	"astrea/internal/sparsemwpm"
 )
 
@@ -21,6 +25,15 @@ const (
 	// sparseDecodeAllocBudget bounds the full adapter Decode: Match plus
 	// the Result's caller-owned Pairs copy (one make per decode).
 	sparseDecodeAllocBudget = 1.0
+	// requestPathAllocBudget bounds one whole loopback round trip through
+	// the daemon — client encode and send, server read, codec decode, queue,
+	// worker, Astrea decode, result encode, flush, client read and parse —
+	// counted across every goroutine involved. The decoder's Result.Pairs
+	// copy is the one allocation that is there by contract; frames, requests
+	// and syndromes are reused buffers on both sides, so the second unit is
+	// slack for pools refilling after a GC cycle. It was 18 before the
+	// request path stopped allocating per frame.
+	requestPathAllocBudget = 2.0
 )
 
 // TestSparseDecodeAllocBudget pins steady-state sparse decode (warm
@@ -137,5 +150,55 @@ func TestAstreaDecodeAllocBudget(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("warm Astrea BestMatching: %.2f allocs/op, budget 0 (pairs are a view of decoder scratch)", got)
+	}
+}
+
+// TestRequestPathAllocBudget holds the daemon's request path — everything
+// around the decode — to its committed budget: a synchronous Client.Decode
+// against an in-process daemon over loopback TCP, d=7 natural syndromes
+// within Astrea's exact range.
+func TestRequestPathAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a d=7 Monte-Carlo environment")
+	}
+	cell := matchingCell{D: 7, P: 1e-3, LoHW: 0, HiHW: astrea.MaxHW}
+	env, pool := matchingPool(t, cell, 2000)
+	srv, err := server.New(server.Config{
+		Distances: []int{7},
+		P:         1e-3,
+		Decoder:   "astrea",
+		Envs:      map[int]*montecarlo.Env{7: env},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := server.Dial(ln.Addr().String(), 7, compress.IDSparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	seq := uint64(0)
+	roundTrip := func() {
+		resp, err := c.Decode(seq, 1e9, pool[seq%uint64(len(pool))])
+		if err != nil || resp.Rejected || resp.Err != "" {
+			t.Fatalf("request %d: %+v, %v", seq, resp, err)
+		}
+		seq++
+	}
+	// Warm both sides' frame buffers, the request pool and the decoder pool.
+	for i := 0; i < len(pool); i++ {
+		roundTrip()
+	}
+	if got := testing.AllocsPerRun(4*len(pool), roundTrip); got > requestPathAllocBudget {
+		t.Errorf("loopback Client.Decode round trip: %.2f allocs/op, budget %.0f — a per-request allocation crept back into the wire, queue or codec path", got, requestPathAllocBudget)
+	} else {
+		t.Logf("loopback Client.Decode round trip: %.2f allocs/op", got)
 	}
 }

@@ -378,6 +378,9 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 	t.AddRow("degraded (UF fallback)", rep.Degraded)
 	t.AddRow("offered/s", rep.OfferedPerSec)
 	t.AddRow("achieved/s", rep.AchievedPerSec)
+	if rep.FramesPerRead > 0 {
+		t.AddRow("response frames per socket read", fmt.Sprintf("%.2f", rep.FramesPerRead))
+	}
 	t.AddRow("deadline misses (server)", fmt.Sprintf("%d (%.2f%% of accepted)",
 		rep.DeadlineMisses, 100*float64(rep.DeadlineMisses)/float64(max(rep.Accepted, 1))))
 	if rep.Rejected > 0 {

@@ -152,6 +152,26 @@ func (v Vec) Ones(dst []int) []int {
 	return dst
 }
 
+// NextOne returns the index of the lowest set bit at or above from, or -1
+// when there is none — the allocation-free way to walk the set bits:
+//
+//	for i := v.NextOne(0); i >= 0; i = v.NextOne(i + 1) { ... }
+func (v Vec) NextOne(from int) int {
+	if from >= v.n {
+		return -1
+	}
+	wi := from >> 6
+	w := v.words[wi] >> (uint(from) & 63) << (uint(from) & 63)
+	for w == 0 {
+		wi++
+		if wi == len(v.words) {
+			return -1
+		}
+		w = v.words[wi]
+	}
+	return wi<<6 + bits.TrailingZeros64(w)
+}
+
 // String renders the vector as a 0/1 string, bit 0 first.
 func (v Vec) String() string {
 	var sb strings.Builder

@@ -86,6 +86,35 @@ func TestOnes(t *testing.T) {
 	}
 }
 
+// NextOne must walk exactly the indices Ones reports, from any start.
+func TestNextOneWalksOnes(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 192, 200} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		v := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				v.Set(i)
+			}
+		}
+		var got []int
+		for i := v.NextOne(0); i >= 0; i = v.NextOne(i + 1) {
+			got = append(got, i)
+		}
+		want := v.Ones(nil)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: NextOne walked %v, Ones reports %v", n, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: NextOne walked %v, Ones reports %v", n, got, want)
+			}
+		}
+		if v.NextOne(n) != -1 || New(n).NextOne(0) != -1 {
+			t.Fatalf("n=%d: NextOne found a bit past the end or in an empty vector", n)
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	a := FromIndices(70, 5, 69)
 	b := a.Clone()

@@ -20,6 +20,7 @@ package compress
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"astrea/internal/bitvec"
 )
@@ -89,16 +90,17 @@ func indexBits(n int) int {
 
 // Encode implements Codec.
 func (Sparse) Encode(s bitvec.Vec, dst []byte) []byte {
-	ones := s.Ones(nil)
-	if len(ones) >= 0xFF {
+	count := s.PopCount()
+	if count >= 0xFF {
 		dst = append(dst, 0xFF)
 		return Dense{}.Encode(s, dst)
 	}
-	dst = append(dst, byte(len(ones)))
 	ib := indexBits(s.Len())
+	dst = slices.Grow(dst, 1+(count*ib+7)/8)
+	dst = append(dst, byte(count))
 	var acc uint64
 	accBits := 0
-	for _, idx := range ones {
+	for idx := s.NextOne(0); idx >= 0; idx = s.NextOne(idx + 1) {
 		acc |= uint64(idx) << uint(accBits)
 		accBits += ib
 		for accBits >= 8 {
@@ -253,7 +255,7 @@ func (r Rice) Encode(s bitvec.Vec, dst []byte) []byte {
 			w.write(uint64(gap)&(1<<r.K-1), int(r.K))
 		}
 	}
-	for _, idx := range s.Ones(nil) {
+	for idx := s.NextOne(0); idx >= 0; idx = s.NextOne(idx + 1) {
 		emit(idx - prev - 1)
 		prev = idx
 	}

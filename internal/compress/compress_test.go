@@ -147,6 +147,18 @@ func TestDenseSize(t *testing.T) {
 	}
 }
 
+// Encoding into a warm destination allocates nothing: the codecs walk the
+// set bits in place instead of materialising an index list per syndrome.
+func TestEncodeWarmDstZeroAllocs(t *testing.T) {
+	s := bitvec.FromIndices(192, 5, 60, 100, 101)
+	for _, c := range []Codec{Dense{}, Sparse{}, NewRice(192, 4)} {
+		buf := c.Encode(s, nil)
+		if n := testing.AllocsPerRun(100, func() { buf = c.Encode(s, buf[:0]) }); n != 0 {
+			t.Errorf("%s: Encode into a warm dst allocates %.0f times, want 0", c.Name(), n)
+		}
+	}
+}
+
 func BenchmarkSparseEncode(b *testing.B) {
 	s := bitvec.FromIndices(192, 5, 60, 100, 101)
 	var buf []byte

@@ -72,11 +72,16 @@ type Client struct {
 	haveFP bool
 	fpSet  []uint64
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
-	enc []byte
+	// wbuf holds the one outbound frame being assembled, empty between
+	// writes (wmu); enc is the codec's scratch for the syndrome inside it.
+	wmu  sync.Mutex
+	wbuf []byte
+	enc  []byte
 
+	// rbuf is the inbound frame body, reused across reads (rmu): a payload
+	// readFrame returns is valid only until the next read.
 	rmu      sync.Mutex
+	rbuf     []byte
 	pingNext uint64
 }
 
@@ -120,7 +125,6 @@ func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions)
 	c := &Client{
 		conn:        nc,
 		br:          bufio.NewReader(nc),
-		bw:          bufio.NewWriter(nc),
 		callTimeout: o.CallTimeout,
 	}
 	// One deadline covers the whole exchange, so a server that accepts the
@@ -141,13 +145,11 @@ func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions)
 		Extended: ext,
 		Features: o.Features,
 	}
-	if err := WriteFrame(c.bw, FrameHello, hello.AppendTo(nil)); err != nil {
+	// The handshake itself travels unchecked (c.crc is still false).
+	if err := c.writeFrame(FrameHello, hello.AppendTo(nil)); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	t, payload, err := ReadFrame(c.br, 0)
+	t, payload, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
@@ -207,20 +209,30 @@ func (c *Client) Fingerprint() (fp uint64, ok bool) { return c.fp, c.haveFP }
 // generation was still draining (a rotation transition window).
 func (c *Client) FingerprintSet() []uint64 { return c.fpSet }
 
-// writeFrame ships one frame under the negotiated framing; callers hold wmu.
+// writeFrame ships one frame under the negotiated framing with a single
+// Write; callers hold wmu. Every call reaches the socket before it returns:
+// Send and Recv are independently locked, so a sender goroutine may never
+// call Recv, and a deferred flush would strand its frames.
 func (c *Client) writeFrame(t FrameType, payload []byte) error {
-	if c.crc {
-		return WriteFrameChecked(c.bw, t, payload)
-	}
-	return WriteFrame(c.bw, t, payload)
+	c.wbuf = appendFrame(c.wbuf, t, payload, c.crc)
+	return c.writeOut()
+}
+
+// writeOut writes the assembled frame in wbuf; callers hold wmu, which
+// exists to serialise whole frames onto the conn — the write deadline bounds
+// a wedged peer.
+func (c *Client) writeOut() error {
+	_, err := c.conn.Write(c.wbuf)
+	c.wbuf = resetFrameBuf(c.wbuf)
+	return err
 }
 
 // readFrame reads one frame under the negotiated framing; callers hold rmu.
-func (c *Client) readFrame() (FrameType, []byte, error) {
-	if c.crc {
-		return ReadFrameChecked(c.br, 0)
-	}
-	return ReadFrame(c.br, 0)
+// The payload aliases the client's reused read buffer and is valid only
+// until the next readFrame — callers copy what they keep.
+func (c *Client) readFrame() (t FrameType, payload []byte, err error) {
+	t, payload, c.rbuf, err = readFrame(c.br, c.rbuf, 0, c.crc)
+	return t, payload, err
 }
 
 // Send encodes and ships one syndrome. deadlineNs is the request's
@@ -237,13 +249,12 @@ func (c *Client) Send(seq, deadlineNs uint64, s bitvec.Vec) error {
 			return fmt.Errorf("server: arming send deadline: %w", err)
 		}
 	}
+	// The request is encoded in place between the frame brackets: the only
+	// copy is the codec's scratch into the frame.
 	c.enc = c.codec.Encode(s, c.enc[:0])
 	req := DecodeRequest{Seq: seq, DeadlineNs: deadlineNs, Payload: c.enc}
-	if err := c.writeFrame(FrameDecode, req.AppendTo(nil)); err != nil {
-		return err
-	}
-	//lint:allow lockorder wmu exists to serialise whole frames onto the conn; the write deadline bounds a wedged peer
-	return c.bw.Flush()
+	c.wbuf = endFrame(req.AppendTo(beginFrame(c.wbuf, FrameDecode)), 0, c.crc)
+	return c.writeOut()
 }
 
 // Response is one server answer, a Result, Reject or Error frame in
@@ -369,10 +380,7 @@ func (c *Client) Ping() (time.Duration, error) {
 	}
 	err := func() error {
 		defer c.wmu.Unlock()
-		if err := c.writeFrame(FramePing, AppendPing(nil, nonce)); err != nil {
-			return err
-		}
-		return c.bw.Flush()
+		return c.writeFrame(FramePing, AppendPing(nil, nonce))
 	}()
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -99,10 +100,7 @@ func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam
 	}
 	err := func() error {
 		defer c.wmu.Unlock()
-		if err := c.writeFrame(FrameStreamOpen, reqPayload); err != nil {
-			return err
-		}
-		return c.bw.Flush()
+		return c.writeFrame(FrameStreamOpen, reqPayload)
 	}()
 	if err != nil {
 		return nil, err
@@ -163,10 +161,7 @@ func (c *Client) ResumeStream(token, ackRow, sentRows uint64, params StreamOpenA
 	}
 	err := func() error {
 		defer c.wmu.Unlock()
-		if err := c.writeFrame(FrameStreamResume, req.AppendTo(nil)); err != nil {
-			return err
-		}
-		return c.bw.Flush()
+		return c.writeFrame(FrameStreamResume, req.AppendTo(nil))
 	}()
 	if err != nil {
 		return nil, StreamResumed{}, err
@@ -256,11 +251,8 @@ func (s *Stream) sendBatch(rows []bitvec.Vec) error {
 		s.enc = c.codec.Encode(r, s.enc)
 	}
 	frame := StreamRounds{FirstRow: s.sent, Count: uint16(len(rows)), Rows: s.enc}
-	if err := c.writeFrame(FrameStreamRounds, frame.AppendTo(nil)); err != nil {
-		return err
-	}
-	//lint:allow lockorder wmu exists to serialise whole frames onto the conn; the write deadline bounds a wedged peer
-	if err := c.bw.Flush(); err != nil {
+	c.wbuf = endFrame(frame.AppendTo(beginFrame(c.wbuf, FrameStreamRounds)), 0, c.crc)
+	if err := c.writeOut(); err != nil {
 		return err
 	}
 	s.sent += uint64(len(rows))
@@ -284,11 +276,7 @@ func (s *Stream) CloseSend() error {
 			return fmt.Errorf("server: arming stream close deadline: %w", err)
 		}
 	}
-	if err := c.writeFrame(FrameStreamClose, nil); err != nil {
-		return err
-	}
-	//lint:allow lockorder wmu exists to serialise whole frames onto the conn; the write deadline bounds a wedged peer
-	return c.bw.Flush()
+	return c.writeFrame(FrameStreamClose, nil)
 }
 
 // StreamEvent is one server-to-client streaming message: a committed
@@ -340,7 +328,9 @@ func (s *Stream) Recv() (StreamEvent, error) {
 				Commit:    ext.StreamCorrections,
 				AckRows:   ext.AckRows,
 				CarrySeam: ext.CarrySeam,
-				Carry:     ext.Carry,
+				// The parsed carry aliases the client's read buffer, which the
+				// next Recv overwrites; the event outlives it.
+				Carry: bytes.Clone(ext.Carry),
 			}, nil
 		}
 		cm, err := ParseStreamCorrections(payload)

@@ -251,7 +251,7 @@ func FuzzClientResponse(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &Client{conn: fc, br: bufio.NewReader(fc), bw: bufio.NewWriter(fc), codec: codec, n: 8}
+		c := &Client{conn: fc, br: bufio.NewReader(fc), codec: codec, n: 8}
 		for {
 			if _, err := c.Recv(); err != nil {
 				return

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,6 +218,27 @@ type LoadReport struct {
 	OfferedPerSec   float64
 	AchievedPerSec  float64
 	MaxRetryAfterNs uint64
+
+	// FramesPerRead is response frames received per socket read that
+	// returned data — the client's view of the daemon's write coalescing
+	// (the daemon's own ratio is frames_out / flushes on /stats). Near 1
+	// means every answer paid for its own write; a pipelined saturating run
+	// sees several. Zero for a fleet run, which has no single connection.
+	FramesPerRead float64
+}
+
+// readCounter counts the socket reads that delivered data.
+type readCounter struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCounter) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
 }
 
 // LoadRun is the transport-independent part of a request load run: the
@@ -382,11 +404,17 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	// Offer FeatureRotation so every answer carries the fingerprint of the
 	// tables that produced it: a daemon hot-swapped to a new artifact
 	// generation mid-run stays distinguishable from a wrong answer.
-	client, err := DialOptions(cfg.Addr, cfg.Distance, cfg.Codec, ClientOptions{Features: FeatureRotation})
+	nc, err := net.DialTimeout("tcp", cfg.Addr, DefaultHandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	defer client.Close()
+	conn := &readCounter{Conn: nc}
+	defer conn.Close()
+	client, err := NewClientOptions(conn, cfg.Distance, cfg.Codec, ClientOptions{Features: FeatureRotation})
+	if err != nil {
+		return nil, err
+	}
+	handshakeReads := conn.reads.Load()
 	if client.NumDetectors() != run.Env.Model.NumDetectors {
 		return nil, fmt.Errorf("server: daemon syndrome length %d != local model %d (mismatched noise model?)",
 			client.NumDetectors(), run.Env.Model.NumDetectors)
@@ -427,7 +455,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if err := <-sendErr; err != nil {
 		return nil, err
 	}
-	return run.Finish(), nil
+	rep := run.Finish()
+	rep.FramesPerRead = float64(cfg.Shots) / float64(max(conn.reads.Load()-handshakeReads, 1))
+	return rep, nil
 }
 
 // StreamLoadConfig parameterises one streaming load run: an open-loop

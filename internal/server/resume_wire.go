@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Resume-frame payloads (FeatureStreamResume). On a connection that
@@ -121,7 +122,7 @@ type StreamCorrectionsExt struct {
 
 // AppendTo serialises the extended stream-corrections payload.
 func (c StreamCorrectionsExt) AppendTo(dst []byte) []byte {
-	dst = c.StreamCorrections.AppendTo(dst)
+	dst = c.StreamCorrections.AppendTo(slices.Grow(dst, 53+len(c.Carry)))
 	dst = binary.LittleEndian.AppendUint64(dst, c.AckRows)
 	dst = binary.LittleEndian.AppendUint16(dst, c.CarrySeam)
 	return append(dst, c.Carry...)

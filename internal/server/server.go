@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -240,29 +241,25 @@ type distPool struct {
 func (p *distPool) get() decoder.Decoder  { return p.decoders.Get().(decoder.Decoder) }
 func (p *distPool) put(d decoder.Decoder) { p.decoders.Put(d) }
 
-// driftScratch pools the set-bit scratch recordDrift iterates with, so the
-// per-request drift hook allocates nothing in steady state.
-var driftScratch = sync.Pool{New: func() interface{} { s := make([]int, 0, 64); return &s }}
-
 // recordDrift folds one observed syndrome into the generation's drift
 // accumulators — a handful of atomic adds per request.
 func (p *distPool) recordDrift(s bitvec.Vec) {
-	buf := driftScratch.Get().(*[]int)
-	*buf = s.Ones((*buf)[:0])
-	for _, d := range *buf {
+	for d := s.NextOne(0); d >= 0; d = s.NextOne(d + 1) {
 		p.driftFlips[d].Add(1)
 	}
-	driftScratch.Put(buf)
 	p.driftShots.Add(1)
 }
 
 // distSlot is one served distance's hot-swap indirection: cur is the
 // generation new work lands on, swapped atomically by Rotate; live lists
 // every not-yet-retired generation newest-first (live[0] == cur), guarded
-// by Server.rotateMu.
+// by Server.rotateMu. requests recycles request structs together with their
+// syndrome buffers: every generation of a distance has the same detector
+// count (Rotate refuses a width change), so a recycled syndrome always fits.
 type distSlot struct {
-	cur  atomic.Pointer[distPool]
-	live []*distPool
+	cur      atomic.Pointer[distPool]
+	live     []*distPool
+	requests sync.Pool
 }
 
 // decode runs one syndrome on a pooled instance — the fallback pool when
@@ -285,7 +282,9 @@ func (p *distPool) decode(s bitvec.Vec, degraded bool) (res decoder.Result, err 
 	return dec.Decode(s), nil
 }
 
-// request is one accepted decode travelling the queue.
+// request is one accepted decode travelling the queue. Requests and their
+// syndromes are recycled through the distance slot's pool: serveConn takes
+// one per decode frame, the worker returns it once the answer is queued.
 type request struct {
 	conn       *conn
 	seq        uint64
@@ -301,9 +300,15 @@ type request struct {
 // decodes against. slot is the distance's hot-swap indirection: connections
 // that negotiated FeatureRotation resolve slot's current generation per
 // request instead.
+//
+// The socket is paid for per batch, not per frame. Inbound frames come
+// through br, so one read syscall delivers every frame the peer has
+// pipelined; outbound frames are assembled whole in wbuf and leave in one
+// Write per flush — decode results queue there until the worker flushes,
+// every other frame is flushed as it is appended.
 type conn struct {
 	net.Conn
-	wmu     sync.Mutex
+	stats   *stats
 	pool    *distPool
 	slot    *distSlot
 	codecID uint8
@@ -311,8 +316,24 @@ type conn struct {
 	// both directions to CRC32C-trailed frames; FeatureProbe enables
 	// Ping/Pong probe frames).
 	features uint32
-	// wTimeout bounds each frame write (0 disables).
+
+	// Read half, owned by the connection's serveConn goroutine. rbuf is the
+	// reused frame body: a payload readFrame returns is valid only until the
+	// next readFrame.
+	br   *bufio.Reader
+	rbuf []byte
+
+	// Write half. wmu serialises frame appends and flushes against
+	// concurrent workers and the stream pump, so per-connection frame order
+	// is append order. wframes counts the frames in wbuf; werr is the sticky
+	// failure that closed the connection.
+	wmu     sync.Mutex
+	wbuf    []byte
+	wframes int
+	werr    error
+	// wTimeout bounds each flush (0 disables).
 	wTimeout time.Duration
+
 	// lastActive is the UnixNano of the last completed inbound frame; the
 	// idle reaper closes connections whose lastActive is too old.
 	lastActive atomic.Int64
@@ -320,13 +341,80 @@ type conn struct {
 
 func (c *conn) touch() { c.lastActive.Store(time.Now().UnixNano()) }
 
-// writeFrame serialises a frame write against concurrent workers. A failed
-// or timed-out write closes the connection: a partial frame corrupts the
-// stream framing, so the only safe degradation is a disconnect the client
-// can observe and retry.
+func (c *conn) checked() bool { return c.features&FeatureChecksum != 0 }
+
+// readFrame reads one inbound frame honouring the negotiated framing. idle
+// is the per-frame idle cutoff (0 disables): a peer that completes no frame
+// within it — whether silent or trickling bytes slow-loris style — fails the
+// read with a timeout. The deadline is armed only when the next frame is
+// not already fully buffered, i.e. whenever the read can block.
+func (c *conn) readFrame(maxFrame int, idle time.Duration) (t FrameType, payload []byte, err error) {
+	if idle > 0 && !c.frameBuffered() {
+		if err := c.Conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
+			// Cannot arm the idle cutoff: the conn is already dead, and
+			// reading without it would reintroduce the slow-loris hole.
+			return 0, nil, err
+		}
+	}
+	t, payload, c.rbuf, err = readFrame(c.br, c.rbuf, maxFrame, c.checked())
+	return t, payload, err
+}
+
+// frameBuffered reports whether the next frame can be read without touching
+// the socket.
+func (c *conn) frameBuffered() bool {
+	hdr, err := c.br.Peek(min(4, c.br.Buffered())) // buffered bytes only: never reads
+	return err == nil && len(hdr) == 4 &&
+		int64(c.br.Buffered()-4) >= int64(binary.LittleEndian.Uint32(hdr))
+}
+
+// writeFrame appends one frame behind whatever is queued and flushes, so it
+// can neither overtake nor strand a queued result. A failed or timed-out
+// flush closes the connection: a partial frame corrupts the stream framing,
+// so the only safe degradation is a disconnect the client can observe and
+// retry.
 func (c *conn) writeFrame(t FrameType, payload []byte) error {
 	c.wmu.Lock()
+	if c.werr == nil {
+		c.wbuf = appendFrame(c.wbuf, t, payload, c.checked())
+		c.wframes++
+	}
+	c.wmu.Unlock()
+	// Whoever flushes first — this call or a worker in between — carries the
+	// frame; a failure either way comes back as the sticky error.
+	return c.flush()
+}
+
+// queueResult encodes a result frame in place behind whatever is queued and
+// leaves it there: the worker that decoded it owes the connection a flush.
+func (c *conn) queueResult(rf ResultFrame) {
+	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.werr != nil {
+		return // the connection is closed; the client re-dials and retries
+	}
+	start := len(c.wbuf)
+	c.wbuf = beginFrame(c.wbuf, FrameResult)
+	if c.features&FeatureRotation != 0 {
+		c.wbuf = rf.AppendToExt(c.wbuf)
+	} else {
+		c.wbuf = rf.AppendTo(c.wbuf)
+	}
+	c.wbuf = endFrame(c.wbuf, start, c.checked())
+	c.wframes++
+}
+
+// flush writes every queued frame with one Write. A peer that stopped
+// reading holds this call for up to the write timeout, and with it the
+// results the calling worker has queued on other connections — the same
+// worker would otherwise hold the rest of its batch undecoded behind that
+// write — so workers flush connections in the order they first touched them.
+func (c *conn) flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr != nil || len(c.wbuf) == 0 {
+		return c.werr
+	}
 	var err error
 	if c.wTimeout > 0 {
 		// A deadline that cannot be armed means the connection is already
@@ -335,27 +423,69 @@ func (c *conn) writeFrame(t FrameType, payload []byte) error {
 		err = c.Conn.SetWriteDeadline(time.Now().Add(c.wTimeout))
 	}
 	if err == nil {
-		if c.features&FeatureChecksum != 0 {
-			//lint:allow lockorder wmu exists to serialise whole frames onto the conn; the write deadline above bounds a wedged peer
-			err = WriteFrameChecked(c.Conn, t, payload)
-		} else {
-			//lint:allow lockorder wmu exists to serialise whole frames onto the conn; the write deadline above bounds a wedged peer
-			err = WriteFrame(c.Conn, t, payload)
-		}
+		//lint:allow lockorder wmu exists to serialise whole frames onto the conn; the write deadline above bounds a wedged peer
+		_, err = c.Conn.Write(c.wbuf)
 	}
-	if err != nil {
+	if err == nil {
+		c.stats.flushes.Add(1)
+		c.stats.framesOut.Add(int64(c.wframes))
+	} else {
+		c.werr = err
 		//lint:allow errwrap best-effort teardown after a failed write; the write error is what the caller sees
 		c.Conn.Close()
 	}
+	c.wbuf, c.wframes = resetFrameBuf(c.wbuf), 0
 	return err
 }
 
-// readFrame reads one inbound frame honouring the negotiated framing.
-func (c *conn) readFrame(maxFrame int) (FrameType, []byte, error) {
-	if c.features&FeatureChecksum != 0 {
-		return ReadFrameChecked(c.Conn, maxFrame)
+// resultFlushBound is how long a queued result may wait for the rest of its
+// worker's batch before it is flushed anyway. A batch of sub-microsecond
+// Astrea decodes finishes well inside it and leaves in one write; a batch of
+// slow decodes (Blossom at 14 µs, Union-Find at 100 µs) flushes as it goes
+// instead of holding the first answer for the whole batch.
+const resultFlushBound = 20 * time.Microsecond
+
+// flusher is one worker's record of the connections holding results it has
+// queued and not yet flushed, in first-touched order, each with the
+// decode-completion time of its oldest such result.
+type flusher struct {
+	pend []pendingFlush
+}
+
+type pendingFlush struct {
+	c     *conn
+	since time.Time
+}
+
+// queued notes that a result was queued on c at now (the clock reading the
+// sojourn accounting already took) and flushes every connection whose
+// oldest result has waited past the bound.
+func (f *flusher) queued(c *conn, now time.Time) {
+	seen := false
+	keep := f.pend[:0]
+	for _, p := range f.pend {
+		seen = seen || p.c == c
+		if now.Sub(p.since) > resultFlushBound {
+			//lint:allow errwrap a failed flush closes the conn; the client observes the broken stream and retries elsewhere
+			p.c.flush()
+		} else {
+			keep = append(keep, p)
+		}
 	}
-	return ReadFrame(c.Conn, maxFrame)
+	if !seen {
+		keep = append(keep, pendingFlush{c: c, since: now})
+	}
+	f.pend = keep
+}
+
+// flushAll flushes every pending connection, oldest first.
+func (f *flusher) flushAll() {
+	for _, p := range f.pend {
+		//lint:allow errwrap a failed flush closes the conn; the client observes the broken stream and retries elsewhere
+		p.c.flush()
+	}
+	clear(f.pend)
+	f.pend = f.pend[:0]
 }
 
 // Server is the decode daemon.
@@ -465,6 +595,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		slot := &distSlot{live: []*distPool{p}}
 		slot.cur.Store(p)
+		n := env.Model.NumDetectors
+		slot.requests.New = func() interface{} { return &request{syndrome: bitvec.New(n)} }
 		s.pools[d] = slot
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -633,7 +765,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		c := &conn{Conn: nc, wTimeout: s.cfg.WriteTimeout}
+		c := &conn{Conn: nc, br: bufio.NewReader(nc), stats: s.stats, wTimeout: s.cfg.WriteTimeout}
 		c.touch()
 		s.mu.Lock()
 		if s.closed {
@@ -762,19 +894,10 @@ func (s *Server) serveConn(c *conn) {
 	if err != nil {
 		return // unreachable: the handshake validated the ID
 	}
-	n := c.pool.env.Model.NumDetectors
 	for {
-		// The per-frame read deadline doubles as the idle cutoff: a peer
-		// that completes no frame within IdleTimeout — whether silent or
-		// trickling bytes slow-loris style — is disconnected.
-		if s.cfg.IdleTimeout > 0 {
-			if err := c.Conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-				// Cannot arm the idle cutoff: the conn is already dead, and
-				// reading without it would reintroduce the slow-loris hole.
-				return
-			}
-		}
-		t, payload, err := c.readFrame(s.cfg.MaxFrameBytes)
+		// The payload aliases the connection's read buffer: every branch
+		// below is done with it before the next readFrame.
+		t, payload, err := c.readFrame(s.cfg.MaxFrameBytes, s.cfg.IdleTimeout)
 		if errors.Is(err, ErrChecksum) {
 			// The frame arrived intact length-wise but its CRC32C trailer
 			// disagrees: without the checksum this would have decoded into a
@@ -839,9 +962,10 @@ func (s *Server) serveConn(c *conn) {
 		if err != nil {
 			return
 		}
-		syndrome := bitvec.New(n)
-		consumed, err := codec.Decode(req.Payload, syndrome)
+		r := c.slot.requests.Get().(*request)
+		consumed, err := codec.Decode(req.Payload, r.syndrome)
 		if err != nil || consumed != len(req.Payload) {
+			c.slot.requests.Put(r)
 			s.stats.malformed.Add(1)
 			//lint:allow errwrap best-effort per-request fault report; a failed write already closed the conn
 			c.writeFrame(FrameError, ErrorFrame{
@@ -855,14 +979,7 @@ func (s *Server) serveConn(c *conn) {
 		if deadline == 0 {
 			deadline = s.cfg.DefaultDeadlineNs
 		}
-		r := &request{
-			conn:       c,
-			seq:        req.Seq,
-			pool:       s.acquirePool(c),
-			syndrome:   syndrome,
-			deadlineNs: deadline,
-			arrival:    arrival,
-		}
+		r.conn, r.seq, r.pool, r.deadlineNs, r.arrival = c, req.Seq, s.acquirePool(c), deadline, arrival
 		s.stats.offered.Add(1)
 		s.stats.bytesIn.Add(int64(len(req.Payload)))
 		select {
@@ -872,6 +989,7 @@ func (s *Server) serveConn(c *conn) {
 			// Backpressure: the bounded queue is full. Nothing is decoded;
 			// the client is told how long to back off.
 			s.releasePool(r.pool)
+			r.recycle()
 			s.stats.rejected.Add(1)
 			//lint:allow errwrap best-effort backpressure hint; a failed write already closed the conn
 			c.writeFrame(FrameReject, RejectFrame{
@@ -896,7 +1014,10 @@ func (s *Server) handshake(c *conn) error {
 		}
 		defer c.Conn.SetDeadline(time.Time{})
 	}
-	t, payload, err := ReadFrame(c.Conn, s.cfg.MaxFrameBytes)
+	// The Hello is read through the connection's buffered reader, so bytes a
+	// pipelining peer sent behind it are kept for the decode loop; the
+	// handshake deadline above stands in for the idle cutoff.
+	t, payload, err := c.readFrame(s.cfg.MaxFrameBytes, 0)
 	if err != nil {
 		return err
 	}
@@ -962,9 +1083,15 @@ func (s *Server) handshake(c *conn) error {
 
 // worker drains the queue in batches: one blocking receive, then up to
 // BatchSize-1 opportunistic receives, amortising wake-ups under load while
-// adding no latency when idle.
+// adding no latency when idle. Results are queued on their connections as
+// they are decoded and flushed once per batch — one write syscall per
+// connection per batch instead of one per result — or earlier when the
+// oldest has waited past resultFlushBound.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
+	var fl flusher
+	// Whatever ends the worker, results it has queued still leave.
+	defer fl.flushAll()
 	batch := make([]*request, 0, s.cfg.BatchSize)
 	for {
 		r, ok := <-s.queue
@@ -987,18 +1114,29 @@ func (s *Server) worker() {
 		s.stats.batches.Add(1)
 		s.stats.batched.Add(int64(len(batch)))
 		for _, r := range batch {
-			s.decodeOne(r)
+			s.decodeOne(r, &fl)
+			r.recycle()
 		}
+		fl.flushAll()
 	}
 }
 
-// decodeOne runs one request on a pooled decoder and writes its response.
-// A decoder panic is contained here: the request is answered with a
-// StatusInternalError frame, the poisoned instance is discarded, and the
-// worker (and the client's stream) keep going. When the queue sojourn has
-// already consumed most of the deadline budget, the fast fallback decoder
-// answers instead of the configured one (FlagDegraded).
-func (s *Server) decodeOne(r *request) {
+// recycle returns a request whose answer has been queued (or refused) to
+// its distance's pool, keeping only the syndrome buffer.
+func (r *request) recycle() {
+	slot := r.conn.slot
+	*r = request{syndrome: r.syndrome}
+	slot.requests.Put(r)
+}
+
+// decodeOne runs one request on a pooled decoder and queues its response on
+// the connection, noting the debt in the worker's flusher. A decoder panic
+// is contained here: the request is answered with a StatusInternalError
+// frame, the poisoned instance is discarded, and the worker (and the
+// client's stream) keep going. When the queue sojourn has already consumed
+// most of the deadline budget, the fast fallback decoder answers instead of
+// the configured one (FlagDegraded).
+func (s *Server) decodeOne(r *request, fl *flusher) {
 	defer s.releasePool(r.pool)
 	// Every observed syndrome feeds the generation's drift accumulators —
 	// a handful of atomic adds — so /stats can score live detector-flip
@@ -1008,7 +1146,8 @@ func (s *Server) decodeOne(r *request) {
 	degraded := r.pool.fallback != nil &&
 		queuedNs >= s.cfg.DegradeFraction*float64(r.deadlineNs)
 	res, err := r.pool.decode(r.syndrome, degraded)
-	sojournNs := float64(time.Since(r.arrival).Nanoseconds())
+	done := time.Now()
+	sojournNs := float64(done.Sub(r.arrival).Nanoseconds())
 	if err != nil {
 		s.stats.panics.Add(1)
 		//lint:allow errwrap best-effort fault report; a failed write already closed the conn and the client re-dials
@@ -1039,21 +1178,16 @@ func (s *Server) decodeOne(r *request) {
 		weight = 0
 	}
 	s.stats.completed.Add(1)
-	rf := ResultFrame{
+	r.conn.queueResult(ResultFrame{
 		Seq:         r.seq,
 		ObsMask:     res.ObsPrediction,
 		WeightMilli: uint64(weight),
 		SojournNs:   uint64(sojournNs),
 		Flags:       flags,
-	}
-	payload := rf.AppendTo(nil)
-	if r.conn.features&FeatureRotation != 0 {
 		// Rotation-aware peers get the extended result layout, whose
 		// trailing fingerprint names the generation that produced this
 		// answer — attributable even across a mid-connection hot-swap.
-		rf.Fingerprint = uint64(r.pool.fp)
-		payload = rf.AppendToExt(nil)
-	}
-	//lint:allow errwrap a failed result write closes the conn; the client observes the broken stream and retries elsewhere
-	r.conn.writeFrame(FrameResult, payload)
+		Fingerprint: uint64(r.pool.fp),
+	})
+	fl.queued(r.conn, done)
 }

@@ -430,12 +430,7 @@ func (s *Server) runStream(c *conn, codec compress.Codec, sess *streamSession) e
 	p := sess.p
 	row := bitvec.New(sess.width)
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			if err := c.Conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-				return s.suspendStream(sess, err)
-			}
-		}
-		t, payload, err := c.readFrame(s.cfg.MaxFrameBytes)
+		t, payload, err := c.readFrame(s.cfg.MaxFrameBytes, s.cfg.IdleTimeout)
 		if errors.Is(err, ErrChecksum) {
 			// Rounds are contiguous by contract: a corrupted frame cannot
 			// be skipped the way a lone decode request can, so this

@@ -35,6 +35,13 @@ func testEnv(t *testing.T, d int) *montecarlo.Env {
 // the test.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return startServerOn(t, cfg, func(ln net.Listener) net.Listener { return ln })
+}
+
+// startServerOn is startServer with the loopback listener wrapped (a fault
+// schedule on every accepted connection, say).
+func startServerOn(t *testing.T, cfg Config, wrap func(net.Listener) net.Listener) *Server {
+	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +50,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln = wrap(ln)
 	// Register the listener before Serve's goroutine runs so srv.Addr() is
 	// valid as soon as this helper returns.
 	srv.mu.Lock()

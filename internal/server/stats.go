@@ -34,6 +34,8 @@ type stats struct {
 	batches      atomic.Int64 // worker wake-ups
 	batched      atomic.Int64 // requests drained across all batches
 	bytesIn      atomic.Int64 // compressed syndrome payload bytes received
+	framesOut    atomic.Int64 // frames written to client connections
+	flushes      atomic.Int64 // write syscalls that carried them
 	// Streaming-session accounting (FeatureStream connections).
 	streamsOpened    atomic.Int64 // sessions accepted
 	streamsRefused   atomic.Int64 // stream-opens refused (pipeline setup failed)
@@ -129,6 +131,12 @@ type Snapshot struct {
 
 	BytesIn int64 `json:"bytes_in"`
 
+	// FramesOut counts every frame written to a client connection after the
+	// handshake began; Flushes counts the writes that carried them. Their
+	// ratio is the write coalescing a pipelining client is getting.
+	FramesOut int64 `json:"frames_out"`
+	Flushes   int64 `json:"flushes"`
+
 	// Streaming-session accounting (FeatureStream windowed sessions).
 	StreamsOpened        int64 `json:"streams_opened"`
 	StreamsRefused       int64 `json:"streams_refused"`
@@ -200,6 +208,8 @@ func (s *Server) Snapshot() Snapshot {
 		QueueCap:             st.queueCap,
 		Batches:              batches,
 		BytesIn:              st.bytesIn.Load(),
+		FramesOut:            st.framesOut.Load(),
+		Flushes:              st.flushes.Load(),
 		StreamsOpened:        st.streamsOpened.Load(),
 		StreamsRefused:       st.streamsRefused.Load(),
 		StreamsCompleted:     st.streamsCompleted.Load(),

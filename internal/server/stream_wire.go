@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Streaming-frame payloads (FeatureStream). The frames follow the same
@@ -117,6 +118,7 @@ type StreamRounds struct {
 
 // AppendTo serialises the stream-rounds payload.
 func (r StreamRounds) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 10+len(r.Rows))
 	dst = binary.LittleEndian.AppendUint64(dst, r.FirstRow)
 	dst = binary.LittleEndian.AppendUint16(dst, r.Count)
 	return append(dst, r.Rows...)
@@ -164,6 +166,7 @@ type StreamCorrections struct {
 
 // AppendTo serialises the stream-corrections payload.
 func (c StreamCorrections) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 43)
 	dst = binary.LittleEndian.AppendUint64(dst, c.WindowSeq)
 	dst = binary.LittleEndian.AppendUint64(dst, c.FirstRow)
 	dst = binary.LittleEndian.AppendUint16(dst, c.RowCount)

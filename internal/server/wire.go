@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // ProtocolVersion is the wire protocol version carried in the handshake.
@@ -46,6 +47,21 @@ const helloMagic uint32 = 0x41535452
 // rejected before any allocation, so a hostile peer cannot make the daemon
 // allocate unboundedly.
 const DefaultMaxFrame = 1 << 20
+
+// maxRetainedFrameBuf bounds the frame buffers a connection keeps between
+// frames: a frame larger than this is read into (or written from) a buffer
+// that is dropped afterwards, so a burst of huge frames cannot pin
+// MaxFrameBytes of memory per idle connection.
+const maxRetainedFrameBuf = 64 << 10
+
+// resetFrameBuf empties a write buffer for the next frame, dropping it
+// instead when it has grown past maxRetainedFrameBuf.
+func resetFrameBuf(b []byte) []byte {
+	if cap(b) > maxRetainedFrameBuf {
+		return nil
+	}
+	return b[:0]
+}
 
 // FrameType discriminates wire frames.
 type FrameType uint8
@@ -141,45 +157,12 @@ const (
 	FlagForcedSeam uint8 = 1 << 4
 )
 
-// WriteFrame writes one frame. payload may be nil.
-func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFrame reads one frame, rejecting length prefixes of zero or beyond
-// maxFrame (0 means DefaultMaxFrame) before allocating.
-func ReadFrame(r io.Reader, maxFrame int) (FrameType, []byte, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("server: zero-length frame")
-	}
-	if int64(n) > int64(maxFrame) {
-		return 0, nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("server: truncated frame: %w", err)
-	}
-	return FrameType(body[0]), body[1:], nil
-}
+// frameHeaderLen is the length prefix plus the type byte; checksumLen the
+// CRC32C trailer of a checked frame.
+const (
+	frameHeaderLen = 5
+	checksumLen    = 4
+)
 
 // castagnoli is the CRC32C polynomial table used by checked frames (the
 // same polynomial iSCSI and ext4 use; hardware-accelerated on amd64/arm64).
@@ -191,56 +174,114 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // frame, but the payload must not be trusted.
 var ErrChecksum = errors.New("server: frame checksum mismatch")
 
-// WriteFrameChecked writes one frame with a CRC32C trailer over the type
-// byte and payload. Used on streams that negotiated FeatureChecksum.
-func WriteFrameChecked(w io.Writer, t FrameType, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)+4))
-	hdr[4] = byte(t)
-	crc := crc32.Update(crc32.Checksum(hdr[4:5], castagnoli), castagnoli, payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc)
-	_, err := w.Write(trailer[:])
-	return err
+// beginFrame appends a frame header for type t whose length is still open;
+// the payload is then appended straight onto the returned slice and
+// endFrame closes the frame. Together they let a sender encode a payload in
+// place, with no intermediate buffer.
+func beginFrame(dst []byte, t FrameType) []byte {
+	return append(dst, 0, 0, 0, 0, byte(t))
 }
 
-// ReadFrameChecked reads one CRC32C-trailed frame. On a checksum mismatch
-// it returns the frame type and payload alongside ErrChecksum so the caller
-// can best-effort correlate a rejection (e.g. parse the sequence number)
-// while knowing the bytes are corrupt.
-func ReadFrameChecked(r io.Reader, maxFrame int) (FrameType, []byte, error) {
+// endFrame closes the frame beginFrame opened at dst[start:]: it appends
+// the CRC32C trailer over type byte and payload when checked, and fills in
+// the length prefix.
+func endFrame(dst []byte, start int, checked bool) []byte {
+	if checked {
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+4:], castagnoli))
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// appendFrame appends one whole frame — length, type, payload and, when
+// checked, the CRC32C trailer — to dst, growing it at most once. Every frame
+// either peer sends is assembled here, so it reaches the socket in a single
+// Write and a timeout can never tear it.
+func appendFrame(dst []byte, t FrameType, payload []byte, checked bool) []byte {
+	dst = slices.Grow(dst, frameHeaderLen+len(payload)+checksumLen)
+	start := len(dst)
+	dst = append(beginFrame(dst, t), payload...)
+	return endFrame(dst, start, checked)
+}
+
+// readFrame reads one frame from r into buf, growing it only when the frame
+// does not fit, and returns the payload (aliasing the buffer) alongside the
+// buffer to pass to the next call: a connection that does reads frames
+// without allocating (a buffer grown past maxRetainedFrameBuf is not handed
+// back). The length prefix is validated — non-empty, at most
+// maxFrame (0 means DefaultMaxFrame), room for the trailer when checked —
+// before any growth. On a checksum mismatch the frame type and payload come
+// back alongside ErrChecksum so the caller can best-effort correlate a
+// rejection (e.g. parse the sequence number) while knowing the bytes are
+// corrupt.
+func readFrame(r io.Reader, buf []byte, maxFrame int, checked bool) (t FrameType, payload, _ []byte, err error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
+	if cap(buf) < 64 {
+		buf = make([]byte, 64)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 5 {
-		return 0, nil, fmt.Errorf("server: checked frame of %d bytes is shorter than type + checksum", n)
+	// The length prefix is read into the body buffer (the body overwrites
+	// it): a local array would escape through the io.Reader interface.
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return 0, nil, buf, err
 	}
-	if int64(n) > int64(maxFrame) {
-		return 0, nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
+	n := binary.LittleEndian.Uint32(buf[:4])
+	switch {
+	case checked && n < 1+checksumLen:
+		return 0, nil, buf, fmt.Errorf("server: checked frame of %d bytes is shorter than type + checksum", n)
+	case n == 0:
+		return 0, nil, buf, fmt.Errorf("server: zero-length frame")
+	case int64(n) > int64(maxFrame):
+		return 0, nil, buf, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
-	body := make([]byte, n)
+	body, keep := buf[:cap(buf)], buf
+	if int(n) > len(body) {
+		body = make([]byte, n)
+		if n <= maxRetainedFrameBuf {
+			keep = body
+		}
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("server: truncated frame: %w", err)
+		return 0, nil, keep, fmt.Errorf("server: truncated frame: %w", err)
 	}
-	payload := body[1 : n-4]
-	want := binary.LittleEndian.Uint32(body[n-4:])
-	if crc32.Checksum(body[:n-4], castagnoli) != want {
-		return FrameType(body[0]), payload, ErrChecksum
+	if checked {
+		sum := binary.LittleEndian.Uint32(body[n-checksumLen:])
+		body = body[:n-checksumLen]
+		if crc32.Checksum(body, castagnoli) != sum {
+			err = ErrChecksum
+		}
 	}
-	return FrameType(body[0]), payload, nil
+	return FrameType(body[0]), body[1:], keep, err
+}
+
+// WriteFrame writes one frame with a single Write. payload may be nil.
+func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
+	_, err := w.Write(appendFrame(nil, t, payload, false))
+	return err
+}
+
+// ReadFrame reads one frame into a fresh buffer, rejecting length prefixes
+// of zero or beyond maxFrame (0 means DefaultMaxFrame) before allocating.
+func ReadFrame(r io.Reader, maxFrame int) (FrameType, []byte, error) {
+	t, payload, _, err := readFrame(r, nil, maxFrame, false)
+	return t, payload, err
+}
+
+// WriteFrameChecked writes one frame with a CRC32C trailer over the type
+// byte and payload. Used on streams that negotiated FeatureChecksum.
+func WriteFrameChecked(w io.Writer, t FrameType, payload []byte) error {
+	_, err := w.Write(appendFrame(nil, t, payload, true))
+	return err
+}
+
+// ReadFrameChecked reads one CRC32C-trailed frame into a fresh buffer. On a
+// checksum mismatch it returns the frame type and payload alongside
+// ErrChecksum.
+func ReadFrameChecked(r io.Reader, maxFrame int) (FrameType, []byte, error) {
+	t, payload, _, err := readFrame(r, nil, maxFrame, true)
+	return t, payload, err
 }
 
 // Hello is the client's stream-opening request. A legacy payload is 8
@@ -466,6 +507,7 @@ type DecodeRequest struct {
 
 // AppendTo serialises the decode payload.
 func (d DecodeRequest) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 16+len(d.Payload))
 	dst = binary.LittleEndian.AppendUint64(dst, d.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, d.DeadlineNs)
 	return append(dst, d.Payload...)
@@ -505,6 +547,7 @@ type ResultFrame struct {
 
 // AppendTo serialises the result payload.
 func (r ResultFrame) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 33)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, r.ObsMask)
 	dst = binary.LittleEndian.AppendUint64(dst, r.WeightMilli)
@@ -516,7 +559,7 @@ func (r ResultFrame) AppendTo(dst []byte) []byte {
 // connections that negotiated FeatureRotation: the legacy layout plus the
 // trailing generation fingerprint.
 func (r ResultFrame) AppendToExt(dst []byte) []byte {
-	dst = r.AppendTo(dst)
+	dst = r.AppendTo(slices.Grow(dst, 41))
 	return binary.LittleEndian.AppendUint64(dst, r.Fingerprint)
 }
 
@@ -557,6 +600,7 @@ type RejectFrame struct {
 
 // AppendTo serialises the reject payload.
 func (r RejectFrame) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 16)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	return binary.LittleEndian.AppendUint64(dst, r.RetryAfterNs)
 }
@@ -584,6 +628,7 @@ type ErrorFrame struct {
 
 // AppendTo serialises the error payload.
 func (e ErrorFrame) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 9+len(e.Message))
 	dst = binary.LittleEndian.AppendUint64(dst, e.Seq)
 	dst = append(dst, e.Code)
 	return append(dst, e.Message...)
