@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"astrea/internal/astrea"
+	"astrea/internal/bitvec"
 	"astrea/internal/compress"
 	"astrea/internal/montecarlo"
 	"astrea/internal/mwpm"
@@ -153,11 +154,11 @@ func TestAstreaDecodeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRequestPathAllocBudget holds the daemon's request path — everything
-// around the decode — to its committed budget: a synchronous Client.Decode
-// against an in-process daemon over loopback TCP, d=7 natural syndromes
-// within Astrea's exact range.
-func TestRequestPathAllocBudget(t *testing.T) {
+// requestPathClient serves d=7 with Astrea from an in-process daemon over
+// loopback TCP and returns a client of it plus natural d=7 syndromes within
+// Astrea's exact range; both go away with the test.
+func requestPathClient(t *testing.T) (*server.Client, []bitvec.Vec) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds a d=7 Monte-Carlo environment")
 	}
@@ -177,13 +178,21 @@ func TestRequestPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	c, err := server.Dial(ln.Addr().String(), 7, compress.IDSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
+	return c, pool
+}
 
+// TestRequestPathAllocBudget holds the daemon's request path — everything
+// around the decode — to its committed budget: a synchronous Client.Decode
+// against an in-process daemon over loopback TCP, d=7 natural syndromes
+// within Astrea's exact range.
+func TestRequestPathAllocBudget(t *testing.T) {
+	c, pool := requestPathClient(t)
 	seq := uint64(0)
 	roundTrip := func() {
 		resp, err := c.Decode(seq, 1e9, pool[seq%uint64(len(pool))])
@@ -200,5 +209,36 @@ func TestRequestPathAllocBudget(t *testing.T) {
 		t.Errorf("loopback Client.Decode round trip: %.2f allocs/op, budget %.0f — a per-request allocation crept back into the wire, queue or codec path", got, requestPathAllocBudget)
 	} else {
 		t.Logf("loopback Client.Decode round trip: %.2f allocs/op", got)
+	}
+}
+
+// TestPipelinedRequestPathAllocBudget holds the pipelined shape — eight
+// Sends queued, then eight Recvs, the first of which flushes them in one
+// write — to the same per-request budget.
+func TestPipelinedRequestPathAllocBudget(t *testing.T) {
+	const depth = 8
+	c, pool := requestPathClient(t)
+	seq := uint64(0)
+	burst := func() {
+		for i := uint64(0); i < depth; i++ {
+			if err := c.Send(seq+i, 1e9, pool[(seq+i)%uint64(len(pool))]); err != nil {
+				t.Fatalf("send %d: %v", seq+i, err)
+			}
+		}
+		for i := 0; i < depth; i++ {
+			resp, err := c.Recv()
+			if err != nil || resp.Rejected || resp.Err != "" {
+				t.Fatalf("burst from %d: %+v, %v", seq, resp, err)
+			}
+		}
+		seq += depth
+	}
+	for i := 0; i < len(pool)/depth; i++ {
+		burst()
+	}
+	if got := testing.AllocsPerRun(4*len(pool)/depth, burst) / depth; got > requestPathAllocBudget {
+		t.Errorf("pipelined loopback round trip: %.2f allocs/request, budget %.0f — a per-request allocation crept into the queued-send path", got, requestPathAllocBudget)
+	} else {
+		t.Logf("pipelined loopback round trip: %.2f allocs/request", got)
 	}
 }

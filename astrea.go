@@ -316,7 +316,11 @@ type DecodeServer = server.Server
 type DecodeServerConfig = server.Config
 
 // DecodeClient is one client stream to a DecodeServer; it negotiates a
-// syndrome codec at handshake and can pipeline requests.
+// syndrome codec at handshake and can pipeline requests. Send queues a
+// request without a syscall; the queue leaves in one write when the client
+// is about to block on the socket for an answer (Recv, Decode), or at once
+// if another goroutine is already blocked there. Close drops requests not
+// yet written.
 type DecodeClient = server.Client
 
 // DecodeResponse is the unified reply to one decode request: a result, a

@@ -381,6 +381,9 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 	if rep.FramesPerRead > 0 {
 		t.AddRow("response frames per socket read", fmt.Sprintf("%.2f", rep.FramesPerRead))
 	}
+	if rep.RequestsPerWrite > 0 {
+		t.AddRow("request frames per client write", fmt.Sprintf("%.2f", rep.RequestsPerWrite))
+	}
 	t.AddRow("deadline misses (server)", fmt.Sprintf("%d (%.2f%% of accepted)",
 		rep.DeadlineMisses, 100*float64(rep.DeadlineMisses)/float64(max(rep.Accepted, 1))))
 	if rep.Rejected > 0 {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,6 +53,35 @@ func TestRunModes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRequestReportCoalescingRows checks that a single-daemon request report
+// shows both halves of the socket coalescing: the daemon's (response frames
+// per client read) and the client's own (request frames per client write).
+func TestRequestReportCoalescingRows(t *testing.T) {
+	leakcheck.Check(t)
+	addr := startDaemon(t)
+	out, err := os.Create(filepath.Join(t.TempDir(), "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"-addr", addr, "-d", "3", "-n", "400"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{"response frames per socket read", "request frames per client write"} {
+		if !strings.Contains(string(report), row) {
+			t.Errorf("request report has no %q row:\n%s", row, report)
+		}
 	}
 }
 

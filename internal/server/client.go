@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"astrea/internal/bitvec"
@@ -48,10 +49,24 @@ func (o ClientOptions) handshakeTimeout() time.Duration {
 	return o.HandshakeTimeout
 }
 
+// maxQueuedSend caps the request frames Send leaves queued: a Send that
+// takes the queue past it flushes the queue itself.
+const maxQueuedSend = 16 << 10
+
 // Client is one decode stream against an astread daemon. Send and Recv are
 // independently locked, so one goroutine may pipeline requests while
 // another drains responses (the load generator's shape); a single Send or
 // Recv must not be called concurrently with itself.
+//
+// Send queues its request frame instead of writing it, and the queue leaves
+// in one write the next time the read half is about to block on the socket
+// — when Recv, Decode or Ping needs bytes that are not buffered yet — or at
+// once when a Send finds the read half already blocked. So a pipelining
+// caller pays one write per burst of requests, a depth-1 Decode still pays
+// exactly one, and a frame is never stranded, even behind a sender goroutine
+// that never calls Recv. Every other frame (handshake, Ping, stream frames)
+// is written at once, behind whatever is queued. Close drops queued frames:
+// their answers could never be read anyway.
 type Client struct {
 	conn        net.Conn
 	br          *bufio.Reader
@@ -72,17 +87,54 @@ type Client struct {
 	haveFP bool
 	fpSet  []uint64
 
-	// wbuf holds the one outbound frame being assembled, empty between
-	// writes (wmu); enc is the codec's scratch for the syndrome inside it.
+	// Write half. wbuf holds the frames queued for the next flush, in send
+	// order (wmu); enc is the codec's scratch for the syndrome being encoded.
+	// werr is the sticky failure that closed the stream — the first failed
+	// flush, or Close — which every later Send and Recv returns.
 	wmu  sync.Mutex
 	wbuf []byte
 	enc  []byte
+	werr atomic.Pointer[error]
+	// parked is set while the read half is in, or about to enter, a socket
+	// read: a Send that finds it set flushes the queue itself.
+	parked atomic.Bool
 
 	// rbuf is the inbound frame body, reused across reads (rmu): a payload
 	// readFrame returns is valid only until the next read.
 	rmu      sync.Mutex
 	rbuf     []byte
 	pingNext uint64
+}
+
+// readHalf is what the client's bufio.Reader reads through. bufio calls Read
+// only when no whole frame is buffered — exactly when Recv, Ping, a stream
+// exchange or the handshake is about to block — so Read first sends the
+// queued requests whose answers it may be about to wait for.
+type readHalf struct{ c *Client }
+
+func (r readHalf) Read(p []byte) (int, error) {
+	c := r.c
+	// parked goes up before the lock is tried, and Send checks it after it
+	// appends: whichever of the two comes second writes the frame.
+	c.parked.Store(true)
+	defer c.parked.Store(false)
+	// TryLock, never Lock: a sender blocked in Write on a full socket holds
+	// wmu, and waiting for it here would stop the reads that let the peer
+	// drain that socket.
+	if c.wmu.TryLock() {
+		err := c.flushLocked()
+		c.wmu.Unlock()
+		if err != nil {
+			return 0, err
+		}
+	}
+	n, err := c.conn.Read(p)
+	if err != nil {
+		if werr := c.writeErr(); werr != nil {
+			err = werr // the read failed because the stream was closed under it
+		}
+	}
+	return n, err
 }
 
 // Dial connects, performs the handshake for the given distance and codec
@@ -122,11 +174,8 @@ func NewClient(nc net.Conn, distance int, codecID uint8) (*Client, error) {
 
 // NewClientOptions is NewClient with explicit timeouts.
 func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions) (*Client, error) {
-	c := &Client{
-		conn:        nc,
-		br:          bufio.NewReader(nc),
-		callTimeout: o.CallTimeout,
-	}
+	c := &Client{conn: nc}
+	c.br = bufio.NewReader(readHalf{c})
 	// One deadline covers the whole exchange, so a server that accepts the
 	// connection but never sends a Hello-ack cannot hang the dial.
 	if to := o.handshakeTimeout(); to > 0 {
@@ -184,6 +233,8 @@ func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions)
 	c.codec = codec
 	c.n = int(ack.NumDetectors)
 	c.queue = ack.QueueDepth
+	// Armed only now, so the Hello's flush stays under the handshake deadline.
+	c.callTimeout = o.CallTimeout
 	return c, nil
 }
 
@@ -209,52 +260,101 @@ func (c *Client) Fingerprint() (fp uint64, ok bool) { return c.fp, c.haveFP }
 // generation was still draining (a rotation transition window).
 func (c *Client) FingerprintSet() []uint64 { return c.fpSet }
 
-// writeFrame ships one frame under the negotiated framing with a single
-// Write; callers hold wmu. Every call reaches the socket before it returns:
-// Send and Recv are independently locked, so a sender goroutine may never
-// call Recv, and a deferred flush would strand its frames.
+// writeFrame appends one frame under the negotiated framing behind whatever
+// Send queued and flushes, so it can neither overtake nor strand a queued
+// request; callers hold wmu.
 func (c *Client) writeFrame(t FrameType, payload []byte) error {
 	c.wbuf = appendFrame(c.wbuf, t, payload, c.crc)
-	return c.writeOut()
+	return c.flushLocked()
 }
 
-// writeOut writes the assembled frame in wbuf; callers hold wmu, which
-// exists to serialise whole frames onto the conn — the write deadline bounds
-// a wedged peer.
-func (c *Client) writeOut() error {
-	_, err := c.conn.Write(c.wbuf)
+// flushLocked writes every queued frame with one Write, wherever it runs —
+// Send, the read half, or a frame that must leave at once; callers hold wmu,
+// which serialises whole frames onto the conn. Each flush arms CallTimeout's
+// write deadline, which bounds a wedged peer. A failure is sticky and closes
+// the conn: a partial write has torn the framing, and a read half parked on
+// answers to frames that never left wakes up with the error.
+func (c *Client) flushLocked() error {
+	err := c.writeErr()
+	if err == nil && len(c.wbuf) > 0 {
+		if c.callTimeout > 0 {
+			if err = c.conn.SetWriteDeadline(time.Now().Add(c.callTimeout)); err != nil {
+				err = fmt.Errorf("server: arming send deadline: %w", err)
+			}
+		}
+		if err == nil {
+			_, err = c.conn.Write(c.wbuf)
+		}
+		if err != nil {
+			// A variable of its own, so only a failed flush allocates one;
+			// a Close that got in first keeps its own failure.
+			failure := err
+			c.werr.CompareAndSwap(nil, &failure)
+			//lint:allow errwrap teardown of a stream that already failed; the recorded failure is what callers see
+			c.conn.Close()
+			err = c.writeErr()
+		}
+	}
 	c.wbuf = resetFrameBuf(c.wbuf)
 	return err
 }
 
+// writeErr is the stream's sticky failure, nil while it is healthy.
+func (c *Client) writeErr() error {
+	if p := c.werr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // readFrame reads one frame under the negotiated framing; callers hold rmu.
 // The payload aliases the client's reused read buffer and is valid only
-// until the next readFrame — callers copy what they keep.
+// until the next readFrame — callers copy what they keep. A failed stream
+// answers with its sticky failure, even with frames still buffered.
 func (c *Client) readFrame() (t FrameType, payload []byte, err error) {
+	if err := c.writeErr(); err != nil {
+		return 0, nil, err
+	}
 	t, payload, c.rbuf, err = readFrame(c.br, c.rbuf, 0, c.crc)
 	return t, payload, err
 }
 
-// Send encodes and ships one syndrome. deadlineNs is the request's
-// real-time budget (0 uses the server default). The syndrome length must
-// equal NumDetectors.
+// Send encodes one syndrome and queues its request frame behind those
+// already queued. deadlineNs is the request's real-time budget (0 uses the
+// server default). The syndrome length must equal NumDetectors.
+//
+// Send makes no syscall unless the read half is blocked on the socket —
+// then nothing else would carry the frame, so Send flushes — or the queue
+// has passed maxQueuedSend. Otherwise the frame leaves with the read half's
+// next flush, before it blocks. A failed flush, wherever it ran, fails
+// every later Send.
 func (c *Client) Send(seq, deadlineNs uint64, s bitvec.Vec) error {
 	if s.Len() != c.n {
 		return fmt.Errorf("server: syndrome has %d bits, stream expects %d", s.Len(), c.n)
 	}
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.callTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.callTimeout)); err != nil {
-			return fmt.Errorf("server: arming send deadline: %w", err)
+	err := c.writeErr()
+	if err == nil {
+		// The request is encoded in place between the frame brackets: the
+		// only copy is the codec's scratch into the frame.
+		start := len(c.wbuf)
+		c.enc = c.codec.Encode(s, c.enc[:0])
+		req := DecodeRequest{Seq: seq, DeadlineNs: deadlineNs, Payload: c.enc}
+		c.wbuf = endFrame(req.AppendTo(beginFrame(c.wbuf, FrameDecode)), start, c.crc)
+		if len(c.wbuf) >= maxQueuedSend {
+			err = c.flushLocked()
 		}
 	}
-	// The request is encoded in place between the frame brackets: the only
-	// copy is the codec's scratch into the frame.
-	c.enc = c.codec.Encode(s, c.enc[:0])
-	req := DecodeRequest{Seq: seq, DeadlineNs: deadlineNs, Payload: c.enc}
-	c.wbuf = endFrame(req.AppendTo(beginFrame(c.wbuf, FrameDecode)), 0, c.crc)
-	return c.writeOut()
+	c.wmu.Unlock()
+	// Checked after the append and outside wmu: a read half whose TryLock
+	// lost to this Send has already set parked, so this Send carries the
+	// frame.
+	if err == nil && c.parked.Load() {
+		c.wmu.Lock()
+		err = c.flushLocked()
+		c.wmu.Unlock()
+	}
+	return err
 }
 
 // Response is one server answer, a Result, Reject or Error frame in
@@ -292,7 +392,8 @@ type Response struct {
 	HaveFingerprint bool
 }
 
-// Recv blocks for the next response frame.
+// Recv returns the next response frame. When none is buffered, it first
+// flushes the requests Send queued, then blocks on the socket.
 func (c *Client) Recv() (Response, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -351,8 +452,9 @@ func (c *Client) Recv() (Response, error) {
 	}
 }
 
-// Decode is the synchronous convenience path: one request, one response.
-// It requires exclusive use of the stream (no concurrent Send/Recv).
+// Decode is the synchronous convenience path: one request, one response,
+// and one write — Recv flushes the request before it blocks. It requires
+// exclusive use of the stream (no concurrent Send/Recv).
 func (c *Client) Decode(seq, deadlineNs uint64, s bitvec.Vec) (Response, error) {
 	if err := c.Send(seq, deadlineNs, s); err != nil {
 		return Response{}, err
@@ -368,7 +470,7 @@ func (c *Client) Ping() (time.Duration, error) {
 	if c.features&FeatureProbe == 0 {
 		return 0, fmt.Errorf("server: stream did not negotiate probe frames")
 	}
-	c.wmu.Lock()
+	// rmu before wmu: the read half takes wmu (TryLock) to flush.
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	c.pingNext++
@@ -378,10 +480,9 @@ func (c *Client) Ping() (time.Duration, error) {
 		//lint:allow errwrap probe-only path: an unarmable deadline surfaces as the probe's own write/read failure just below
 		c.conn.SetDeadline(start.Add(c.callTimeout))
 	}
-	err := func() error {
-		defer c.wmu.Unlock()
-		return c.writeFrame(FramePing, AppendPing(nil, nonce))
-	}()
+	c.wmu.Lock()
+	err := c.writeFrame(FramePing, AppendPing(nil, nonce))
+	c.wmu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -402,5 +503,13 @@ func (c *Client) Ping() (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// Close tears the stream down.
-func (c *Client) Close() error { return c.conn.Close() }
+// errClientClosed is the sticky failure Close records.
+var errClientClosed = fmt.Errorf("server: client closed: %w", net.ErrClosed)
+
+// Close tears the stream down. Request frames Send queued and no flush has
+// written yet are dropped — their answers could never be read — and every
+// later Send and Recv fails.
+func (c *Client) Close() error {
+	c.werr.CompareAndSwap(nil, &errClientClosed)
+	return c.conn.Close()
+}

@@ -71,7 +71,7 @@ func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam
 		return nil, fmt.Errorf("server: stream did not negotiate streaming frames")
 	}
 	resumable := c.features&FeatureStreamResume != 0
-	c.wmu.Lock()
+	// rmu before wmu: the read half takes wmu (TryLock) to flush.
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	req := StreamOpen{
@@ -98,10 +98,9 @@ func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam
 		c.conn.SetDeadline(time.Now().Add(c.callTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	err := func() error {
-		defer c.wmu.Unlock()
-		return c.writeFrame(FrameStreamOpen, reqPayload)
-	}()
+	c.wmu.Lock()
+	err := c.writeFrame(FrameStreamOpen, reqPayload)
+	c.wmu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +149,7 @@ func (c *Client) ResumeStream(token, ackRow, sentRows uint64, params StreamOpenA
 	if c.features&FeatureStream == 0 || c.features&FeatureStreamResume == 0 {
 		return nil, StreamResumed{}, fmt.Errorf("server: stream did not negotiate resume frames")
 	}
-	c.wmu.Lock()
+	// rmu before wmu: the read half takes wmu (TryLock) to flush.
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	req := StreamResume{Token: token, AckRow: ackRow, SentRows: sentRows}
@@ -159,10 +158,9 @@ func (c *Client) ResumeStream(token, ackRow, sentRows uint64, params StreamOpenA
 		c.conn.SetDeadline(time.Now().Add(c.callTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	err := func() error {
-		defer c.wmu.Unlock()
-		return c.writeFrame(FrameStreamResume, req.AppendTo(nil))
-	}()
+	c.wmu.Lock()
+	err := c.writeFrame(FrameStreamResume, req.AppendTo(nil))
+	c.wmu.Unlock()
 	if err != nil {
 		return nil, StreamResumed{}, err
 	}
@@ -242,17 +240,15 @@ func (s *Stream) sendBatch(rows []bitvec.Vec) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.callTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.callTimeout)); err != nil {
-			return fmt.Errorf("server: arming stream send deadline: %w", err)
-		}
-	}
 	for _, r := range rows {
 		s.enc = c.codec.Encode(r, s.enc)
 	}
+	// Rounds are not queued like Send's requests: the frame leaves at once,
+	// behind whatever is queued.
+	start := len(c.wbuf)
 	frame := StreamRounds{FirstRow: s.sent, Count: uint16(len(rows)), Rows: s.enc}
-	c.wbuf = endFrame(frame.AppendTo(beginFrame(c.wbuf, FrameStreamRounds)), 0, c.crc)
-	if err := c.writeOut(); err != nil {
+	c.wbuf = endFrame(frame.AppendTo(beginFrame(c.wbuf, FrameStreamRounds)), start, c.crc)
+	if err := c.flushLocked(); err != nil {
 		return err
 	}
 	s.sent += uint64(len(rows))
@@ -271,11 +267,6 @@ func (s *Stream) CloseSend() error {
 	c := s.c
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.callTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.callTimeout)); err != nil {
-			return fmt.Errorf("server: arming stream close deadline: %w", err)
-		}
-	}
 	return c.writeFrame(FrameStreamClose, nil)
 }
 

@@ -225,20 +225,31 @@ type LoadReport struct {
 	// means every answer paid for its own write; a pipelined saturating run
 	// sees several. Zero for a fleet run, which has no single connection.
 	FramesPerRead float64
+	// RequestsPerWrite is request frames sent per client socket write — the
+	// client's own coalescing: Send queues, and the queue leaves in one write
+	// when the read half is about to block (or a Send finds it blocked). Near
+	// 1 means the receiver was always parked, so every Send wrote; a
+	// single-goroutine pipeliner sees several. Zero for a fleet run.
+	RequestsPerWrite float64
 }
 
-// readCounter counts the socket reads that delivered data.
-type readCounter struct {
+// ioCounter counts the socket reads that delivered data and the writes.
+type ioCounter struct {
 	net.Conn
-	reads atomic.Int64
+	reads, writes atomic.Int64
 }
 
-func (c *readCounter) Read(b []byte) (int, error) {
+func (c *ioCounter) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	if n > 0 {
 		c.reads.Add(1)
 	}
 	return n, err
+}
+
+func (c *ioCounter) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
 }
 
 // LoadRun is the transport-independent part of a request load run: the
@@ -408,13 +419,13 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn := &readCounter{Conn: nc}
+	conn := &ioCounter{Conn: nc}
 	defer conn.Close()
 	client, err := NewClientOptions(conn, cfg.Distance, cfg.Codec, ClientOptions{Features: FeatureRotation})
 	if err != nil {
 		return nil, err
 	}
-	handshakeReads := conn.reads.Load()
+	handshakeReads, handshakeWrites := conn.reads.Load(), conn.writes.Load()
 	if client.NumDetectors() != run.Env.Model.NumDetectors {
 		return nil, fmt.Errorf("server: daemon syndrome length %d != local model %d (mismatched noise model?)",
 			client.NumDetectors(), run.Env.Model.NumDetectors)
@@ -457,6 +468,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	rep := run.Finish()
 	rep.FramesPerRead = float64(cfg.Shots) / float64(max(conn.reads.Load()-handshakeReads, 1))
+	rep.RequestsPerWrite = float64(cfg.Shots) / float64(max(conn.writes.Load()-handshakeWrites, 1))
 	return rep, nil
 }
 

@@ -415,6 +415,10 @@ func TestConcurrentStreamSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The server writes each summary before it counts the session
+	// completed, so a client can hold its summary while the count still
+	// lags. Close joins every connection handler, and with them the counts.
+	srv.Close()
 	if snap := srv.Snapshot(); snap.StreamsCompleted != sessions {
 		t.Fatalf("completed %d sessions, want %d", snap.StreamsCompleted, sessions)
 	}
