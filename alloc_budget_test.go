@@ -2,6 +2,7 @@ package astrea
 
 import (
 	"net"
+	"runtime"
 	"testing"
 
 	"astrea/internal/astrea"
@@ -27,14 +28,17 @@ const (
 	// the Result's caller-owned Pairs copy (one make per decode).
 	sparseDecodeAllocBudget = 1.0
 	// requestPathAllocBudget bounds one whole loopback round trip through
-	// the daemon — client encode and send, server read, codec decode, queue,
-	// worker, Astrea decode, result encode, flush, client read and parse —
-	// counted across every goroutine involved. The decoder's Result.Pairs
-	// copy is the one allocation that is there by contract; frames, requests
-	// and syndromes are reused buffers on both sides, so the second unit is
-	// slack for pools refilling after a GC cycle. It was 18 before the
-	// request path stopped allocating per frame.
-	requestPathAllocBudget = 2.0
+	// the daemon — client encode and send, server read, codec decode, the
+	// inline Astrea decode, result encode, flush, client read and parse —
+	// counted across every goroutine involved, as a fraction of a request.
+	// Nothing on that path allocates: frames, requests and syndromes are
+	// reused buffers on both sides, and the daemon decodes through
+	// DecodeObs, whose matching stays in decoder scratch because a result
+	// frame carries none. The tenth of an allocation is slack for pools
+	// refilling after a GC cycle. It was 18 before the request path stopped
+	// allocating per frame, and 0.86 while the daemon still built the
+	// caller-owned Result.Pairs.
+	requestPathAllocBudget = 0.1
 )
 
 // TestSparseDecodeAllocBudget pins steady-state sparse decode (warm
@@ -115,7 +119,8 @@ func TestDenseDecodeAllocBudget(t *testing.T) {
 // budget over the whole range it decodes (HW 1..10): one allocation per
 // Decode — the caller-owned Result.Pairs, which must not alias instance
 // scratch because pooled instances are reused while a Result is still being
-// read — and none for BestMatching, whose pairs are a view of that scratch.
+// read — and none for BestMatching or DecodeObs, whose pairs stay in that
+// scratch.
 func TestAstreaDecodeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a d=7 Monte-Carlo environment")
@@ -152,6 +157,15 @@ func TestAstreaDecodeAllocBudget(t *testing.T) {
 	if got > 0 {
 		t.Errorf("warm Astrea BestMatching: %.2f allocs/op, budget 0 (pairs are a view of decoder scratch)", got)
 	}
+
+	k := 0
+	got = testing.AllocsPerRun(4*len(pool), func() {
+		dec.DecodeObs(pool[k%len(pool)])
+		k++
+	})
+	if got > 0 {
+		t.Errorf("warm Astrea DecodeObs: %.2f allocs/op, budget 0 (the matching stays in decoder scratch)", got)
+	}
 }
 
 // requestPathClient serves d=7 with Astrea from an in-process daemon over
@@ -187,6 +201,20 @@ func requestPathClient(t *testing.T) (*server.Client, []bitvec.Vec) {
 	return c, pool
 }
 
+// allocsPerRequest runs f runs times and returns the heap allocations per
+// request, perRun requests per call, counted across every goroutine in the
+// process. testing.AllocsPerRun is no use here: it truncates to a whole
+// allocation per call, so a rate of 0.9 per request reads as zero.
+func allocsPerRequest(runs, perRun int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs*perRun)
+}
+
 // TestRequestPathAllocBudget holds the daemon's request path — everything
 // around the decode — to its committed budget: a synchronous Client.Decode
 // against an in-process daemon over loopback TCP, d=7 natural syndromes
@@ -205,10 +233,10 @@ func TestRequestPathAllocBudget(t *testing.T) {
 	for i := 0; i < len(pool); i++ {
 		roundTrip()
 	}
-	if got := testing.AllocsPerRun(4*len(pool), roundTrip); got > requestPathAllocBudget {
-		t.Errorf("loopback Client.Decode round trip: %.2f allocs/op, budget %.0f — a per-request allocation crept back into the wire, queue or codec path", got, requestPathAllocBudget)
+	if got := allocsPerRequest(4*len(pool), 1, roundTrip); got > requestPathAllocBudget {
+		t.Errorf("loopback Client.Decode round trip: %.3f allocs/op, budget %.2f — a per-request allocation crept back into the wire, queue, codec or decode path", got, requestPathAllocBudget)
 	} else {
-		t.Logf("loopback Client.Decode round trip: %.2f allocs/op", got)
+		t.Logf("loopback Client.Decode round trip: %.3f allocs/op", got)
 	}
 }
 
@@ -236,9 +264,9 @@ func TestPipelinedRequestPathAllocBudget(t *testing.T) {
 	for i := 0; i < len(pool)/depth; i++ {
 		burst()
 	}
-	if got := testing.AllocsPerRun(4*len(pool)/depth, burst) / depth; got > requestPathAllocBudget {
-		t.Errorf("pipelined loopback round trip: %.2f allocs/request, budget %.0f — a per-request allocation crept into the queued-send path", got, requestPathAllocBudget)
+	if got := allocsPerRequest(4*len(pool)/depth, depth, burst); got > requestPathAllocBudget {
+		t.Errorf("pipelined loopback round trip: %.3f allocs/request, budget %.2f — a per-request allocation crept into the queued-send path", got, requestPathAllocBudget)
 	} else {
-		t.Logf("pipelined loopback round trip: %.2f allocs/request", got)
+		t.Logf("pipelined loopback round trip: %.3f allocs/request", got)
 	}
 }

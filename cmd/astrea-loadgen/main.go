@@ -25,6 +25,10 @@
 //	                  partial writes, disconnects) — a chaos smoke test
 //	                  against a live daemon (default false)
 //	-chaos-seed N     fault schedule seed for -chaos (default 1)
+//	-stats URL        the daemon's /stats endpoint (astread -http); the
+//	                  request report then adds the share of this run's
+//	                  requests the daemon answered inline on the
+//	                  connection's reader rather than through its queue
 //
 // Streaming mode (windowed decode over an open-ended round stream):
 //
@@ -85,10 +89,12 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -122,6 +128,7 @@ func run(args []string) error {
 	verifyDecoder := fs.String("verify-decoder", "astrea", "local decoder for -verify")
 	chaos := fs.Bool("chaos", false, "route traffic through a fault-injecting proxy")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "fault schedule seed for -chaos")
+	statsURL := fs.String("stats", "", "the daemon's /stats URL; adds its answered-inline share to the request report")
 	streamMode := fs.Bool("stream", false, "streaming mode: push syndrome rounds through a windowed session")
 	streamBatch := fs.Int("stream-batch", 8, "streaming mode: rounds per wire frame")
 	windowRounds := fs.Int("window", 0, "streaming mode: requested window cap in rounds (0 = server default)")
@@ -156,6 +163,8 @@ func run(args []string) error {
 		return fmt.Errorf("-chaos applies to the single-daemon path; fleet mode injects faults server-side")
 	case *servers != "" && streaming:
 		return fmt.Errorf("-stream/-stream-resume apply to the single-daemon path; a windowed session pins one connection")
+	case *statsURL != "" && (*servers != "" || streaming):
+		return fmt.Errorf("-stats applies to the single-daemon request path")
 	case *chaos && *streamResume:
 		return fmt.Errorf("-chaos and -stream-resume are mutually exclusive; resume mode interposes its own connection-killing proxy")
 	case streaming && deadline.Nanoseconds() > math.MaxUint32:
@@ -219,7 +228,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return renderRequests(&rep.LoadReport, rep, load, *rotate != "")
+		return renderRequests(&rep.LoadReport, rep, load, *rotate != "", nil)
 	}
 
 	if *chaos {
@@ -280,6 +289,12 @@ func run(args []string) error {
 		return renderStream(rep, scfg)
 	}
 
+	var before server.Snapshot
+	if *statsURL != "" {
+		if before, err = daemonStats(*statsURL); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(os.Stderr, "astrea-loadgen: offering %d d=%d syndromes to %s (codec=%s, rate=%s)\n",
 		*n, *d, *addr, *codecName, rateLabel(*rate))
 	rep, err := server.RunLoad(load)
@@ -290,7 +305,36 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	return renderRequests(rep, nil, load, false)
+	var inline *inlineShare
+	if *statsURL != "" {
+		after, err := daemonStats(*statsURL)
+		if err != nil {
+			return err
+		}
+		inline = &inlineShare{inline: after.Inline - before.Inline, accepted: after.Accepted - before.Accepted}
+	}
+	return renderRequests(rep, nil, load, false, inline)
+}
+
+// inlineShare is how many of a run's accepted requests the daemon answered
+// inline, read as the difference of two /stats snapshots around the run.
+type inlineShare struct{ inline, accepted int64 }
+
+// daemonStats fetches one snapshot from a daemon's /stats endpoint.
+func daemonStats(url string) (server.Snapshot, error) {
+	var snap server.Snapshot
+	resp, err := http.Get(url)
+	if err != nil {
+		return snap, fmt.Errorf("reading daemon stats: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return snap, fmt.Errorf("reading daemon stats: %s from %s", resp.Status, url)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return snap, fmt.Errorf("reading daemon stats from %s: %w", url, err)
+	}
+	return snap, nil
 }
 
 // probeAfterChaos handles a run that -chaos severed. The severed connection
@@ -349,8 +393,8 @@ func (w *reportWriter) cdf(title string, samplesNs []float64, budgetNs float64) 
 // gates. A fleet run (fleet != nil) labels the tallies a fleet counts
 // differently, adds the requests no replica answered, and appends its
 // replica and rollout tables; rotating additionally gates on the rollout
-// having completed.
-func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg server.LoadConfig, rotating bool) error {
+// having completed. A non-nil inline adds the daemon's answered-inline row.
+func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg server.LoadConfig, rotating bool, inline *inlineShare) error {
 	var out reportWriter
 	budget := float64(cfg.DeadlineNs)
 	if budget == 0 {
@@ -383,6 +427,10 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 	}
 	if rep.RequestsPerWrite > 0 {
 		t.AddRow("request frames per client write", fmt.Sprintf("%.2f", rep.RequestsPerWrite))
+	}
+	if inline != nil {
+		t.AddRow("answered inline (daemon)", fmt.Sprintf("%.1f%% (%d of %d accepted)",
+			100*float64(inline.inline)/float64(max(inline.accepted, 1)), inline.inline, inline.accepted))
 	}
 	t.AddRow("deadline misses (server)", fmt.Sprintf("%d (%.2f%% of accepted)",
 		rep.DeadlineMisses, 100*float64(rep.DeadlineMisses)/float64(max(rep.Accepted, 1))))

@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,13 @@ import (
 // startDaemon serves d=3 from an in-process daemon on a loopback port and
 // returns its address.
 func startDaemon(t *testing.T) string {
+	t.Helper()
+	_, addr := startServer(t)
+	return addr
+}
+
+// startServer is startDaemon returning the daemon itself too.
+func startServer(t *testing.T) (*server.Server, string) {
 	t.Helper()
 	srv, err := server.New(server.Config{Distances: []int{3}, P: 1e-3})
 	if err != nil {
@@ -32,7 +40,30 @@ func startDaemon(t *testing.T) string {
 		srv.Close()
 		<-done
 	})
-	return ln.Addr().String()
+	return srv, ln.Addr().String()
+}
+
+// runReport runs the load driver with args and returns what it printed to
+// stdout.
+func runReport(t *testing.T, args []string) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(report)
 }
 
 // TestRunModes drives every mode of the one load driver through run(args)
@@ -61,27 +92,28 @@ func TestRunModes(t *testing.T) {
 // per client read) and the client's own (request frames per client write).
 func TestRequestReportCoalescingRows(t *testing.T) {
 	leakcheck.Check(t)
-	addr := startDaemon(t)
-	out, err := os.Create(filepath.Join(t.TempDir(), "report.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	stdout := os.Stdout
-	os.Stdout = out
-	err = run([]string{"-addr", addr, "-d", "3", "-n", "400"})
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := runReport(t, []string{"-addr", startDaemon(t), "-d", "3", "-n", "400"})
 	for _, row := range []string{"response frames per socket read", "request frames per client write"} {
-		if !strings.Contains(string(report), row) {
+		if !strings.Contains(report, row) {
 			t.Errorf("request report has no %q row:\n%s", row, report)
 		}
+	}
+}
+
+// TestRequestReportInlineShare checks the -stats row: the daemon's
+// answered-inline share of this run alone, read from /stats before and
+// after. An Astrea daemon at d=3, p=1e-3 answers every request inline, and
+// a run before the measured one must not count.
+func TestRequestReportInlineShare(t *testing.T) {
+	leakcheck.Check(t)
+	srv, addr := startServer(t)
+	stats := httptest.NewServer(srv.StatsHandler())
+	defer stats.Close()
+	args := []string{"-addr", addr, "-d", "3", "-n", "400", "-stats", stats.URL}
+	runReport(t, args)
+	report := runReport(t, args)
+	if want := "100.0% (400 of 400 accepted)"; !strings.Contains(report, "answered inline (daemon)") || !strings.Contains(report, want) {
+		t.Errorf("request report has no answered-inline row reading %q:\n%s", want, report)
 	}
 }
 
@@ -99,6 +131,8 @@ func TestRunRejectsConflictingFlags(t *testing.T) {
 		"servers+stream":        {[]string{"-servers", dead, "-stream"}, "single-daemon path"},
 		"servers+stream-resume": {[]string{"-servers", dead, "-stream-resume"}, "single-daemon path"},
 		"servers+chaos":         {[]string{"-servers", dead, "-chaos"}, "single-daemon path"},
+		"servers+stats":         {[]string{"-servers", dead, "-stats", "http://" + dead + "/stats"}, "single-daemon request path"},
+		"stream+stats":          {[]string{"-addr", dead, "-stream", "-stats", "http://" + dead + "/stats"}, "single-daemon request path"},
 		"chaos+stream-resume":   {[]string{"-addr", dead, "-chaos", "-stream-resume"}, "mutually exclusive"},
 		"both fingerprints": {[]string{"-servers", dead, "-expect-fingerprint", "0123456789abcdef",
 			"-expect-fingerprint-artifact", "none.astc"}, "mutually exclusive"},

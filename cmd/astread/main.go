@@ -17,7 +17,9 @@
 //	-decoder name     astrea | astrea-g | mwpm | uf | uf-unweighted (default astrea)
 //	-queue N          request queue bound; overflow is rejected (default 1024)
 //	-batch N          max requests per worker wake-up (default 16)
-//	-workers N        decode workers (default GOMAXPROCS)
+//	-workers N        queue workers (default GOMAXPROCS); they decode HW > 10
+//	                  and non-Astrea pools, while HW ≤ 10 requests on an
+//	                  astrea/astrea-g pool are decoded on each connection's reader
 //	-deadline dur     default per-request deadline (default 1µs)
 //	-max-conns N      concurrent connection cap; excess refused (default 4096, 0 = unlimited)
 //	-handshake-timeout dur  Hello exchange bound per connection (default 10s, 0 disables)
@@ -128,7 +130,7 @@ func buildConfig(args []string) (opts options, err error) {
 	fs.StringVar(&cfg.Decoder, "decoder", "astrea", "decoder: astrea, astrea-g, mwpm, uf or uf-unweighted")
 	fs.IntVar(&cfg.QueueDepth, "queue", 1024, "request queue bound")
 	fs.IntVar(&cfg.BatchSize, "batch", 16, "max requests per worker wake-up")
-	fs.IntVar(&cfg.Workers, "workers", 0, "decode workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "queue workers for HW > 10 and non-Astrea pools; HW ≤ 10 on astrea/astrea-g decodes on each connection's reader (0 = GOMAXPROCS)")
 	deadline := fs.Duration("deadline", time.Microsecond, "default per-request deadline")
 	maxConns := fs.Int("max-conns", 4096, "concurrent connection cap (0 = unlimited)")
 	handshakeTO := fs.Duration("handshake-timeout", 10*time.Second, "handshake bound per connection (0 disables)")

@@ -101,6 +101,23 @@ func (d *Decoder) DecodeFlagged(flagged []int) decoder.Result {
 	}
 }
 
+// DecodeObs is Decode for a caller that reads only the observable
+// prediction, which is all a decode service answer carries: the matching
+// stays in BestMatching's scratch, so Pairs is nil and nothing is
+// allocated. Every other Result field is Decode's.
+func (d *Decoder) DecodeObs(syndrome bitvec.Vec) decoder.Result {
+	if syndrome.PopCount() > MaxHW {
+		return decoder.Result{Skipped: true, RealTime: true}
+	}
+	var flagged [MaxHW]int
+	nodes := syndrome.Ones(flagged[:0])
+	if len(nodes) == 0 {
+		return decoder.Result{RealTime: true}
+	}
+	_, q, obs := d.BestMatching(nodes)
+	return decoder.Result{ObsPrediction: obs, Weight: float64(q), Cycles: cycles[len(nodes)], RealTime: true}
+}
+
 // BestMatching exhaustively searches all perfect matchings of at most MaxHW
 // flagged detectors under quantised GWT weights and returns the optimal
 // pairing, its total quantised weight, and its observable parity. An odd

@@ -191,8 +191,59 @@ func FuzzKernelVsEnumerator(f *testing.F) {
 		if len(flagged) == 0 {
 			return
 		}
-		requireSameResult(t, "Decode", flagged, New(gwt).Decode(s), oracleDecode(gwt, flagged))
+		want := oracleDecode(gwt, flagged)
+		dec := New(gwt)
+		requireSameResult(t, "Decode", flagged, dec.Decode(s), want)
+		requireSameResult(t, "DecodeObs", flagged, obsWithPairs(t, dec.DecodeObs(s), want.Pairs), want)
 	})
+}
+
+// obsWithPairs checks that a DecodeObs result carries no matching and
+// lends it want's, so requireSameResult compares every other field.
+func obsWithPairs(t testing.TB, r decoder.Result, pairs [][2]int) decoder.Result {
+	t.Helper()
+	if r.Pairs != nil {
+		t.Fatalf("DecodeObs returned pairs %v", r.Pairs)
+	}
+	r.Pairs = pairs
+	return r
+}
+
+// DecodeObs is Decode's kernel without the caller-owned Pairs: on sampled
+// syndromes of every Hamming weight 0..12 at d = 3, 5, 7 it must agree with
+// Decode in every other field, alternating on one instance so neither entry
+// point's scratch leaks into the other's answer.
+func TestDecodeObsMatchesDecode(t *testing.T) {
+	const shots = 4000
+	var byHW [MaxHW + 3]int
+	compared := 0
+	for _, d := range []int{3, 5, 7} {
+		for _, p := range []float64{1e-3, 4e-3, 8e-3} {
+			m, gwt := build(t, d, p)
+			dec := New(gwt)
+			rng := prng.New(uint64(7000*d) + uint64(p*1e4))
+			smp := dem.NewSampler(m)
+			s := bitvec.New(gwt.N)
+			for shot := 0; shot < shots; shot++ {
+				smp.Sample(rng, s)
+				flagged := s.Ones(nil)
+				if hw := len(flagged); hw < len(byHW) {
+					byHW[hw]++
+				}
+				want := dec.Decode(s)
+				requireSameResult(t, "DecodeObs", flagged, obsWithPairs(t, dec.DecodeObs(s), want.Pairs), want)
+				compared++
+			}
+		}
+	}
+	if compared < 10000 {
+		t.Fatalf("compared only %d syndromes", compared)
+	}
+	for hw, n := range byHW {
+		if n < 20 {
+			t.Fatalf("Hamming weight %d compared only %d times: %v", hw, n, byHW)
+		}
+	}
 }
 
 // Result.Pairs is the caller's: a pooled instance is handed to the next

@@ -129,6 +129,17 @@ func (d *Decoder) Decode(syndrome bitvec.Vec) decoder.Result {
 	return d.decodeHHW()
 }
 
+// DecodeObs is Decode for a caller that reads only the observable
+// prediction, which is all a decode service answer carries. Syndromes of
+// Hamming weight ≤ astrea.MaxHW take Astrea's allocation-free DecodeObs;
+// heavier ones run the full pipeline, whose Result still carries Pairs.
+func (d *Decoder) DecodeObs(syndrome bitvec.Vec) decoder.Result {
+	if syndrome.PopCount() <= astrea.MaxHW {
+		return d.lhw.DecodeObs(syndrome)
+	}
+	return d.Decode(syndrome)
+}
+
 // buildLWT fills d.cand for the current flagged set, applying the W_th
 // filter; Figure 10(b)'s pair-count reduction is exactly len(cand[i]).
 func (d *Decoder) buildLWT() {

@@ -87,6 +87,49 @@ func TestLHWDelegation(t *testing.T) {
 	}
 }
 
+// DecodeObs must agree with Decode in every field but Pairs — which it
+// leaves nil on the Astrea path — on sampled syndromes of every Hamming
+// weight 0..12 at d = 3, 5, 7, both sides of the Astrea limit, alternating
+// on one instance.
+func TestDecodeObsMatchesDecode(t *testing.T) {
+	const shots = 4000
+	var byHW [astrea.MaxHW + 3]int
+	compared := 0
+	for _, d := range []int{3, 5, 7} {
+		for _, p := range []float64{1e-3, 4e-3, 8e-3} {
+			m, gwt := build(t, d, p)
+			g := newG(t, gwt, 7)
+			rng := prng.New(uint64(9000*d) + uint64(p*1e4))
+			smp := dem.NewSampler(m)
+			s := bitvec.New(gwt.N)
+			for shot := 0; shot < shots; shot++ {
+				smp.Sample(rng, s)
+				hw := s.PopCount()
+				if hw < len(byHW) {
+					byHW[hw]++
+				}
+				want, got := g.Decode(s), g.DecodeObs(s)
+				if got.ObsPrediction != want.ObsPrediction || got.Weight != want.Weight || got.Cycles != want.Cycles ||
+					got.Skipped != want.Skipped || got.RealTime != want.RealTime {
+					t.Fatalf("d=%d p=%g shot %d (HW %d): DecodeObs %+v, Decode %+v", d, p, shot, hw, got, want)
+				}
+				if hw <= astrea.MaxHW && got.Pairs != nil {
+					t.Fatalf("d=%d p=%g shot %d (HW %d): DecodeObs returned pairs %v", d, p, shot, hw, got.Pairs)
+				}
+				compared++
+			}
+		}
+	}
+	if compared < 10000 {
+		t.Fatalf("compared only %d syndromes", compared)
+	}
+	for hw, n := range byHW {
+		if n < 20 {
+			t.Fatalf("Hamming weight %d compared only %d times: %v", hw, n, byHW)
+		}
+	}
+}
+
 // sampleHHW collects syndromes with HW above the Astrea limit.
 func sampleHHW(t testing.TB, m *dem.Model, n int, seed uint64, minHW int) []bitvec.Vec {
 	t.Helper()

@@ -28,11 +28,11 @@ var hotallocFuncs = map[string]map[string]bool{
 	),
 	"internal/unionfind": set("find", "union", "active", "Decode", "peel"),
 	"internal/astrea": set(
-		"Decode", "DecodeFlagged", "BestMatching", "solve", "bound",
-		"search8", "search6", "emit", "wt", "without",
+		"Decode", "DecodeFlagged", "DecodeObs", "BestMatching", "solve",
+		"bound", "search8", "search6", "emit", "wt", "without",
 	),
 	"internal/astreag": set(
-		"Decode", "decodeHHW", "buildLWT", "sortByWeight", "push", "chainObs",
+		"Decode", "DecodeObs", "decodeHHW", "buildLWT", "sortByWeight", "push", "chainObs",
 	),
 	"internal/bitvec": set(
 		"Get", "Set", "Clear", "Flip", "SetTo", "Reset", "XorWith",

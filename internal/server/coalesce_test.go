@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"astrea/internal/astrea"
 	"astrea/internal/compress"
 	"astrea/internal/decoder"
 	"astrea/internal/experiments"
@@ -20,20 +21,55 @@ import (
 // server-side connections that stall and short-read on a seeded schedule:
 // results are queued per connection and flushed per batch, so the failure
 // modes to rule out are an answer stranded in a write buffer, written
-// twice, or attributed to the wrong request.
+// twice, or attributed to the wrong request. It runs over both routes a
+// request can take: an Astrea pool answers every request inline on the
+// connection's reader, a wrapped decoder sends every one through the worker
+// queue, and an Astrea-G pool at p = 3e-3 interleaves the two on each
+// connection (HW ≤ 10 inline, heavier syndromes queued).
 func TestCoalescedResultsExactlyOnce(t *testing.T) {
 	leakCheck(t)
+	wrapped := func(e *montecarlo.Env) (decoder.Decoder, error) {
+		inner, err := experiments.AstreaFactory(e)
+		if err != nil {
+			return nil, err
+		}
+		return slowDecoder{inner: inner}, nil
+	}
+	for _, tc := range []struct {
+		name, decoder string
+		p             float64
+		factory       montecarlo.Factory // nil: the decoder's own
+		route         string             // "inline", "queued" or "mixed"
+	}{
+		{name: "astrea", decoder: "astrea", p: 1e-3, route: "inline"},
+		{name: "wrapped", decoder: "astrea", p: 1e-3, factory: wrapped, route: "queued"},
+		{name: "astrea-g", decoder: "astrea-g", p: 3e-3, route: "mixed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := montecarlo.SharedEnv(5, 5, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := experiments.FactoryFor(tc.decoder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coalescedExactlyOnce(t, env, Config{Decoder: tc.decoder, factory: tc.factory}, ref, tc.route)
+		})
+	}
+}
+
+// coalescedExactlyOnce is one pool's run of TestCoalescedResultsExactlyOnce:
+// cfg names the decoder, ref decodes the expected answers locally, and route
+// says which way the daemon must have sent the requests.
+func coalescedExactlyOnce(t *testing.T, env *montecarlo.Env, cfg Config, ref montecarlo.Factory, route string) {
 	const conns, depth = 2, 8
 	perConn := 20000
 	if testing.Short() {
 		perConn = 2000
 	}
-	env := testEnv(t, 5)
-	srv := startServerOn(t, Config{
-		Distances: []int{5},
-		P:         1e-3,
-		Envs:      map[int]*montecarlo.Env{5: env},
-	}, func(ln net.Listener) net.Listener {
+	cfg.Distances, cfg.P, cfg.Envs = []int{5}, env.P, map[int]*montecarlo.Env{5: env}
+	srv := startServerOn(t, cfg, func(ln net.Listener) net.Listener {
 		return faultinject.WrapListener(ln, faultinject.Config{
 			Seed:       11,
 			StallP:     0.002,
@@ -43,13 +79,13 @@ func TestCoalescedResultsExactlyOnce(t *testing.T) {
 		})
 	})
 	syn := sampleLoadSyndromes(env, 5, 4096)
-	ref, err := experiments.AstreaFactory(env)
+	dec, err := ref(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make([]uint64, len(syn))
 	for i, s := range syn {
-		want[i] = ref.Decode(s).ObsPrediction
+		want[i] = dec.Decode(s).ObsPrediction
 	}
 
 	var wg sync.WaitGroup
@@ -83,7 +119,7 @@ func TestCoalescedResultsExactlyOnce(t *testing.T) {
 					case resp.Rejected || resp.Err != "" || resp.Degraded:
 						return fmt.Errorf("conn %d: seq %d not decoded: %+v", ci, resp.Seq, resp)
 					case resp.ObsMask != want[(ci*perConn+int(resp.Seq))%len(syn)]:
-						return fmt.Errorf("conn %d: seq %d obs mask %#x disagrees with local Astrea", ci, resp.Seq, resp.ObsMask)
+						return fmt.Errorf("conn %d: seq %d obs mask %#x disagrees with the local decoder", ci, resp.Seq, resp.ObsMask)
 					}
 					answered[resp.Seq] = true
 				}
@@ -122,7 +158,24 @@ func TestCoalescedResultsExactlyOnce(t *testing.T) {
 	if snap.Flushes >= snap.FramesOut {
 		t.Fatalf("%d flushes for %d frames: depth-%d pipelining never coalesced a write", snap.Flushes, snap.FramesOut, depth)
 	}
-	t.Logf("%.2f frames per write, mean batch %.2f", float64(snap.FramesOut)/float64(snap.Flushes), snap.MeanBatch)
+
+	// The route is a function of the pool and the syndrome alone.
+	var light int64
+	for ci := 0; ci < conns; ci++ {
+		for i := 0; i < perConn; i++ {
+			if syn[(ci*perConn+i)%len(syn)].PopCount() <= astrea.MaxHW {
+				light++
+			}
+		}
+	}
+	if route == "mixed" && (light == 0 || light == total) {
+		t.Fatalf("mixed route: %d of %d syndromes have HW ≤ %d; the sample cannot interleave routes", light, total, astrea.MaxHW)
+	}
+	if want := map[string]int64{"inline": total, "queued": 0, "mixed": light}[route]; snap.Inline != want {
+		t.Fatalf("%s route: %d of %d answered inline, want %d", route, snap.Inline, total, want)
+	}
+	t.Logf("%.2f frames per write, %d of %d inline, mean queued batch %.2f",
+		float64(snap.FramesOut)/float64(snap.Flushes), snap.Inline, total, snap.MeanBatch)
 }
 
 // TestSlowDecoderFlushBound pins the other half of the coalescing contract:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"astrea/internal/artifact"
+	"astrea/internal/astrea"
 	"astrea/internal/bitvec"
 	"astrea/internal/compress"
 	"astrea/internal/decodegraph"
@@ -44,7 +45,12 @@ type Config struct {
 	// BatchSize is the largest batch one worker drains from the queue in a
 	// single wake-up. Default 16.
 	BatchSize int
-	// Workers is the decode worker count. Default GOMAXPROCS.
+	// Workers is the number of queue workers. They decode only what takes
+	// the queue: requests of Hamming weight above astrea.MaxHW and every
+	// request on a pool without DecodeObs (mwpm, uf, wrapped decoders).
+	// HW ≤ 10 requests on an Astrea or Astrea-G pool are decoded on their
+	// connection's reader, so that decode concurrency follows the number
+	// of connections, not Workers. Default GOMAXPROCS.
 	Workers int
 	// DefaultDeadlineNs is the per-request real-time budget applied when a
 	// request carries none; default is the paper's 1 µs window.
@@ -78,8 +84,10 @@ type Config struct {
 	// queue sojourn may consume before the worker decodes with the fast
 	// weighted Union-Find fallback instead of the configured decoder,
 	// marking the result FlagDegraded: under overload the service trades
-	// accuracy for on-time answers instead of going silent. Default 0.75;
-	// negative disables degradation.
+	// accuracy for on-time answers instead of going silent. Only queued
+	// requests degrade; one answered inline on its connection's reader
+	// (see serveConn) never waited in the queue. Default 0.75; negative
+	// disables degradation.
 	DegradeFraction float64
 
 	// StreamResumeTTL bounds how long a resumable streaming session whose
@@ -233,6 +241,10 @@ type distPool struct {
 	expected   []float64
 
 	decoders sync.Pool
+	// inline records that the pool's decoders implement obsDecoder
+	// (Astrea, Astrea-G): their HW ≤ astrea.MaxHW requests are sub-µs and are
+	// decoded on the connection's reader instead of travelling the queue.
+	inline bool
 	// fallback pools fast weighted Union-Find instances for deadline-aware
 	// degradation (nil when degradation is disabled).
 	fallback *sync.Pool
@@ -262,10 +274,20 @@ type distSlot struct {
 	requests sync.Pool
 }
 
+// obsDecoder is the optional capability of decoders (Astrea, Astrea-G) with
+// an allocation-free entry point for callers that read only the observable
+// prediction: DecodeObs agrees with Decode on every Result field except
+// Pairs, which it may leave nil.
+type obsDecoder interface {
+	DecodeObs(syndrome bitvec.Vec) decoder.Result
+}
+
 // decode runs one syndrome on a pooled instance — the fallback pool when
 // degraded — containing any panic: the request fails with an error instead
-// of killing the worker, and the panicking instance is discarded rather
+// of killing the goroutine, and the panicking instance is discarded rather
 // than recycled into the pool (its scratch state is unknowable mid-panic).
+// A result frame carries no matching, so an instance offering DecodeObs
+// answers from it and the request path allocates no Pairs.
 func (p *distPool) decode(s bitvec.Vec, degraded bool) (res decoder.Result, err error) {
 	pool := &p.decoders
 	if degraded {
@@ -279,6 +301,9 @@ func (p *distPool) decode(s bitvec.Vec, degraded bool) (res decoder.Result, err 
 		}
 		pool.Put(dec)
 	}()
+	if od, ok := dec.(obsDecoder); ok {
+		return od.DecodeObs(s), nil
+	}
 	return dec.Decode(s), nil
 }
 
@@ -304,8 +329,9 @@ type request struct {
 // The socket is paid for per batch, not per frame. Inbound frames come
 // through br, so one read syscall delivers every frame the peer has
 // pipelined; outbound frames are assembled whole in wbuf and leave in one
-// Write per flush — decode results queue there until the worker flushes,
-// every other frame is flushed as it is appended.
+// Write per flush — decode results queue there until whoever decoded them
+// flushes (a worker after its batch, or the connection's own reader before
+// a read that could block), every other frame is flushed as it is appended.
 type conn struct {
 	net.Conn
 	stats   *stats
@@ -642,6 +668,7 @@ func (s *Server) buildPool(d int, gen uint64, env *montecarlo.Env, factory monte
 		return nil, fmt.Errorf("server: building %q decoder for d=%d: %w", decoderName, d, err)
 	}
 	p.engine = decoder.EngineOf(first)
+	_, p.inline = first.(obsDecoder)
 	p.put(first)
 	if s.cfg.DegradeFraction > 0 {
 		graph := env.Graph
@@ -870,6 +897,15 @@ func (s *Server) Close() error {
 
 // serveConn runs one client stream: handshake, then decode frames until
 // the peer hangs up or misbehaves.
+//
+// A decode request is routed where it is read. On a pool whose decoders
+// offer obsDecoder, a syndrome of Hamming weight ≤ astrea.MaxHW —
+// the sub-µs common case — is decoded right here, since handing it to a
+// worker would cost several times the decode; its result is queued on the
+// connection like a worker's and flushed before the next read that could
+// block. Everything else (heavier syndromes, exact and Union-Find pools,
+// wrapped decoders) takes the queue, so backpressure and degradation keep
+// governing the work that can actually back up.
 func (s *Server) serveConn(c *conn) {
 	defer s.connWG.Done()
 	defer func() {
@@ -894,7 +930,15 @@ func (s *Server) serveConn(c *conn) {
 	if err != nil {
 		return // unreachable: the handshake validated the ID
 	}
+	// fl holds the results decoded inline; whatever ends the loop, they
+	// still leave (this runs before the deferred close above).
+	var fl flusher
+	defer fl.flushAll()
 	for {
+		if !c.frameBuffered() {
+			// The next read may block: inline answers go out first.
+			fl.flushAll()
+		}
 		// The payload aliases the connection's read buffer: every branch
 		// below is done with it before the next readFrame.
 		t, payload, err := c.readFrame(s.cfg.MaxFrameBytes, s.cfg.IdleTimeout)
@@ -934,6 +978,10 @@ func (s *Server) serveConn(c *conn) {
 			//lint:allow errwrap best-effort probe echo; a failed write already closed the conn and the next read exits the loop
 			c.writeFrame(FramePong, payload)
 			continue
+		}
+		if t == FrameStreamOpen || t == FrameStreamResume {
+			// The session's own read loop does not know this flusher.
+			fl.flushAll()
 		}
 		if t == FrameStreamOpen {
 			// Switch into a windowed streaming session; a nil return means
@@ -982,6 +1030,13 @@ func (s *Server) serveConn(c *conn) {
 		r.conn, r.seq, r.pool, r.deadlineNs, r.arrival = c, req.Seq, s.acquirePool(c), deadline, arrival
 		s.stats.offered.Add(1)
 		s.stats.bytesIn.Add(int64(len(req.Payload)))
+		if r.pool.inline && r.syndrome.PopCount() <= astrea.MaxHW {
+			s.stats.accepted.Add(1)
+			s.stats.inline.Add(1)
+			s.decodeOne(r, &fl, true)
+			r.recycle()
+			continue
+		}
 		select {
 		case s.queue <- r:
 			s.stats.accepted.Add(1)
@@ -1086,7 +1141,8 @@ func (s *Server) handshake(c *conn) error {
 // adding no latency when idle. Results are queued on their connections as
 // they are decoded and flushed once per batch — one write syscall per
 // connection per batch instead of one per result — or earlier when the
-// oldest has waited past resultFlushBound.
+// oldest has waited past resultFlushBound. Requests answered inline by
+// serveConn never reach a worker, so batches count queued work only.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	var fl flusher
@@ -1114,7 +1170,7 @@ func (s *Server) worker() {
 		s.stats.batches.Add(1)
 		s.stats.batched.Add(int64(len(batch)))
 		for _, r := range batch {
-			s.decodeOne(r, &fl)
+			s.decodeOne(r, &fl, false)
 			r.recycle()
 		}
 		fl.flushAll()
@@ -1130,21 +1186,22 @@ func (r *request) recycle() {
 }
 
 // decodeOne runs one request on a pooled decoder and queues its response on
-// the connection, noting the debt in the worker's flusher. A decoder panic
-// is contained here: the request is answered with a StatusInternalError
-// frame, the poisoned instance is discarded, and the worker (and the
-// client's stream) keep going. When the queue sojourn has already consumed
-// most of the deadline budget, the fast fallback decoder answers instead of
-// the configured one (FlagDegraded).
-func (s *Server) decodeOne(r *request, fl *flusher) {
+// the connection, noting the debt in the caller's flusher — a worker's, or
+// the connection reader's when inline. A decoder panic is contained here:
+// the request is answered with a StatusInternalError frame, the poisoned
+// instance is discarded, and the caller (and the client's stream) keep
+// going. When a queued request's sojourn has already consumed most of the
+// deadline budget, the fast fallback decoder answers instead of the
+// configured one (FlagDegraded); an inline request never waited in the
+// queue and is never degraded.
+func (s *Server) decodeOne(r *request, fl *flusher, inline bool) {
 	defer s.releasePool(r.pool)
 	// Every observed syndrome feeds the generation's drift accumulators —
 	// a handful of atomic adds — so /stats can score live detector-flip
 	// rates against the tables' compiled-in expectations.
 	r.pool.recordDrift(r.syndrome)
-	queuedNs := float64(time.Since(r.arrival).Nanoseconds())
-	degraded := r.pool.fallback != nil &&
-		queuedNs >= s.cfg.DegradeFraction*float64(r.deadlineNs)
+	degraded := !inline && r.pool.fallback != nil &&
+		float64(time.Since(r.arrival).Nanoseconds()) >= s.cfg.DegradeFraction*float64(r.deadlineNs)
 	res, err := r.pool.decode(r.syndrome, degraded)
 	done := time.Now()
 	sojournNs := float64(done.Sub(r.arrival).Nanoseconds())

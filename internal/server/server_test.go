@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"astrea/internal/astrea"
 	"astrea/internal/bitvec"
 	"astrea/internal/compress"
 	"astrea/internal/decoder"
@@ -142,9 +143,11 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("server counts (%d completed, %d rejected) disagree with client (%d, %d)",
 			snap.Completed, snap.Rejected, rep.Accepted, rep.Rejected)
 	}
-	// With the paper's 1 µs budget crossing a real socket, the queue sojourn
-	// almost always consumes the whole deadline, so default degradation
-	// kicks in; the client-observed flags must match the server's counter
+	// With the paper's 1 µs budget crossing a real socket, a queued request's
+	// sojourn almost always consumes the whole deadline and would degrade;
+	// but an Astrea pool answers HW ≤ 10 inline on the connection's reader,
+	// which never degrades, so only the rare heavier syndrome can. Either
+	// way the client-observed flags must match the server's counter
 	// (RunLoad verified each degraded answer against local Union-Find).
 	if snap.Degraded != int64(rep.Degraded) {
 		t.Fatalf("server counted %d degraded, client saw %d", snap.Degraded, rep.Degraded)
@@ -409,7 +412,14 @@ func TestConcurrentStreamsShareGWT(t *testing.T) {
 func TestCloseUnderLoad(t *testing.T) {
 	leakCheck(t)
 	env := testEnv(t, 3)
-	payload := (compress.Sparse{}).Encode(bitvec.New(env.Model.NumDetectors), nil)
+	// Heavier than astrea.MaxHW, so every request takes the queue rather
+	// than being decoded inline on its reader: the race this guards is
+	// Close closing the queue under a reader about to enqueue.
+	heavy := bitvec.New(env.Model.NumDetectors)
+	for i := 0; i <= astrea.MaxHW; i++ {
+		heavy.Set(i * env.Model.NumDetectors / (astrea.MaxHW + 1))
+	}
+	payload := (compress.Sparse{}).Encode(heavy, nil)
 	for iter := 0; iter < 5; iter++ {
 		srv := startServer(t, Config{
 			Distances:  []int{3},
@@ -450,6 +460,9 @@ func TestCloseUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Wait()
+		if n := srv.Snapshot().Inline; n != 0 {
+			t.Fatalf("flood: %d requests decoded inline; want every request queued", n)
+		}
 	}
 }
 

@@ -18,7 +18,8 @@ type stats struct {
 	queueCap  int
 	deadline  float64
 	offered   atomic.Int64 // decode frames parsed (accepted + rejected)
-	accepted  atomic.Int64 // enqueued
+	accepted  atomic.Int64 // answered inline or enqueued
+	inline    atomic.Int64 // accepted and decoded on the connection's reader
 	rejected  atomic.Int64 // backpressure rejections
 	completed atomic.Int64 // results written
 	malformed atomic.Int64 // undecodable syndrome payloads (error frames)
@@ -71,11 +72,16 @@ func newStats(cfg Config, deadlineNs float64) *stats {
 type Snapshot struct {
 	UptimeSec float64 `json:"uptime_sec"`
 
-	// Admission accounting: Offered == Accepted + Rejected always holds,
-	// and after a drain Accepted == Completed + Panics (every accepted
-	// request is answered with a result or an internal-error frame).
+	// Admission accounting: Offered == Accepted + Rejected always holds.
+	// Accepted counts both routes — Inline, the HW ≤ 10 requests an Astrea
+	// or Astrea-G pool decodes on the connection's reader, plus the ones
+	// enqueued for a worker — and after a drain Accepted == Completed +
+	// Panics (every accepted request is answered with a result or an
+	// internal-error frame). Batches and MeanBatch describe the queued
+	// route only.
 	Offered   int64 `json:"offered"`
 	Accepted  int64 `json:"accepted"`
+	Inline    int64 `json:"inline"`
 	Rejected  int64 `json:"rejected"`
 	Completed int64 `json:"completed"`
 	Malformed int64 `json:"malformed"`
@@ -189,6 +195,7 @@ func (s *Server) Snapshot() Snapshot {
 		UptimeSec:            up,
 		Offered:              st.offered.Load(),
 		Accepted:             st.accepted.Load(),
+		Inline:               st.inline.Load(),
 		Rejected:             st.rejected.Load(),
 		Completed:            completed,
 		Malformed:            st.malformed.Load(),
