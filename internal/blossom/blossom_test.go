@@ -1,7 +1,6 @@
 package blossom
 
 import (
-	"math/bits"
 	"testing"
 
 	"astrea/internal/prng"
@@ -49,37 +48,8 @@ func bruteForce(n int, w func(i, j int) int64) int64 {
 // dpMatch solves min-weight perfect matching by bitmask DP, workable to
 // n = 18 or so.
 func dpMatch(n int, w func(i, j int) int64) int64 {
-	const unset = int64(1) << 62
-	dp := make([]int64, 1<<uint(n))
-	for i := range dp {
-		dp[i] = unset
-	}
-	dp[0] = 0
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		if dp[mask] == unset || bits.OnesCount(uint(mask))%2 != 0 {
-			continue
-		}
-		first := -1
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				first = i
-				break
-			}
-		}
-		if first == -1 {
-			continue
-		}
-		for j := first + 1; j < n; j++ {
-			if mask&(1<<uint(j)) != 0 {
-				continue
-			}
-			nm := mask | 1<<uint(first) | 1<<uint(j)
-			if c := dp[mask] + w(first, j); c < dp[nm] {
-				dp[nm] = c
-			}
-		}
-	}
-	return dp[1<<uint(n)-1]
+	v, _ := dpOptimum(n, w)
+	return v
 }
 
 func randomWeights(rng *prng.Source, n int, maxW int64) func(i, j int) int64 {

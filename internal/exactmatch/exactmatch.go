@@ -91,8 +91,12 @@ func mix2(a, b uint64) uint64 {
 
 // PairTie is the tie-break of the direct chain between detectors i < j at
 // flagged count k.
-func PairTie(i, j, k int) int64 {
-	return int64(mix2(uint64(i)+1, uint64(j)+1) % uint64(TieBound(k)))
+func PairTie(i, j, k int) int64 { return PairTieBounded(i, j, TieBound(k)) }
+
+// PairTieBounded is PairTie with TieBound(k) computed once by the caller,
+// for engines that tie-break every pair of one syndrome.
+func PairTieBounded(i, j int, bound int64) int64 {
+	return int64(mix2(uint64(i)+1, uint64(j)+1) % uint64(bound))
 }
 
 // BoundaryTie is the tie-break of detector i's boundary chain at flagged

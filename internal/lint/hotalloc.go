@@ -24,7 +24,8 @@ var hotallocFuncs = map[string]map[string]bool{
 	"internal/blossom": set(
 		"eDelta", "updateSlack", "setSlack", "qPush", "setSt", "getPr",
 		"setMatch", "augment", "getLca", "addBlossom", "expandBlossom",
-		"onFoundEdge", "matching", "maxWeightMatching",
+		"onFoundEdge", "matching", "at", "fromRow", "reset", "load",
+		"warmStart", "MinWeightPerfect",
 	),
 	"internal/unionfind": set("find", "union", "active", "Decode", "peel"),
 	"internal/astrea": set(

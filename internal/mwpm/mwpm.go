@@ -112,43 +112,62 @@ type denseEngine struct {
 	gwt *decodegraph.GWT
 	sv  blossom.Solver
 
+	// The current Match call's lifted weights: liftBnd per flagged
+	// position, and a k×k pair table, row-major over positions a < b,
+	// holding the lifted weight of pairing them and whether the direct
+	// chain won over the through-boundary alternative. Both the solver's
+	// weight callback and the output unfolding read the table, so each
+	// pair is lifted once per call.
 	liftBnd []int64
+	lifted  []int64
+	direct  []bool
+	k       int
 	out     [][2]int
 
-	// Current Match call's inputs plus the weight callback bound once as a
-	// method value, so the per-shot path never allocates a closure.
-	nodes    []int
-	k        int
+	// weightFn is liftedWeight bound once as a method value, so the
+	// per-shot path never allocates a closure.
 	weightFn func(a, b int) int64
 }
 
 // Name implements exactmatch.Engine.
 func (e *denseEngine) Name() string { return "dense" }
 
-// liftedPair returns the lifted weight of matching flagged positions a < b
-// (< k) against each other, and whether the direct chain won over the
-// through-boundary alternative. Ties go to the boundary, matching the
-// sparse engine's edge-retention rule.
-func (e *denseEngine) liftedPair(nodes []int, a, b, k int) (int64, bool) {
-	i, j := nodes[a], nodes[b]
-	via := e.liftBnd[a] + e.liftBnd[b]
-	if dw := e.gwt.DirectWeight(i, j); !math.IsInf(dw, 1) {
-		if direct := exactmatch.Lift(exactmatch.Base(dw), exactmatch.PairTie(i, j, k)); direct < via {
-			return direct, true
+// fill computes the pair table for nodes. Ties go to the boundary,
+// matching the sparse engine's edge-retention rule.
+func (e *denseEngine) fill(nodes []int) {
+	k := len(nodes)
+	tb := exactmatch.TieBound(k)
+	e.liftBnd = e.liftBnd[:0]
+	for _, i := range nodes {
+		e.liftBnd = append(e.liftBnd, exactmatch.LiftBoundary(e.gwt, i, k))
+	}
+	if cap(e.lifted) < k*k {
+		e.lifted = make([]int64, k*k)
+		e.direct = make([]bool, k*k)
+	}
+	e.lifted, e.direct, e.k = e.lifted[:k*k], e.direct[:k*k], k
+	for a, i := range nodes {
+		for b := a + 1; b < k; b++ {
+			j := nodes[b]
+			w, direct := e.liftBnd[a]+e.liftBnd[b], false
+			if dw := e.gwt.DirectWeight(i, j); !math.IsInf(dw, 1) {
+				if lw := exactmatch.Lift(exactmatch.Base(dw), exactmatch.PairTieBounded(i, j, tb)); lw < w {
+					w, direct = lw, true
+				}
+			}
+			e.lifted[a*k+b], e.direct[a*k+b] = w, direct
 		}
 	}
-	return via, false
 }
 
-// liftedWeight is the solver's weight callback over the current Match
-// call's nodes; see weightFn.
+// liftedWeight is the solver's weight callback over the current pair
+// table; see weightFn.
 func (e *denseEngine) liftedWeight(a, b int) int64 {
 	if a > b {
 		a, b = b, a
 	}
 	if b < e.k {
-		w, _ := e.liftedPair(e.nodes, a, b, e.k)
-		return w
+		return e.lifted[a*e.k+b]
 	}
 	return e.liftBnd[a]
 }
@@ -160,11 +179,7 @@ func (e *denseEngine) Match(nodes []int) [][2]int {
 	if n%2 == 1 {
 		n++ // explicit boundary vertex at index k
 	}
-	e.liftBnd = e.liftBnd[:0]
-	for _, i := range nodes {
-		e.liftBnd = append(e.liftBnd, exactmatch.LiftBoundary(e.gwt, i, k))
-	}
-	e.nodes, e.k = nodes, k
+	e.fill(nodes)
 	mate, _, err := e.sv.MinWeightPerfect(n, e.weightFn)
 	if err != nil {
 		// The complete graph always admits a perfect matching; an error here
@@ -182,7 +197,7 @@ func (e *denseEngine) Match(nodes []int) [][2]int {
 			e.out = append(e.out, [2]int{nodes[a], decoder.Boundary})
 			continue
 		}
-		if _, direct := e.liftedPair(nodes, a, b, k); direct {
+		if e.direct[a*k+b] {
 			e.out = append(e.out, [2]int{nodes[a], nodes[b]})
 		} else {
 			// The optimum routed this pair through the boundary: report the
