@@ -8,10 +8,8 @@ package astrea
 
 import (
 	"io"
-	"sort"
 	"testing"
 
-	"astrea/internal/bitvec"
 	"astrea/internal/experiments"
 )
 
@@ -252,102 +250,5 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 				dec.Decode(pool[i%len(pool)])
 			}
 		})
-	}
-}
-
-// streamBenchRows samples whole shots and splits each syndrome into
-// per-round rows, concatenating the shots into one long closed round
-// stream for the streaming benchmarks.
-func streamBenchRows(sys *System, seed uint64, shots int) []Syndrome {
-	width := sys.StreamRowWidth()
-	src := sys.NewShotSource(seed)
-	rows := make([]Syndrome, 0, shots)
-	for s := 0; s < shots; s++ {
-		synd, _ := src.Next()
-		detRows := synd.Len() / width
-		for r := 0; r < detRows; r++ {
-			row := bitvec.New(width)
-			for k := 0; k < width; k++ {
-				if synd.Get(r*width + k) {
-					row.Set(k)
-				}
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-func quantileNs(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// BenchmarkStreaming_Windowed pushes a closed multi-shot round stream
-// through the windowed decode pipeline (plan → decode → fuse) and reports
-// windows/sec plus the commit-sojourn quantiles — the streaming subsystem's
-// throughput companion to BenchmarkDecodeThroughput.
-func BenchmarkStreaming_Windowed(b *testing.B) {
-	sys, err := New(5, 1e-3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := streamBenchRows(sys, 1, 100)
-	var windows int
-	var sojourns []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		commits, stats, err := sys.DecodeClosedStream(StreamConfig{Decoder: "astrea"}, rows)
-		if err != nil {
-			b.Fatal(err)
-		}
-		windows += int(stats.Windows)
-		sojourns = sojourns[:0]
-		for _, c := range commits {
-			sojourns = append(sojourns, c.SojournNs)
-		}
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(windows)/sec, "windows/s")
-		b.ReportMetric(float64(b.N*len(rows))/sec, "rounds/s")
-	}
-	sort.Float64s(sojourns)
-	b.ReportMetric(quantileNs(sojourns, 0.50), "commit-p50-ns")
-	b.ReportMetric(quantileNs(sojourns, 0.95), "commit-p95-ns")
-	b.ReportMetric(quantileNs(sojourns, 0.99), "commit-p99-ns")
-}
-
-// BenchmarkStreaming_WholeShotBaseline decodes the same sampled shots
-// whole (one decode per d-round syndrome) — the baseline the streaming
-// pipeline's closed-stream equivalence is measured against.
-func BenchmarkStreaming_WholeShotBaseline(b *testing.B) {
-	sys, err := New(5, 1e-3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec := sys.Astrea()
-	src := sys.NewShotSource(1)
-	shots := make([]Syndrome, 0, 100)
-	for len(shots) < cap(shots) {
-		s, _ := src.Next()
-		shots = append(shots, s.Clone())
-	}
-	roundsPerShot := sys.NumDetectors() / sys.StreamRowWidth()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range shots {
-			dec.Decode(s)
-		}
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N*len(shots))/sec, "shots/s")
-		b.ReportMetric(float64(b.N*len(shots)*roundsPerShot)/sec, "rounds/s")
 	}
 }

@@ -84,8 +84,7 @@
 //	                      daemons' -artifact-watch interval (default 30s)
 //
 // Exit status is non-zero if any verified response disagrees with the
-// local decoder (degraded responses are checked against Union-Find, the
-// server's degradation fallback).
+// local decoder.
 package main
 
 import (
@@ -419,7 +418,6 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 		t.AddRow("errored (server error)", rep.Errored)
 		t.AddRow("failed (no replica answered)", fleet.Failed)
 	}
-	t.AddRow("degraded (UF fallback)", rep.Degraded)
 	t.AddRow("offered/s", rep.OfferedPerSec)
 	t.AddRow("achieved/s", rep.AchievedPerSec)
 	if rep.FramesPerRead > 0 {
@@ -468,7 +466,7 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 		if fleet.Rotation != nil {
 			st := report.Table{
 				Title:   "staged rollout",
-				Headers: []string{"replica", "outcome", "baseline ok/deg/miss", "post ok/deg/miss"},
+				Headers: []string{"replica", "outcome", "baseline ok/miss", "post ok/miss"},
 			}
 			for _, step := range fleet.Rotation.Steps {
 				outcome := "passed"
@@ -476,8 +474,8 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 					outcome = "ROLLED BACK: " + step.Reason
 				}
 				st.AddRow(step.Addr, outcome,
-					fmt.Sprintf("%d/%d/%d", step.Baseline.Successes, step.Baseline.Degraded, step.Baseline.DeadlineMisses),
-					fmt.Sprintf("%d/%d/%d", step.Post.Successes, step.Post.Degraded, step.Post.DeadlineMisses))
+					fmt.Sprintf("%d/%d", step.Baseline.Successes, step.Baseline.DeadlineMisses),
+					fmt.Sprintf("%d/%d", step.Post.Successes, step.Post.DeadlineMisses))
 			}
 			out.section(st.Write)
 		}

@@ -69,7 +69,7 @@ func runReport(t *testing.T, args []string) string {
 // TestRunModes drives every mode of the one load driver through run(args)
 // against live in-process daemons. -verify is on by default, so a nil
 // error is the zero-mismatch gate; the default 1 µs deadline makes the
-// request modes exercise the degraded-answer (Union-Find) verification too.
+// request modes verify late (deadline-missed) answers too.
 func TestRunModes(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := startDaemon(t), startDaemon(t)

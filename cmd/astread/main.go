@@ -25,9 +25,6 @@
 //	-handshake-timeout dur  Hello exchange bound per connection (default 10s, 0 disables)
 //	-idle-timeout dur       reap connections idle this long (default 5m, 0 disables)
 //	-write-timeout dur      per-response write bound (default 30s, 0 disables)
-//	-degrade frac     fraction of the deadline budget the queue sojourn may
-//	                  consume before decoding with the fast Union-Find
-//	                  fallback (FlagDegraded) (default 0.75, 0 disables)
 //	-drain-timeout dur      SIGTERM drain bound; requests still queued when it
 //	                  expires are abandoned and counted (default 10s, 0 = unbounded)
 //	-stream-resume-ttl dur  how long a streaming session whose connection
@@ -136,7 +133,6 @@ func buildConfig(args []string) (opts options, err error) {
 	handshakeTO := fs.Duration("handshake-timeout", 10*time.Second, "handshake bound per connection (0 disables)")
 	idleTO := fs.Duration("idle-timeout", 5*time.Minute, "reap connections idle this long (0 disables)")
 	writeTO := fs.Duration("write-timeout", 30*time.Second, "per-response write bound (0 disables)")
-	degrade := fs.Float64("degrade", 0.75, "deadline fraction before Union-Find fallback (0 disables)")
 	resumeTTL := fs.Duration("stream-resume-ttl", 2*time.Minute, "parked streaming sessions kept resumable this long (0 disables resume)")
 	resumeMaxSessions := fs.Int("stream-resume-max-sessions", 64, "parked streaming session cap (oldest evicted beyond it)")
 	resumeMaxBytes := fs.Int64("stream-resume-max-bytes", 16<<20, "estimated bytes retained by parked sessions before eviction")
@@ -158,11 +154,6 @@ func buildConfig(args []string) (opts options, err error) {
 	cfg.HandshakeTimeout = orDisabled(*handshakeTO)
 	cfg.IdleTimeout = orDisabled(*idleTO)
 	cfg.WriteTimeout = orDisabled(*writeTO)
-	if *degrade <= 0 {
-		cfg.DegradeFraction = -1
-	} else {
-		cfg.DegradeFraction = *degrade
-	}
 	cfg.StreamResumeTTL = orDisabled(*resumeTTL)
 	cfg.StreamResumeMaxSessions = orDisabledInt(*resumeMaxSessions)
 	cfg.StreamResumeMaxBytes = orDisabledInt64(*resumeMaxBytes)

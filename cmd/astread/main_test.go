@@ -29,7 +29,7 @@ func TestBuildConfigDefaults(t *testing.T) {
 	if cfg.DefaultDeadlineNs != 1000 {
 		t.Fatalf("default deadline: %d ns", cfg.DefaultDeadlineNs)
 	}
-	if cfg.MaxConns != 4096 || cfg.DegradeFraction != 0.75 {
+	if cfg.MaxConns != 4096 {
 		t.Fatalf("robustness defaults: %+v", cfg)
 	}
 	if cfg.HandshakeTimeout != 10*time.Second || cfg.IdleTimeout != 5*time.Minute || cfg.WriteTimeout != 30*time.Second {
@@ -44,7 +44,7 @@ func TestBuildConfigParsesFlags(t *testing.T) {
 	opts, err := buildConfig([]string{
 		"-listen", "127.0.0.1:0", "-distances", "5, 9", "-decoder", "uf",
 		"-queue", "8", "-deadline", "2us",
-		"-max-conns", "2", "-idle-timeout", "30s", "-degrade", "0.5",
+		"-max-conns", "2", "-idle-timeout", "30s",
 		"-drain-timeout", "3s",
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestBuildConfigParsesFlags(t *testing.T) {
 	if cfg.Decoder != "uf" || cfg.QueueDepth != 8 || cfg.DefaultDeadlineNs != 2000 {
 		t.Fatalf("parsed: %+v", cfg)
 	}
-	if cfg.MaxConns != 2 || cfg.IdleTimeout != 30*time.Second || cfg.DegradeFraction != 0.5 {
+	if cfg.MaxConns != 2 || cfg.IdleTimeout != 30*time.Second {
 		t.Fatalf("robustness flags: %+v", cfg)
 	}
 	if drain != 3*time.Second {
@@ -73,13 +73,13 @@ func TestBuildConfigParsesFlags(t *testing.T) {
 func TestBuildConfigDisabledSentinels(t *testing.T) {
 	opts, err := buildConfig([]string{
 		"-max-conns", "0", "-handshake-timeout", "0", "-idle-timeout", "0",
-		"-write-timeout", "0", "-degrade", "0", "-drain-timeout", "0",
+		"-write-timeout", "0", "-drain-timeout", "0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg, drain := opts.cfg, opts.drain
-	if cfg.MaxConns >= 0 || cfg.DegradeFraction >= 0 {
+	if cfg.MaxConns >= 0 {
 		t.Fatalf("0 flags not mapped to disabled: %+v", cfg)
 	}
 	if cfg.HandshakeTimeout >= 0 || cfg.IdleTimeout >= 0 || cfg.WriteTimeout >= 0 {

@@ -23,8 +23,8 @@
 // even that window sheds the replica transiently ("transition" state,
 // re-checked by the prober) rather than permanently, because mid-rotation
 // skew is expected to converge. StageRollout drives the whole sequence —
-// replica-by-replica apply, a regression gate over degraded/deadline-miss/
-// retry rates, and automatic rollback — on top of these primitives.
+// replica-by-replica apply, a regression gate over deadline-miss and retry
+// rates, and automatic rollback — on top of these primitives.
 package cluster
 
 import (
@@ -482,9 +482,6 @@ func (f *Fleet) attempt(rep *replica, trial bool, seq, deadlineNs uint64, s bitv
 		rep.rejections.Add(1)
 	} else {
 		rep.successes.Add(1)
-		if resp.Degraded {
-			rep.degraded.Add(1)
-		}
 		if resp.DeadlineMiss {
 			rep.deadlineMisses.Add(1)
 		}

@@ -18,8 +18,8 @@ import (
 	"astrea/internal/server"
 )
 
-// bigDeadline keeps deadline-aware degradation out of tests that exercise
-// routing, not real-time behaviour.
+// bigDeadline keeps deadline misses out of tests that exercise routing, not
+// real-time behaviour.
 const bigDeadline = uint64(10 * time.Second)
 
 func leakCheck(t *testing.T) {

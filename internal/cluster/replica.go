@@ -74,10 +74,8 @@ type replica struct {
 	probes     atomic.Int64 // health probes sent
 	probeFails atomic.Int64 // health probes failed
 	streams    atomic.Int64 // streaming sessions dialed here (opens + failovers)
-	// Result-quality counters feeding the staged-rollout regression gate:
-	// a generation that decodes slower shows up here (as fallback answers
-	// and missed deadlines) before it shows up as an accuracy regression.
-	degraded       atomic.Int64 // results answered by the fallback decoder
+	// Result-quality counter feeding the staged-rollout regression gate: a
+	// generation that decodes slower shows up here, as missed deadlines.
 	deadlineMisses atomic.Int64 // results whose sojourn overran the deadline
 }
 
@@ -355,10 +353,8 @@ type ReplicaStats struct {
 	Probes        int64 `json:"probes"`
 	ProbeFailures int64 `json:"probe_failures"`
 	Streams       int64 `json:"streams"`
-	// Degraded and DeadlineMisses grade the answers this replica did give:
-	// fallback-decoded results and deadline overruns, the rollout gate's
-	// regression signals.
-	Degraded       int64 `json:"degraded"`
+	// DeadlineMisses grades the answers this replica did give: deadline
+	// overruns, the rollout gate's regression signal.
 	DeadlineMisses int64 `json:"deadline_misses"`
 	IdleConns      int   `json:"idle_conns"`
 }
@@ -387,7 +383,6 @@ func (r *replica) snapshot() ReplicaStats {
 	st.Probes = r.probes.Load()
 	st.ProbeFailures = r.probeFails.Load()
 	st.Streams = r.streams.Load()
-	st.Degraded = r.degraded.Load()
 	st.DeadlineMisses = r.deadlineMisses.Load()
 	return st
 }

@@ -13,12 +13,11 @@ import (
 // generation one at a time, under live traffic, with a regression gate in
 // front of every step. The fleet's accepted fingerprint window widens to
 // {next, previous} for the duration (BeginTransition), each replica is
-// rotated and then watched — its degraded-answer, deadline-miss and
-// retry rates after the swap are compared against its own rates just
-// before it — and a replica that got worse is reverted and the whole
-// rollout rolled back (AbortTransition). Only when every replica has
-// rotated and passed does the window narrow to the new generation alone
-// (CompleteTransition).
+// rotated and then watched — its deadline-miss and retry rates after the
+// swap are compared against its own rates just before it — and a replica
+// that got worse is reverted and the whole rollout rolled back
+// (AbortTransition). Only when every replica has rotated and passed does
+// the window narrow to the new generation alone (CompleteTransition).
 //
 // StageRollout drives the control plane only; the caller keeps normal
 // Decode/OpenStream traffic flowing concurrently — that traffic is both
@@ -89,7 +88,6 @@ type RateSample struct {
 	Successes      int64 `json:"successes"`
 	Failures       int64 `json:"failures"`
 	Rejections     int64 `json:"rejections"`
-	Degraded       int64 `json:"degraded"`
 	DeadlineMisses int64 `json:"deadline_misses"`
 }
 
@@ -99,7 +97,6 @@ func (r *replica) sample() RateSample {
 		Successes:      r.successes.Load(),
 		Failures:       r.failures.Load(),
 		Rejections:     r.rejections.Load(),
-		Degraded:       r.degraded.Load(),
 		DeadlineMisses: r.deadlineMisses.Load(),
 	}
 }
@@ -112,7 +109,6 @@ func (r RateSample) minus(base RateSample) RateSample {
 		Successes:      r.Successes - base.Successes,
 		Failures:       r.Failures - base.Failures,
 		Rejections:     r.Rejections - base.Rejections,
-		Degraded:       r.Degraded - base.Degraded,
 		DeadlineMisses: r.DeadlineMisses - base.DeadlineMisses,
 	}
 }
@@ -121,18 +117,17 @@ func (r RateSample) minus(base RateSample) RateSample {
 // decodes plus shed/failed attempts.
 func (r RateSample) settled() int64 { return r.Successes + r.Failures + r.Rejections }
 
-// rates reduces a delta to the three gated rates: degraded answers and
-// deadline misses per success, and failures-plus-rejections (the caller's
-// retries) per routed request.
-func (r RateSample) rates() (degraded, missed, retried float64) {
+// rates reduces a delta to the two gated rates: deadline misses per
+// success, and failures-plus-rejections (the caller's retries) per routed
+// request.
+func (r RateSample) rates() (missed, retried float64) {
 	if r.Successes > 0 {
-		degraded = float64(r.Degraded) / float64(r.Successes)
 		missed = float64(r.DeadlineMisses) / float64(r.Successes)
 	}
 	if r.Requests > 0 {
 		retried = float64(r.Failures+r.Rejections) / float64(r.Requests)
 	}
-	return degraded, missed, retried
+	return missed, retried
 }
 
 // RolloutStep is one replica's record in the rollout report.
@@ -237,11 +232,9 @@ func (f *Fleet) StageRollout(cfg RolloutConfig) (RolloutReport, error) {
 // returns a non-empty reason when any gated rate worsened past the
 // tolerance.
 func gate(base, post RateSample, tol float64) string {
-	bd, bm, br := base.rates()
-	pd, pm, pr := post.rates()
+	bm, br := base.rates()
+	pm, pr := post.rates()
 	switch {
-	case pd > bd+tol:
-		return fmt.Sprintf("degraded-answer rate %.3f worsened past baseline %.3f", pd, bd)
 	case pm > bm+tol:
 		return fmt.Sprintf("deadline-miss rate %.3f worsened past baseline %.3f", pm, bm)
 	case pr > br+tol:

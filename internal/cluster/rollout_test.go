@@ -264,10 +264,8 @@ type rolloutFixture struct {
 	fpNew   decodegraph.Fingerprint
 }
 
-// newRolloutFixture stands the fleet up with deadline-aware degradation
-// disabled on every replica, so a slow generation shows up as pure
-// deadline misses with bit-verifiable answers (the fallback decoder would
-// otherwise answer from different tables).
+// newRolloutFixture stands the fleet up: a slow generation shows up as
+// deadline misses with bit-verifiable answers.
 func newRolloutFixture(t *testing.T, envOld, envNew *montecarlo.Env, deadlineNs uint64) *rolloutFixture {
 	t.Helper()
 	fx := &rolloutFixture{
@@ -278,9 +276,8 @@ func newRolloutFixture(t *testing.T, envOld, envNew *montecarlo.Env, deadlineNs 
 	addrs := make([]string, 3)
 	for i := range addrs {
 		srv, err := server.New(server.Config{
-			Distances:       []int{3},
-			Envs:            map[int]*montecarlo.Env{3: envOld},
-			DegradeFraction: -1,
+			Distances: []int{3},
+			Envs:      map[int]*montecarlo.Env{3: envOld},
 		})
 		if err != nil {
 			t.Fatal(err)

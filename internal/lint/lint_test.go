@@ -160,14 +160,8 @@ func TestVetCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := NewLoader().LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModule(t)
+	pkgs := m.pkgs
 	// A walk that silently misses the tree would vacuously pass; the module
 	// has far more packages than this floor.
 	if len(pkgs) < 15 {

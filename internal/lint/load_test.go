@@ -5,8 +5,41 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// loadedModule is one type-checked load of the whole module, shared by the
+// tests that need it: the load is most of their cost, and it is the same
+// load each time.
+type loadedModule struct {
+	root   string
+	loader *Loader // its source importer has every dependency cached
+	pkgs   []*Package
+	err    error
+}
+
+var (
+	moduleOnce sync.Once
+	module     loadedModule
+)
+
+// loadModule returns the shared load, making it on first use.
+func loadModule(t *testing.T) *loadedModule {
+	t.Helper()
+	moduleOnce.Do(func() {
+		m := &module
+		if m.root, m.err = FindModuleRoot("."); m.err != nil {
+			return
+		}
+		m.loader = NewLoader()
+		m.pkgs, m.err = m.loader.LoadModule(m.root)
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return &module
+}
 
 // TestLoadDirMatchesModuleWalk pins the two loading paths to each other:
 // cmd/astrea-vet with explicit directory arguments must analyze exactly the
@@ -18,24 +51,17 @@ func TestLoadDirMatchesModuleWalk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source, twice")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModule(t)
+	root, loader := m.root, m.loader
 	modPath, err := ModulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One shared loader: the source importer caches dependencies, so the
-	// second pass re-checks only each target package.
-	loader := NewLoader()
-	modulePkgs, err := loader.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The shared loader's source importer has every dependency cached, so
+	// the per-dir pass re-checks only each target package.
 	moduleSet := map[string]bool{}
-	for _, p := range modulePkgs {
+	for _, p := range m.pkgs {
 		moduleSet[p.Rel] = true
 	}
 

@@ -18,8 +18,8 @@ import (
 	"astrea/internal/prng"
 )
 
-// bigDeadline keeps deadline-aware degradation out of tests that exercise
-// the configured (accurate) decoder.
+// bigDeadline keeps deadline misses out of tests that exercise the
+// configured decoder's answers.
 const bigDeadline = uint64(10 * time.Second)
 
 // TestChaosSoak is the chaos acceptance test: seeded connection faults
@@ -183,12 +183,11 @@ func TestWorkerPanicContained(t *testing.T) {
 	env := testEnv(t, 3)
 	var calls, built, lastUsed, panickedID atomic.Int64
 	srv := startServer(t, Config{
-		Distances:       []int{3},
-		P:               1e-3,
-		Workers:         1,
-		BatchSize:       1,
-		DegradeFraction: -1,
-		Envs:            map[int]*montecarlo.Env{3: env},
+		Distances: []int{3},
+		P:         1e-3,
+		Workers:   1,
+		BatchSize: 1,
+		Envs:      map[int]*montecarlo.Env{3: env},
 		factory: func(e *montecarlo.Env) (decoder.Decoder, error) {
 			inner, err := experiments.AstreaFactory(e)
 			if err != nil {
@@ -247,87 +246,6 @@ type funcDecoder struct {
 
 func (f funcDecoder) Name() string                       { return f.name }
 func (f funcDecoder) Decode(s bitvec.Vec) decoder.Result { return f.decode(s) }
-
-// TestDegradedOverloadKeepsAnswering drives a slow primary decoder at
-// roughly twice its drain capacity with tight deadlines. Without
-// degradation the bounded queue rejects heavily; with it, the worker
-// switches to the fast Union-Find fallback once a request's sojourn has
-// eaten most of its budget, so the queue drains and the reject rate drops
-// strictly below the baseline — and every degraded answer must match a
-// local Union-Find decode (checked by RunLoad's verifier).
-func TestDegradedOverloadKeepsAnswering(t *testing.T) {
-	leakCheck(t)
-	env := testEnv(t, 3)
-	const (
-		shots    = 300
-		rate     = 1000.0               // offered: 1000/s
-		delay    = 2 * time.Millisecond // primary drain: 500/s → 2× overload
-		deadline = 4 * time.Millisecond // degrade once sojourn ≥ 3ms
-	)
-	run := func(degrade bool) *LoadReport {
-		cfg := Config{
-			Distances:  []int{3},
-			P:          1e-3,
-			Workers:    1,
-			BatchSize:  4,
-			QueueDepth: 8,
-			Envs:       map[int]*montecarlo.Env{3: env},
-			factory: func(e *montecarlo.Env) (decoder.Decoder, error) {
-				inner, err := experiments.AstreaFactory(e)
-				if err != nil {
-					return nil, err
-				}
-				return slowDecoder{inner: inner, delay: delay}, nil
-			},
-		}
-		if !degrade {
-			cfg.DegradeFraction = -1
-		}
-		srv := startServer(t, cfg)
-		defer srv.Close()
-		rep, err := RunLoad(LoadConfig{
-			Addr:       srv.Addr().String(),
-			Distance:   3,
-			P:          1e-3,
-			Codec:      compress.IDSparse,
-			Shots:      shots,
-			RatePerSec: rate,
-			DeadlineNs: uint64(deadline.Nanoseconds()),
-			Seed:       17,
-			Verify:     true,
-			env:        env,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if degrade {
-			snap := srv.Snapshot()
-			if snap.Degraded != int64(rep.Degraded) {
-				t.Fatalf("server counted %d degraded, client saw %d", snap.Degraded, rep.Degraded)
-			}
-		}
-		return rep
-	}
-
-	base := run(false)
-	if base.Rejected == 0 {
-		t.Fatalf("baseline never overflowed the queue: %+v", base)
-	}
-	if base.Degraded != 0 {
-		t.Fatalf("baseline produced %d degraded responses with degradation disabled", base.Degraded)
-	}
-	deg := run(true)
-	if deg.Rejected >= base.Rejected {
-		t.Fatalf("degradation did not reduce rejects: %d (degraded) vs %d (baseline)",
-			deg.Rejected, base.Rejected)
-	}
-	if deg.Degraded == 0 {
-		t.Fatal("overloaded run produced no degraded responses")
-	}
-	if deg.Mismatches != 0 {
-		t.Fatalf("%d responses disagree with their reference decoder (degraded→UF, else primary)", deg.Mismatches)
-	}
-}
 
 // TestDialHandshakeTimeout covers the client-side hang fix: a server that
 // accepts the TCP connection but never sends a Hello-ack must fail the

@@ -380,8 +380,8 @@ type Response struct {
 	DeadlineMiss bool
 	RealTime     bool
 	Skipped      bool
-	// Degraded reports the server answered with its fast fallback decoder
-	// because the queue sojourn had consumed most of the deadline budget.
+	// Degraded mirrors FlagDegraded, which the request path never sets:
+	// always false on a request's response.
 	Degraded bool
 
 	// Fingerprint names the decoding-configuration generation that produced

@@ -190,11 +190,10 @@ func TestSlowDecoderFlushBound(t *testing.T) {
 	const delay = 2 * time.Millisecond
 	env := testEnv(t, 3)
 	srv := startServer(t, Config{
-		Distances:       []int{3},
-		P:               1e-3,
-		Workers:         1,
-		DegradeFraction: -1,
-		Envs:            map[int]*montecarlo.Env{3: env},
+		Distances: []int{3},
+		P:         1e-3,
+		Workers:   1,
+		Envs:      map[int]*montecarlo.Env{3: env},
 		factory: func(e *montecarlo.Env) (decoder.Decoder, error) {
 			inner, err := experiments.AstreaFactory(e)
 			if err != nil {

@@ -13,7 +13,6 @@ import (
 	"astrea/internal/decodegraph"
 	"astrea/internal/decoder"
 	"astrea/internal/dem"
-	"astrea/internal/experiments"
 	"astrea/internal/faultinject"
 	"astrea/internal/montecarlo"
 	"astrea/internal/prng"
@@ -121,16 +120,6 @@ func perSec(n int, elapsedSec float64) float64 {
 	return float64(n) / elapsedSec
 }
 
-// loadGeneration is one artifact generation's local reference decoders
-// (nil without Verify). Decoder instances carry scratch state, so they are
-// only ever called from LoadRun.Finish, on the caller's goroutine.
-type loadGeneration struct {
-	primary decoder.Decoder // the run's VerifyDecoder
-	// fallback is the weighted Union-Find decoder a daemon degrades to:
-	// degraded answers are checked against the same algorithm.
-	fallback decoder.Decoder
-}
-
 // loadAnswer is one accepted answer awaiting verification against local.
 type loadAnswer struct {
 	seq   int
@@ -181,10 +170,8 @@ type LoadReport struct {
 	Errored  int // per-request server errors
 
 	// Mismatches counts verified responses whose observable prediction
-	// disagreed with the local decoder (Verify only). Degraded responses
-	// are checked against a local weighted Union-Find decoder — the
-	// server's degradation fallback — instead of VerifyDecoder, and every
-	// response against the tables of the generation that signed it.
+	// disagreed with the local decoder (Verify only), each checked against
+	// the tables of the generation that signed it.
 	Mismatches int
 	// VerifyEngine names the exact-matching engine behind the local
 	// verification decoder (decoder.EngineOf; empty without Verify), so a
@@ -200,10 +187,6 @@ type LoadReport struct {
 	// benign. A fleet rotation run is told its target generation up front
 	// and counts any other as a mismatch.
 	OtherGeneration int
-
-	// Degraded counts responses the server answered with its fast
-	// fallback decoder (FlagDegraded).
-	Degraded int
 
 	// RTTNs holds one client-observed latency (send → response) per
 	// accepted response, in arrival order of the responses.
@@ -266,10 +249,13 @@ type LoadRun struct {
 
 	pacer loadPacer
 	rep   LoadReport
-	// gens maps a generation fingerprint to its reference decoders; baseFP
-	// is the generation assumed for answers that carry no fingerprint
-	// (legacy daemons can only be serving the base tables).
-	gens    map[uint64]*loadGeneration
+	// gens maps a generation fingerprint to its local reference decoder,
+	// the run's VerifyDecoder (nil without Verify); baseFP is the
+	// generation assumed for answers that carry no fingerprint (legacy
+	// daemons can only be serving the base tables). Decoder instances carry
+	// scratch state, so they are only ever called from LoadRun.Finish, on
+	// the caller's goroutine.
+	gens    map[uint64]decoder.Decoder
 	baseFP  uint64
 	answers []loadAnswer
 }
@@ -293,7 +279,7 @@ func NewLoadRun(cfg LoadConfig, env *montecarlo.Env, rotated ...*montecarlo.Env)
 		Config:    cfg,
 		Env:       env,
 		Syndromes: sampleLoadSyndromes(env, cfg.Seed, cfg.Shots),
-		gens:      make(map[uint64]*loadGeneration, 1+len(rotated)),
+		gens:      make(map[uint64]decoder.Decoder, 1+len(rotated)),
 		baseFP:    uint64(decodegraph.FingerprintOf(env.Model, env.GWT)),
 	}
 	r.rep.Offered = cfg.Shots
@@ -305,20 +291,16 @@ func NewLoadRun(cfg LoadConfig, env *montecarlo.Env, rotated ...*montecarlo.Env)
 		r.answers = make([]loadAnswer, 0, cfg.Shots)
 	}
 	for _, genv := range append([]*montecarlo.Env{env}, rotated...) {
-		gen := &loadGeneration{}
-		r.gens[uint64(decodegraph.FingerprintOf(genv.Model, genv.GWT))] = gen
-		if !cfg.Verify {
-			continue
+		var local decoder.Decoder
+		if cfg.Verify {
+			if local, err = factory(genv); err != nil {
+				return nil, err
+			}
 		}
-		if gen.primary, err = factory(genv); err != nil {
-			return nil, err
-		}
-		if gen.fallback, err = experiments.WeightedUFFactory(genv); err != nil {
-			return nil, err
-		}
+		r.gens[uint64(decodegraph.FingerprintOf(genv.Model, genv.GWT))] = local
 	}
-	if base := r.gens[r.baseFP]; base.primary != nil {
-		r.rep.VerifyEngine = decoder.EngineOf(base.primary)
+	if base := r.gens[r.baseFP]; base != nil {
+		r.rep.VerifyEngine = decoder.EngineOf(base)
 	}
 	return r, nil
 }
@@ -355,29 +337,24 @@ func (r *LoadRun) Record(seq int, resp Response, rttNs float64) {
 	if resp.DeadlineMiss {
 		rep.DeadlineMisses++
 	}
-	if resp.Degraded {
-		rep.Degraded++
-	}
 	fp := r.baseFP
 	if resp.HaveFingerprint {
 		fp = resp.Fingerprint
 	}
-	gen := r.gens[fp]
+	local, known := r.gens[fp]
 	switch {
-	case gen == nil:
+	case !known:
 		rep.OtherGeneration++
-	case resp.Degraded && r.Config.Verify:
-		r.answers = append(r.answers, loadAnswer{seq, resp.ObsMask, gen.fallback})
 	case r.Config.Verify:
-		r.answers = append(r.answers, loadAnswer{seq, resp.ObsMask, gen.primary})
+		r.answers = append(r.answers, loadAnswer{seq, resp.ObsMask, local})
 	}
 }
 
 // Finish stops the clock, verifies the recorded answers and returns the
 // report. Verification runs here rather than up front or in Record: only
-// what was actually answered is decoded — by the generation and the
-// decoder (primary or degradation fallback) that answered it — and no
-// local decode sits between two socket reads to inflate the next RTT.
+// what was actually answered is decoded — by the generation that answered
+// it — and no local decode sits between two socket reads to inflate the
+// next RTT.
 func (r *LoadRun) Finish() *LoadReport {
 	rep := &r.rep
 	rep.ElapsedSec = time.Since(r.pacer.start).Seconds()

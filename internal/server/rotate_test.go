@@ -16,9 +16,8 @@ import (
 	"astrea/internal/stream"
 )
 
-// rotationDeadline keeps deadline-aware degradation out of the rotation
-// tests: every answer must come from the configured decoder so it can be
-// checked against a local run of the same tables.
+// rotationDeadline keeps deadline misses out of the rotation tests, whose
+// every answer is checked against a local run of the same tables.
 const rotationDeadline = uint64(10 * time.Second)
 
 // TestRotateUnderLoad is the hot-swap acceptance test: a daemon under

@@ -23,7 +23,6 @@ import (
 	"astrea/internal/experiments"
 	"astrea/internal/hwmodel"
 	"astrea/internal/montecarlo"
-	"astrea/internal/unionfind"
 )
 
 // Config parameterises a decode daemon.
@@ -80,15 +79,6 @@ type Config struct {
 	// refused with a StatusOverloaded hello-ack. Default 4096; negative
 	// disables the cap.
 	MaxConns int
-	// DegradeFraction is the fraction of a request's deadline budget its
-	// queue sojourn may consume before the worker decodes with the fast
-	// weighted Union-Find fallback instead of the configured decoder,
-	// marking the result FlagDegraded: under overload the service trades
-	// accuracy for on-time answers instead of going silent. Only queued
-	// requests degrade; one answered inline on its connection's reader
-	// (see serveConn) never waited in the queue. Default 0.75; negative
-	// disables degradation.
-	DegradeFraction float64
 
 	// StreamResumeTTL bounds how long a resumable streaming session whose
 	// connection died stays parked in the resume cache awaiting a
@@ -152,7 +142,7 @@ func (c *Config) applyDefaults() {
 	}
 	// Zero means "use the default"; negative means "explicitly disabled"
 	// and is normalised to the disabled sentinel (0 for durations, 0 for
-	// MaxConns, 0 for DegradeFraction).
+	// MaxConns).
 	c.HandshakeTimeout = defaultDuration(c.HandshakeTimeout, 10*time.Second)
 	c.IdleTimeout = defaultDuration(c.IdleTimeout, 5*time.Minute)
 	c.WriteTimeout = defaultDuration(c.WriteTimeout, 30*time.Second)
@@ -161,12 +151,6 @@ func (c *Config) applyDefaults() {
 		c.MaxConns = 4096
 	case c.MaxConns < 0:
 		c.MaxConns = 0
-	}
-	switch {
-	case c.DegradeFraction == 0:
-		c.DegradeFraction = 0.75
-	case c.DegradeFraction < 0:
-		c.DegradeFraction = 0
 	}
 	c.StreamResumeTTL = defaultDuration(c.StreamResumeTTL, 2*time.Minute)
 	switch {
@@ -245,9 +229,6 @@ type distPool struct {
 	// (Astrea, Astrea-G): their HW ≤ astrea.MaxHW requests are sub-µs and are
 	// decoded on the connection's reader instead of travelling the queue.
 	inline bool
-	// fallback pools fast weighted Union-Find instances for deadline-aware
-	// degradation (nil when degradation is disabled).
-	fallback *sync.Pool
 }
 
 func (p *distPool) get() decoder.Decoder  { return p.decoders.Get().(decoder.Decoder) }
@@ -282,24 +263,20 @@ type obsDecoder interface {
 	DecodeObs(syndrome bitvec.Vec) decoder.Result
 }
 
-// decode runs one syndrome on a pooled instance — the fallback pool when
-// degraded — containing any panic: the request fails with an error instead
-// of killing the goroutine, and the panicking instance is discarded rather
-// than recycled into the pool (its scratch state is unknowable mid-panic).
-// A result frame carries no matching, so an instance offering DecodeObs
-// answers from it and the request path allocates no Pairs.
-func (p *distPool) decode(s bitvec.Vec, degraded bool) (res decoder.Result, err error) {
-	pool := &p.decoders
-	if degraded {
-		pool = p.fallback
-	}
-	dec := pool.Get().(decoder.Decoder)
+// decode runs one syndrome on a pooled instance, containing any panic: the
+// request fails with an error instead of killing the goroutine, and the
+// panicking instance is discarded rather than recycled into the pool (its
+// scratch state is unknowable mid-panic). A result frame carries no
+// matching, so an instance offering DecodeObs answers from it and the
+// request path allocates no Pairs.
+func (p *distPool) decode(s bitvec.Vec) (res decoder.Result, err error) {
+	dec := p.get()
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("decoder panicked: %v", v)
 			return
 		}
-		pool.Put(dec)
+		p.put(dec)
 	}()
 	if od, ok := dec.(obsDecoder); ok {
 		return od.DecodeObs(s), nil
@@ -670,12 +647,6 @@ func (s *Server) buildPool(d int, gen uint64, env *montecarlo.Env, factory monte
 	p.engine = decoder.EngineOf(first)
 	_, p.inline = first.(obsDecoder)
 	p.put(first)
-	if s.cfg.DegradeFraction > 0 {
-		graph := env.Graph
-		p.fallback = &sync.Pool{New: func() interface{} {
-			return unionfind.New(graph, true)
-		}}
-	}
 	return p, nil
 }
 
@@ -904,8 +875,8 @@ func (s *Server) Close() error {
 // worker would cost several times the decode; its result is queued on the
 // connection like a worker's and flushed before the next read that could
 // block. Everything else (heavier syndromes, exact and Union-Find pools,
-// wrapped decoders) takes the queue, so backpressure and degradation keep
-// governing the work that can actually back up.
+// wrapped decoders) takes the queue, so backpressure keeps governing the
+// work that can actually back up.
 func (s *Server) serveConn(c *conn) {
 	defer s.connWG.Done()
 	defer func() {
@@ -1033,7 +1004,7 @@ func (s *Server) serveConn(c *conn) {
 		if r.pool.inline && r.syndrome.PopCount() <= astrea.MaxHW {
 			s.stats.accepted.Add(1)
 			s.stats.inline.Add(1)
-			s.decodeOne(r, &fl, true)
+			s.decodeOne(r, &fl)
 			r.recycle()
 			continue
 		}
@@ -1170,7 +1141,7 @@ func (s *Server) worker() {
 		s.stats.batches.Add(1)
 		s.stats.batched.Add(int64(len(batch)))
 		for _, r := range batch {
-			s.decodeOne(r, &fl, false)
+			s.decodeOne(r, &fl)
 			r.recycle()
 		}
 		fl.flushAll()
@@ -1190,19 +1161,15 @@ func (r *request) recycle() {
 // the connection reader's when inline. A decoder panic is contained here:
 // the request is answered with a StatusInternalError frame, the poisoned
 // instance is discarded, and the caller (and the client's stream) keep
-// going. When a queued request's sojourn has already consumed most of the
-// deadline budget, the fast fallback decoder answers instead of the
-// configured one (FlagDegraded); an inline request never waited in the
-// queue and is never degraded.
-func (s *Server) decodeOne(r *request, fl *flusher, inline bool) {
+// going. An answer whose sojourn overran its deadline budget is still
+// delivered, flagged FlagDeadlineMiss.
+func (s *Server) decodeOne(r *request, fl *flusher) {
 	defer s.releasePool(r.pool)
 	// Every observed syndrome feeds the generation's drift accumulators —
 	// a handful of atomic adds — so /stats can score live detector-flip
 	// rates against the tables' compiled-in expectations.
 	r.pool.recordDrift(r.syndrome)
-	degraded := !inline && r.pool.fallback != nil &&
-		float64(time.Since(r.arrival).Nanoseconds()) >= s.cfg.DegradeFraction*float64(r.deadlineNs)
-	res, err := r.pool.decode(r.syndrome, degraded)
+	res, err := r.pool.decode(r.syndrome)
 	done := time.Now()
 	sojournNs := float64(done.Sub(r.arrival).Nanoseconds())
 	if err != nil {
@@ -1225,10 +1192,6 @@ func (s *Server) decodeOne(r *request, fl *flusher, inline bool) {
 	}
 	if res.Skipped {
 		flags |= FlagSkipped
-	}
-	if degraded {
-		s.stats.degraded.Add(1)
-		flags |= FlagDegraded
 	}
 	weight := res.Weight * 1000
 	if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {

@@ -29,7 +29,6 @@ type stats struct {
 	checksumFail atomic.Int64
 	pings        atomic.Int64 // probe frames answered (FeatureProbe streams)
 	panics       atomic.Int64 // contained decoder panics (internal-error frames)
-	degraded     atomic.Int64 // results decoded by the fallback decoder
 	idleReaped   atomic.Int64 // connections closed for idleness
 	overCap      atomic.Int64 // connections refused at the MaxConns cap
 	batches      atomic.Int64 // worker wake-ups
@@ -122,9 +121,12 @@ type Snapshot struct {
 	EnvCacheBytes     int64 `json:"env_cache_bytes"`
 	EnvCacheEvictions int64 `json:"env_cache_evictions"`
 
-	// Fault containment and degradation accounting.
+	// Fault containment accounting. Degraded is always 0: no request is
+	// answered by any decoder but its pool's (FlagDegraded marks only
+	// stream windows the exact fallback answered). The field stays for
+	// readers of the snapshot's JSON.
 	Panics       int64 `json:"panics"`         // contained decoder panics
-	Degraded     int64 `json:"degraded"`       // fallback-decoded results
+	Degraded     int64 `json:"degraded"`       // always 0
 	IdleReaped   int64 `json:"idle_reaped"`    // connections closed for idleness
 	ConnsOverCap int64 `json:"conns_over_cap"` // refused at the connection cap
 	ActiveConns  int   `json:"active_conns"`
@@ -207,7 +209,6 @@ func (s *Server) Snapshot() Snapshot {
 		Rotations:            st.rotations.Load(),
 		GenerationsRetired:   st.generationsRetired.Load(),
 		Panics:               st.panics.Load(),
-		Degraded:             st.degraded.Load(),
 		IdleReaped:           st.idleReaped.Load(),
 		ConnsOverCap:         st.overCap.Load(),
 		ActiveConns:          s.activeConns(),

@@ -160,7 +160,8 @@ type StreamCorrections struct {
 	// Flags uses the result-flag bits: FlagDeadlineMiss when the commit
 	// overran RowCount × the session's row budget, FlagForcedSeam when the
 	// cut was forced rather than placed in a quiet gap, FlagDegraded when
-	// the exact fallback decoder answered for a skipped window decode.
+	// the window was answered by the MWPM fallback after its decoder
+	// skipped it.
 	Flags uint8
 }
 

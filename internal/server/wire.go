@@ -144,10 +144,10 @@ const (
 	FlagDeadlineMiss uint8 = 1 << 0 // sojourn exceeded the request deadline
 	FlagRealTime     uint8 = 1 << 1 // decoder's real-time path (Result.RealTime)
 	FlagSkipped      uint8 = 1 << 2 // decoder declined (Result.Skipped)
-	// FlagDegraded marks a result decoded by the fast fallback decoder
-	// instead of the configured one: the request's queue sojourn had
-	// consumed most of its deadline budget, so the server traded accuracy
-	// for an on-time answer (graceful degradation under overload).
+	// FlagDegraded marks a stream window answered by the exact MWPM
+	// fallback because the window's own decoder skipped it (see
+	// StreamCorrections.Flags). The request path never sets it: every
+	// request is answered by its pool's decoder, late answers included.
 	FlagDegraded uint8 = 1 << 3
 	// FlagForcedSeam marks a streamed window commit whose cut was forced by
 	// the window-length cap instead of placed in a quiet gap: trailing seam
