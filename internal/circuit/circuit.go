@@ -12,12 +12,15 @@
 //
 // A circuit is a flat list of instructions. Noise instructions declare "noise
 // slots" (one per target); a sampled shot is a set of slot firings, which the
-// frame simulator propagates deterministically. This factoring gives three
+// frame simulator propagates deterministically. This factoring gives two
 // consumers the same machinery:
 //
 //   - random sampling (Monte Carlo memory experiments),
-//   - single-mechanism injection (detector error model extraction),
 //   - failure injection in tests.
+//
+// Detector error model extraction runs the same gate rules transposed: one
+// backward sweep (SweepFootprints) yields every slot's single-fault
+// footprint, which is what injecting each slot alone would produce.
 package circuit
 
 import (
@@ -373,9 +376,114 @@ func (c *Circuit) step(i int, f *Frame) {
 	}
 }
 
+// sensitivity is the state of the backward sweep: X[q] (Z[q]) holds the
+// detectors and observables an X (Z) error on qubit q would flip if it
+// occurred at the sweep's current position, and Meas[m] those that read
+// measurement-record bit m. Rows lay detectors out first, then observables.
+type sensitivity struct {
+	X, Z []bitvec.Vec
+	Meas []bitvec.Vec
+}
+
+// stepBack moves the sweep from just after instruction i to just before it.
+// It is the transpose of step: each rule pulls a row back through the gate
+// that step pushes a frame bit forward through.
+func (c *Circuit) stepBack(i int, s *sensitivity) {
+	in := &c.Instrs[i]
+	switch in.Op {
+	case OpH:
+		for _, q := range in.Targets {
+			s.X[q], s.Z[q] = s.Z[q], s.X[q]
+		}
+	case OpCNOT:
+		for j := len(in.Targets) - 2; j >= 0; j -= 2 {
+			ctl, tgt := in.Targets[j], in.Targets[j+1]
+			s.X[ctl].XorWith(s.X[tgt])
+			s.Z[tgt].XorWith(s.Z[ctl])
+		}
+	case OpM:
+		base := c.measBase[i]
+		for j, q := range in.Targets {
+			s.X[q].XorWith(s.Meas[base+j])
+		}
+	case OpR:
+		for _, q := range in.Targets {
+			s.X[q].Reset()
+			s.Z[q].Reset()
+		}
+	case OpDepolarize1, OpXError, OpZError:
+		// Noise acts on no frame.
+	}
+}
+
+// SweepFootprints walks the circuit once, last instruction to first, and
+// calls visit for every outcome of every noise slot with the outcome's
+// footprint: bit d < len(c.Detectors) is set if the outcome flips detector
+// d, bit len(c.Detectors)+k if it flips observable k. Slots are visited in
+// reverse execution order. The footprint is the single-injection result of
+// RunInjected read through Detectors and Observables; it is only valid
+// during the call.
+func (c *Circuit) SweepFootprints(visit func(slot int, kind ErrKind, footprint bitvec.Vec)) {
+	nd := len(c.Detectors)
+	width := nd + len(c.Observables)
+	s := &sensitivity{
+		X:    make([]bitvec.Vec, c.NumQubits),
+		Z:    make([]bitvec.Vec, c.NumQubits),
+		Meas: make([]bitvec.Vec, c.NumMeas),
+	}
+	for q := range s.X {
+		s.X[q] = bitvec.New(width)
+		s.Z[q] = bitvec.New(width)
+	}
+	for m := range s.Meas {
+		s.Meas[m] = bitvec.New(width)
+	}
+	for d, refs := range c.Detectors {
+		for _, m := range refs {
+			s.Meas[m].Flip(d)
+		}
+	}
+	for o, refs := range c.Observables {
+		for _, m := range refs {
+			s.Meas[m].Flip(nd + o)
+		}
+	}
+	y := bitvec.New(width)
+	k := len(c.slots) - 1
+	for i := len(c.Instrs) - 1; i >= 0; i-- {
+		// A slot reads its footprint before the sweep moves past its
+		// instruction: Pauli noise lands before the instruction acts (a
+		// no-op for noise instructions), and a readout flip's footprint is
+		// its record bit's, wherever the sweep stands.
+		for ; k >= 0 && c.slots[k].Instr == i; k-- {
+			in := &c.Instrs[i]
+			t := c.slots[k].Target
+			q := in.Targets[t]
+			switch in.Op {
+			case OpDepolarize1:
+				visit(k, ErrX, s.X[q])
+				y.CopyFrom(s.X[q])
+				y.XorWith(s.Z[q])
+				visit(k, ErrY, y)
+				visit(k, ErrZ, s.Z[q])
+			case OpXError:
+				visit(k, ErrX, s.X[q])
+			case OpZError:
+				visit(k, ErrZ, s.Z[q])
+			case OpM:
+				visit(k, ErrFlip, s.Meas[c.measBase[i]+t])
+			case OpH, OpCNOT, OpR:
+				// Finalize creates slots only for the ops above.
+				panic(fmt.Sprintf("circuit: noise slot on gate op %v", in.Op))
+			}
+		}
+		c.stepBack(i, s)
+	}
+}
+
 // RunInjected resets the frame and propagates exactly the given injections
 // (which must be sorted by instruction index; ties in any order). This is
-// the deterministic engine behind both DEM extraction and sampled shots.
+// the deterministic engine behind sampled shots.
 func (c *Circuit) RunInjected(inj []Injection, f *Frame) {
 	f.Reset()
 	if len(inj) == 0 {

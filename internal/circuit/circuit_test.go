@@ -278,6 +278,55 @@ func TestShotLinearity(t *testing.T) {
 	}
 }
 
+// The backward sweep must report, for every slot outcome, exactly what
+// injecting that outcome alone produces, on a circuit whose CNOT pairs
+// share qubits, which measures a qubit twice in one layer and which resets
+// mid-circuit.
+func TestSweepFootprintsMatchInjection(t *testing.T) {
+	c := New(3)
+	c.Depolarize1(0.1, 0, 1, 2)
+	c.H(0)
+	c.CNOT(0, 1, 1, 2, 2, 0)
+	c.XError(0.1, 1)
+	m0 := c.Measure(0.1, 0, 0, 2)
+	c.ZError(0.1, 2)
+	c.Reset(1)
+	c.H(2)
+	c.Depolarize1(0.1, 1, 2)
+	c.CNOT(2, 1)
+	m1 := c.Measure(0.1, 1, 2)
+	c.Detector(DetMeta{}, m0, m1)
+	c.Detector(DetMeta{}, m0+1, m0+2)
+	c.Detector(DetMeta{}, m1+1)
+	c.Observable(m0+2, m1)
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	nd := len(c.Detectors)
+	f := c.NewFrame()
+	det := bitvec.New(nd)
+	visits := 0
+	c.SweepFootprints(func(slot int, kind ErrKind, fp bitvec.Vec) {
+		visits++
+		s := c.Slots()[slot]
+		c.RunInjected([]Injection{{Instr: s.Instr, Target: s.Target, Kind: kind}}, f)
+		c.DetectorEvents(f, det)
+		obs := c.ObservableFlips(f)
+		for d := 0; d < nd; d++ {
+			if fp.Get(d) != det.Get(d) {
+				t.Fatalf("slot %d %v: sweep footprint %v, injection detectors %v", slot, kind, fp, det)
+			}
+		}
+		if fp.Get(nd) != (obs == 1) {
+			t.Fatalf("slot %d %v: sweep footprint %v, injection observable %#x", slot, kind, fp, obs)
+		}
+	})
+	// 3+2 depolarizing slots (3 outcomes each), one X, one Z, 5 readouts.
+	if want := 5*3 + 1 + 1 + 5; visits != want {
+		t.Fatalf("sweep visited %d outcomes, want %d", visits, want)
+	}
+}
+
 func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
 		OpH: "H", OpCNOT: "CNOT", OpM: "M", OpR: "R",

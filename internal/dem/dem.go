@@ -12,11 +12,14 @@
 //     cost proportional to the number of errors that fire rather than the
 //     circuit size.
 //
-// Extraction propagates every noise slot's every Pauli outcome through the
-// circuit one at a time (the frame simulator is linear, so single-error
-// propagation fully characterises the model). Mechanisms whose detector
-// footprint is identical are merged with XOR-probability combination
-// p = p₁(1−p₂) + p₂(1−p₁), the standard independent-odd-firing rule.
+// Extraction walks the circuit once, last instruction to first, carrying for
+// every qubit the detectors and observables an X or a Z error there would
+// flip (circuit.SweepFootprints, the transpose of the frame simulator, as in
+// Stim); every noise slot reads its outcomes' footprints as the walk passes
+// it, so the cost is linear in circuit size. Mechanisms whose detector
+// footprint is identical are then merged in forward slot order with
+// XOR-probability combination p = p₁(1−p₂) + p₂(1−p₁), the standard
+// independent-odd-firing rule.
 package dem
 
 import (
@@ -51,15 +54,47 @@ type Model struct {
 	MaxP float64
 }
 
-// footprintKey builds a map key from a detector set and observable mask.
-func footprintKey(dets []int, obs uint64) string {
-	b := make([]byte, 0, len(dets)*4+8)
-	for _, d := range dets {
-		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
+// mechKey identifies a mechanism by its footprint: the detectors it flips
+// in ascending order (-1 where it flips fewer than two) and its observable
+// mask.
+type mechKey struct {
+	a, b int32
+	obs  uint64
+}
+
+// footprint is one slot outcome's effect, compacted from the sweep's bit
+// row: how many detectors it flips, and the first two of them with the
+// observables it flips.
+type footprint struct {
+	n int32
+	mechKey
+}
+
+func (f footprint) detectors() []int {
+	if f.n == 1 {
+		return []int{int(f.a)}
 	}
-	b = append(b, byte(obs), byte(obs>>8), byte(obs>>16), byte(obs>>24),
-		byte(obs>>32), byte(obs>>40), byte(obs>>48), byte(obs>>56))
-	return string(b)
+	return []int{int(f.a), int(f.b)}
+}
+
+// compact reads a sweep row laid out as nd detector bits then observable
+// bits.
+func compact(row bitvec.Vec, nd int) footprint {
+	f := footprint{mechKey: mechKey{a: -1, b: -1}}
+	for d := row.NextOne(0); d >= 0; d = row.NextOne(d + 1) {
+		if d >= nd {
+			f.obs |= 1 << uint(d-nd)
+			continue
+		}
+		switch f.n {
+		case 0:
+			f.a = int32(d)
+		case 1:
+			f.b = int32(d)
+		}
+		f.n++
+	}
+	return f
 }
 
 // kindsFor returns the outcomes a slot can produce and their probabilities.
@@ -89,30 +124,36 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 		NumDetectors:   len(c.Detectors),
 		NumObservables: len(c.Observables),
 	}
-	merged := make(map[string]int) // footprint -> index into m.Errors
-	frame := c.NewFrame()
-	det := bitvec.New(len(c.Detectors))
-	var ones []int
+	if m.NumObservables > 64 {
+		return nil, fmt.Errorf("dem: %d observables exceed the 64-bit mask", m.NumObservables)
+	}
+	slots := c.Slots()
+	fps := make([][4]footprint, len(slots)) // indexed by slot, then ErrKind
+	c.SweepFootprints(func(slot int, kind circuit.ErrKind, row bitvec.Vec) {
+		fps[slot][kind] = compact(row, m.NumDetectors)
+	})
 
-	for _, slot := range c.Slots() {
+	// Merge in forward slot order, so duplicate footprints combine their
+	// probabilities in a fixed float order and the first bad mechanism
+	// reported is the earliest one.
+	merged := make(map[mechKey]int) // footprint -> index into m.Errors
+	for si, slot := range slots {
 		op := c.Instrs[slot.Instr].Op
 		kinds, probs := kindsFor(op, slot.P)
 		for ki, kind := range kinds {
 			inj := circuit.Injection{Instr: slot.Instr, Target: slot.Target, Kind: kind}
-			c.RunInjected([]circuit.Injection{inj}, frame)
-			c.DetectorEvents(frame, det)
-			obs := c.ObservableFlips(frame)
-			ones = det.Ones(ones[:0])
-			if len(ones) == 0 {
+			fp := fps[si][kind]
+			obs := fp.obs
+			if fp.n == 0 {
 				if obs != 0 {
 					return nil, fmt.Errorf("dem: mechanism %+v flips observable %#x with no detectors", inj, obs)
 				}
 				continue // harmless mechanism (e.g. Z error in a Z-memory run)
 			}
-			if len(ones) > 2 {
-				return nil, fmt.Errorf("dem: mechanism %+v flips %d detectors (non-graphlike)", inj, len(ones))
+			if fp.n > 2 {
+				return nil, fmt.Errorf("dem: mechanism %+v flips %d detectors (non-graphlike)", inj, fp.n)
 			}
-			key := footprintKey(ones, obs)
+			key := fp.mechKey
 			if idx, ok := merged[key]; ok {
 				q := m.Errors[idx].P
 				pk := probs[ki]
@@ -121,7 +162,7 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 			}
 			merged[key] = len(m.Errors)
 			m.Errors = append(m.Errors, Error{
-				Detectors: append([]int(nil), ones...),
+				Detectors: fp.detectors(),
 				ObsMask:   obs,
 				P:         probs[ki],
 			})
@@ -131,9 +172,9 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 	// Two mechanisms with the same detector pair but different observable
 	// masks would make the edge's correction ambiguous; reject loudly. The
 	// check is quadratic-free via a second map keyed on detectors alone.
-	seen := make(map[string]uint64, len(m.Errors))
+	seen := make(map[mechKey]uint64, len(m.Errors))
 	for _, e := range m.Errors {
-		k := footprintKey(e.Detectors, 0)
+		k := mechKey{a: int32(e.Detectors[0]), b: int32(last(e.Detectors))}
 		if prev, ok := seen[k]; ok && prev != e.ObsMask {
 			return nil, fmt.Errorf("dem: detector set %v carries conflicting observable masks %#x and %#x",
 				e.Detectors, prev, e.ObsMask)

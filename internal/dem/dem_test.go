@@ -1,6 +1,7 @@
 package dem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -259,14 +260,18 @@ func BenchmarkSampleD7P3(b *testing.B) {
 	}
 }
 
-func BenchmarkExtractD7(b *testing.B) {
-	code, _ := surface.New(7)
-	cc, _ := code.MemoryZ(7, 1e-3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromCircuit(cc); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkExtract(b *testing.B) {
+	for _, d := range []int{7, 13} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			code, _ := surface.New(d)
+			cc, _ := code.MemoryZ(d, 1e-3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := FromCircuit(cc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -68,22 +68,7 @@ func NewEnv(d, rounds int, p float64) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := dem.FromCircuit(cc)
-	if err != nil {
-		return nil, err
-	}
-	graph, err := decodegraph.FromModel(model, cc.DetMetas)
-	if err != nil {
-		return nil, err
-	}
-	gwt, err := graph.BuildGWT()
-	if err != nil {
-		return nil, err
-	}
-	return &Env{
-		Distance: d, Rounds: rounds, P: p,
-		Code: code, Circuit: cc, Model: model, Graph: graph, GWT: gwt,
-	}, nil
+	return NewEnvFromCircuit(code, cc, rounds, p)
 }
 
 // NewEnvFromCircuit builds an environment around an arbitrary memory

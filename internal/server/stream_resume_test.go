@@ -355,8 +355,14 @@ func TestStreamResumeFailover(t *testing.T) {
 	if snap := srvB.Snapshot(); snap.StreamsOpened == 0 {
 		t.Fatal("replica B never saw the failed-over session")
 	}
-	if snap := srvA.Snapshot(); snap.StreamsParked == 0 {
-		t.Fatalf("replica A never parked the dropped session: %+v", snap)
+	// Replica A counts the park when its handler notices the dead
+	// connection, which can trail the client's failover to B.
+	deadline := time.Now().Add(5 * time.Second)
+	for snap := srvA.Snapshot(); snap.StreamsParked == 0; snap = srvA.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica A never parked the dropped session: %+v", snap)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
