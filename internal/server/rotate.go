@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"astrea/internal/artifact"
@@ -158,7 +159,10 @@ func (s *Server) maybeRetireLocked(slot *distSlot, p *distPool) {
 	p.retired = true
 	for i, q := range slot.live {
 		if q == p {
-			slot.live = append(slot.live[:i], slot.live[i+1:]...)
+			// slices.Delete zeroes the vacated tail, so the retired pool
+			// (and its environment) is not pinned past len by the backing
+			// array.
+			slot.live = slices.Delete(slot.live, i, i+1)
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,6 +313,86 @@ func TestRotateUnderLoad(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestRetiredGenerationReleased is the rotation-leak regression: once a
+// generation that served a streaming session is rotated away and drains,
+// nothing in the daemon or the stream layer may keep its environment alive.
+func TestRetiredGenerationReleased(t *testing.T) {
+	leakCheck(t)
+	srv := startServer(t, Config{
+		Distances: []int{3},
+		P:         1e-3,
+		Decoder:   "astrea",
+		Envs:      map[int]*montecarlo.Env{3: testEnv(t, 3)},
+	})
+	rotateTo := func(p float64, gen uint64) {
+		t.Helper()
+		env, err := montecarlo.SharedEnv(3, 3, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := env.Artifact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		art.Meta.Generation = gen
+		if _, err := srv.Rotate(Rotation{Artifact: art}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rotateTo(2e-3, 1)
+	released := make(chan struct{})
+	runtime.SetFinalizer(srv.pools[3].cur.Load().env, func(*montecarlo.Env) { close(released) })
+
+	c, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
+		Features:    FeatureStream | FeatureRotation,
+		CallTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.OpenStream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SendRounds(sampleStreamRows(testEnv(t, 3), 0x6C3A, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		ev, err := st.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Closed {
+			break
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rotateTo(3e-3, 2)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Snapshot().GenerationsRetired < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("generation 1 never retired: retired=%d", srv.Snapshot().GenerationsRetired)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the retired generation's environment was never released")
 }
 
 // TestRotateRefusesShapeChange: a rotation may recalibrate (new error

@@ -358,9 +358,10 @@ func TestStreamContiguityEnforced(t *testing.T) {
 }
 
 // TestConcurrentStreamSessions runs several streaming sessions at the same
-// operating point in parallel: they share one embedded-environment decoder
-// pool through the stream package's registry, and each session's commits
-// must still partition its own round stream (no cross-session bleed).
+// operating point in parallel: they share the embedded environments
+// through montecarlo's shared cache, each on decoder instances of its own,
+// and each session's commits must still partition its own round stream (no
+// cross-session bleed).
 func TestConcurrentStreamSessions(t *testing.T) {
 	leakCheck(t)
 	env := testEnv(t, 3)

@@ -369,8 +369,11 @@ func (p *Pipeline) stopErr() error {
 	return ErrAborted
 }
 
+// worker decodes windows until the jobs channel closes or the pipeline
+// stops, on decoder instances of its own.
 func (p *Pipeline) worker() {
 	defer p.workerWG.Done()
+	decs := decoders{}
 	for {
 		select {
 		case <-p.stop:
@@ -384,7 +387,7 @@ func (p *Pipeline) worker() {
 				d = decoded{win: w, empty: true}
 			} else {
 				var err error
-				d, err = p.decodeWindow(w)
+				d, err = p.decodeWindow(w, decs)
 				if err != nil {
 					p.fail(err)
 					return

@@ -51,10 +51,10 @@
 // data-measurement round after Close) are aligned with the embedded
 // environment's real temporal boundaries, which is what makes the closed-
 // stream equivalence bit-for-bit rather than approximate. Embedded
-// environments are resolved through montecarlo.SharedEnv and their
-// decoder pools through a process-wide registry, so concurrent streams at
-// the same operating point share one pool (and never rebuild a GWT per
-// stream open).
+// environments are resolved through montecarlo.SharedEnv, so concurrent
+// streams at the same operating point share one weight table and never
+// rebuild a GWT per stream open; each decode worker builds its own decoder
+// instances on them, which are released with the pipeline.
 package stream
 
 import (
@@ -241,25 +241,10 @@ func RowWidth(env *montecarlo.Env) int { return rowWidth(env) }
 // smallest g with g·λ > 2·max_i b(i), where λ is the cheapest per-round
 // time-advance edge weight and b(i) the boundary-chain weights (see the
 // package comment for the argument; the inequality is strict so
-// equal-weight crossing chains are excluded too). The value is derived
-// once per environment and cached.
+// equal-weight crossing chains are excluded too). It walks the boundary
+// weights and the graph's edges once, O(N+E); New calls it once per
+// pipeline when Config.GapRounds is unset.
 func SafeGapRounds(env *montecarlo.Env) int {
-	gapMu.Lock()
-	if g, ok := gapCache[env]; ok {
-		gapMu.Unlock()
-		return g
-	}
-	gapMu.Unlock()
-
-	g := computeSafeGap(env)
-
-	gapMu.Lock()
-	gapCache[env] = g
-	gapMu.Unlock()
-	return g
-}
-
-func computeSafeGap(env *montecarlo.Env) int {
 	gwt, graph := env.GWT, env.Graph
 	bmax := 0.0
 	for i := 0; i < gwt.N; i++ {

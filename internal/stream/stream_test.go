@@ -3,10 +3,13 @@ package stream
 import (
 	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"astrea/internal/bitvec"
+	"astrea/internal/decoder"
 	"astrea/internal/dem"
 	"astrea/internal/experiments"
 	"astrea/internal/leakcheck"
@@ -361,30 +364,19 @@ func TestPushAfterClose(t *testing.T) {
 	}
 }
 
-// TestSharedPools is the shared-operating-point regression: two pipelines
-// on the same (d, p) must share decoder pools (and, through
-// montecarlo.SharedEnv, one weight table) rather than building their own.
-func TestSharedPools(t *testing.T) {
+// TestPipelineReleasesEnvironments is the environment-leak regression: once
+// a stream has decoded on an environment and the shared cache has let go of
+// its window environments, nothing in the stream layer may keep the
+// environment alive.
+func TestPipelineReleasesEnvironments(t *testing.T) {
 	leakcheck.Check(t)
-	env, err := montecarlo.SharedEnv(3, 3, 1e-3)
+	env, err := montecarlo.NewEnv(3, 12, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sharedPool(env, "mwpm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sharedPool(env, "mwpm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("two lookups of the same (env, decoder) returned distinct pools")
-	}
+	released := make(chan struct{})
+	runtime.SetFinalizer(env, func(*montecarlo.Env) { close(released) })
 
-	// End to end: run the same stream through two pipelines and check the
-	// pool registry didn't grow between runs (all window environments and
-	// pools were reused).
 	width := rowWidth(env)
 	rng := prng.New(11)
 	rows := make([]bitvec.Vec, 80)
@@ -395,15 +387,63 @@ func TestSharedPools(t *testing.T) {
 		}
 		rows[i] = row
 	}
-	if _, _, err := DecodeClosed(Config{Env: env, Decoder: "mwpm"}, rows); err != nil {
+	_, stats, err := DecodeClosed(Config{Env: env, Decoder: "mwpm"}, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := poolCount()
-	if _, _, err := DecodeClosed(Config{Env: env, Decoder: "mwpm"}, rows); err != nil {
+	if stats.Windows < 2 || stats.Defects == 0 {
+		t.Fatalf("stream decoded as %d windows with %d defects; the test needs several non-empty windows", stats.Windows, stats.Defects)
+	}
+	env = nil
+
+	montecarlo.SetSharedEnvBounds(1, 1)
+	montecarlo.SetSharedEnvBounds(montecarlo.DefaultEnvCacheEntries, montecarlo.DefaultEnvCacheBytes)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the stream's environment was never released: something in the stream layer still references it")
+}
+
+// panicDecoder stands in for a decoder instance whose scratch state was
+// corrupted: every decode panics.
+type panicDecoder struct{}
+
+func (panicDecoder) Name() string                     { return "panicker" }
+func (panicDecoder) Decode(bitvec.Vec) decoder.Result { panic("corrupted scratch") }
+
+// TestPoisonedInstanceDropped pins the fault contract of a worker's
+// decoder instances: a panicking decode becomes an error, the poisoned
+// instance is dropped, and the next decode builds a fresh one.
+func TestPoisonedInstanceDropped(t *testing.T) {
+	env, err := montecarlo.SharedEnv(3, 3, 1e-3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if after := poolCount(); after != before {
-		t.Fatalf("second identical stream grew the pool registry %d → %d", before, after)
+	synd := bitvec.New(env.Graph.N)
+	synd.Set(0)
+	key := decoderKey{env: env, dec: "mwpm"}
+	decs := decoders{key: panicDecoder{}}
+
+	if _, err := decs.decode(env, "mwpm", synd); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("decode on a panicking instance returned %v, want a panicked error", err)
+	}
+	if _, ok := decs[key]; ok {
+		t.Fatal("the poisoned instance was kept")
+	}
+	res, err := decs.decode(env, "mwpm", synd)
+	if err != nil {
+		t.Fatalf("decode after the poisoned instance was dropped: %v", err)
+	}
+	if res.Skipped || len(res.Pairs) != 1 {
+		t.Fatalf("fresh instance answered %+v, want one matched pair", res)
+	}
+	if _, ok := decs[key].(panicDecoder); ok {
+		t.Fatal("the fresh decode did not replace the poisoned instance")
 	}
 }
 
@@ -423,6 +463,20 @@ func TestWindowEnvAlignment(t *testing.T) {
 	}
 	if env != base || off != 0 {
 		t.Fatalf("both-closed full-height window: env reused=%v offset=%d", env == base, off)
+	}
+
+	// One operating point shares one weight table: identical window
+	// parameters resolve to the identical environment.
+	a, _, err := windowEnv(base, 5, pad, sizeClass, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := windowEnv(base, 5, pad, sizeClass, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("two identical window lookups resolved to distinct environments")
 	}
 
 	env, off, err = windowEnv(base, 5, pad, sizeClass, true, false)

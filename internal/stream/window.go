@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sync"
 
 	"astrea/internal/bitvec"
 	"astrea/internal/decoder"
@@ -10,69 +9,42 @@ import (
 	"astrea/internal/montecarlo"
 )
 
-// Caches shared by every pipeline in the process: the per-environment safe
-// gap (SafeGapRounds) and the per-(environment, decoder) instance pools.
-// Keying by *montecarlo.Env pointer is sound because montecarlo.SharedEnv
-// canonicalises environments — equal operating points yield the identical
-// pointer — and environments are immutable after construction.
-var (
-	gapMu    sync.Mutex
-	gapCache = map[*montecarlo.Env]int{}
-
-	poolMu sync.Mutex
-	pools  = map[poolKey]*decPool{}
-)
-
-type poolKey struct {
+// decoderKey names one decoder instance: the decoder by name, built on one
+// window environment.
+type decoderKey struct {
 	env *montecarlo.Env
 	dec string
 }
 
-// decPool recycles decoder instances for one (environment, decoder name)
-// pair. Most decoders are stateful (scratch buffers) and not concurrency
-// safe, so workers check an instance out per window; instances that panic
-// mid-decode are discarded rather than recycled (their scratch state is
-// unknowable), mirroring the serving layer's fault contract.
-type decPool struct {
-	env     *montecarlo.Env
-	factory montecarlo.Factory
-	pool    sync.Pool
-}
+// decoders holds one decode worker's instances. Most decoders are stateful
+// (scratch buffers) and not concurrency safe, so each worker owns its own,
+// built on first use and released with the pipeline.
+type decoders map[decoderKey]decoder.Decoder
 
-func (p *decPool) get() (decoder.Decoder, error) {
-	if d, ok := p.pool.Get().(decoder.Decoder); ok && d != nil {
-		return d, nil
+// decode runs the named decoder on the syndrome. An instance whose decode
+// panics is dropped — its scratch state is unknowable — and the panic
+// becomes an error (one bad window must not kill the process), mirroring
+// the serving layer's fault contract.
+func (decs decoders) decode(env *montecarlo.Env, name string, synd bitvec.Vec) (res decoder.Result, err error) {
+	key := decoderKey{env: env, dec: name}
+	d, ok := decs[key]
+	if !ok {
+		factory, err := experiments.FactoryFor(name)
+		if err != nil {
+			return decoder.Result{}, err
+		}
+		if d, err = factory(env); err != nil {
+			return decoder.Result{}, err
+		}
+		decs[key] = d
 	}
-	return p.factory(p.env)
-}
-
-func (p *decPool) put(d decoder.Decoder) { p.pool.Put(d) }
-
-// sharedPool returns the process-wide decoder pool for (env, name),
-// creating it on first use. Concurrent streams at the same operating point
-// share one pool — and, through montecarlo.SharedEnv, one weight table.
-func sharedPool(env *montecarlo.Env, name string) (*decPool, error) {
-	key := poolKey{env: env, dec: name}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if p, ok := pools[key]; ok {
-		return p, nil
-	}
-	f, err := experiments.FactoryFor(name)
-	if err != nil {
-		return nil, err
-	}
-	p := &decPool{env: env, factory: f}
-	pools[key] = p
-	return p, nil
-}
-
-// poolCount reports the number of registered decoder pools (test hook for
-// the shared-pool regression test).
-func poolCount() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return len(pools)
+	defer func() {
+		if r := recover(); r != nil {
+			delete(decs, key)
+			err = fmt.Errorf("stream: decoder %s panicked: %v", d.Name(), r)
+		}
+	}()
+	return d.Decode(synd), nil
 }
 
 // rowWidth returns the stream's row width: detectors per measurement round
@@ -162,11 +134,11 @@ func windowEnv(base *montecarlo.Env, h, pad, sizeClass int, closedBottom, closed
 }
 
 // decodeWindow decodes one non-empty window on its embedded environment and
-// splits the matching at a forced seam. It resolves carried rows first,
-// checks instances out of the shared pools, and falls back to the exact
-// MWPM pool when the configured decoder declines the window or reports no
-// matching to split.
-func (p *Pipeline) decodeWindow(w *window) (decoded, error) {
+// splits the matching at a forced seam, on the calling worker's decoder
+// instances. It resolves carried rows first, and falls back to exact MWPM
+// when the configured decoder declines the window or reports no matching
+// to split.
+func (p *Pipeline) decodeWindow(w *window, decs decoders) (decoded, error) {
 	if w.carryFrom != nil {
 		select {
 		case prefix := <-w.carryFrom:
@@ -195,7 +167,7 @@ func (p *Pipeline) decodeWindow(w *window) (decoded, error) {
 		return decoded{}, err
 	}
 
-	res, fellBack, err := p.decodeOn(env, p.buildSyndrome(w, env.Graph.N, offset))
+	res, fellBack, err := p.decodeOn(decs, env, p.buildSyndrome(w, env.Graph.N, offset))
 	if err != nil {
 		return decoded{}, err
 	}
@@ -203,53 +175,19 @@ func (p *Pipeline) decodeWindow(w *window) (decoded, error) {
 	if !w.forced {
 		return decoded{win: w, obs: res.ObsPrediction, weight: res.Weight, defects: w.defects, fallback: fellBack}, nil
 	}
-	return p.splitForced(w, env, offset, res, fellBack)
+	return p.splitForced(decs, w, env, offset, res, fellBack)
 }
 
-// decodeOn runs the configured decoder on the syndrome, retrying on the
-// exact MWPM pool when the primary declines (e.g. Astrea beyond its
+// decodeOn runs the configured decoder on the syndrome, retrying with
+// exact MWPM when the primary declines (e.g. Astrea beyond its
 // Hamming-weight cap). The boolean reports whether the fallback answered.
-func (p *Pipeline) decodeOn(env *montecarlo.Env, synd bitvec.Vec) (decoder.Result, bool, error) {
-	pool, err := sharedPool(env, p.cfg.Decoder)
-	if err != nil {
-		return decoder.Result{}, false, err
+func (p *Pipeline) decodeOn(decs decoders, env *montecarlo.Env, synd bitvec.Vec) (decoder.Result, bool, error) {
+	res, err := decs.decode(env, p.cfg.Decoder, synd)
+	if err != nil || !res.Skipped || p.cfg.Decoder == "mwpm" {
+		return res, false, err
 	}
-	res, err := poolDecode(pool, synd)
-	if err != nil {
-		return decoder.Result{}, false, err
-	}
-	if !res.Skipped || p.cfg.Decoder == "mwpm" {
-		return res, false, nil
-	}
-	exact, err := sharedPool(env, "mwpm")
-	if err != nil {
-		return decoder.Result{}, false, err
-	}
-	res, err = poolDecode(exact, synd)
+	res, err = decs.decode(env, "mwpm", synd)
 	return res, true, err
-}
-
-// poolDecode checks an instance out, decodes, and recycles it — unless the
-// decode panics, in which case the poisoned instance is dropped and the
-// panic converted to an error (one bad window must not kill the pipeline).
-func poolDecode(pool *decPool, synd bitvec.Vec) (res decoder.Result, err error) {
-	d, err := pool.get()
-	if err != nil {
-		return decoder.Result{}, err
-	}
-	poisoned := true
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("stream: decoder %s panicked: %v", d.Name(), r)
-			return
-		}
-		if !poisoned {
-			pool.put(d)
-		}
-	}()
-	res = d.Decode(synd)
-	poisoned = false
-	return res, nil
 }
 
 // splitForced splits a forced window's matching at the seam. Chains with at
@@ -260,15 +198,12 @@ func poolDecode(pool *decPool, synd bitvec.Vec) (res decoder.Result, err error) 
 // window's committed frontier. Committed observable parity and weight are
 // rebuilt chain by chain from the weight table, because the decoder's
 // aggregate covers deferred chains too.
-func (p *Pipeline) splitForced(w *window, env *montecarlo.Env, offset int, res decoder.Result, fellBack bool) (decoded, error) {
+func (p *Pipeline) splitForced(decs decoders, w *window, env *montecarlo.Env, offset int, res decoder.Result, fellBack bool) (decoded, error) {
 	if res.Pairs == nil {
 		// A table decoder predicts the observable without a matching, which
 		// cannot be split; the exact fallback always produces pairs.
-		exact, err := sharedPool(env, "mwpm")
-		if err != nil {
-			return decoded{}, err
-		}
-		res, err = poolDecode(exact, p.buildSyndrome(w, env.Graph.N, offset))
+		var err error
+		res, err = decs.decode(env, "mwpm", p.buildSyndrome(w, env.Graph.N, offset))
 		if err != nil {
 			return decoded{}, err
 		}
