@@ -68,9 +68,8 @@ type Config struct {
 	Distance int
 	// CodecID is the syndrome codec wire ID (compress.IDDense/…).
 	CodecID uint8
-	// Client tunes the per-connection stream options. The Fleet forces the
-	// extended handshake (it needs the fingerprint) and FeatureProbe (it
-	// needs Ping); Client.CallTimeout is the failover trigger — a replica
+	// Client tunes the per-connection stream options. The Fleet forces
+	// FeatureProbe (it needs Ping); Client.CallTimeout is the failover trigger — a replica
 	// that holds a request longer than this loses it to the next one.
 	Client server.ClientOptions
 
@@ -183,12 +182,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	cfg.applyDefaults()
 	opts := cfg.Client
-	opts.Extended = true
-	// FeatureRotation makes every result carry the digest of the exact
-	// generation that produced it, which is what lets the fleet keep a
-	// replica honest across a mid-connection artifact hot-swap (a legacy
-	// daemon simply declines the bit and stays pinned per-connection).
-	opts.Features |= server.FeatureProbe | server.FeatureRotation
+	opts.Features |= server.FeatureProbe
 	f := &Fleet{cfg: cfg, clientOpts: opts, stop: make(chan struct{})}
 	if cfg.ExpectedFingerprint != 0 {
 		f.accepted = []decodegraph.Fingerprint{cfg.ExpectedFingerprint}
@@ -318,11 +312,7 @@ func (f *Fleet) isClosed() bool {
 // (ErrFingerprintMismatch) in steady state, a transient one
 // (ErrTransitionMismatch) while a rotation transition is open.
 func (f *Fleet) adoptFingerprint(r *replica, c *server.Client) error {
-	fp, ok := c.Fingerprint()
-	if !ok {
-		return fmt.Errorf("%w: replica %s completed a legacy handshake carrying no fingerprint", ErrFingerprintMismatch, r.addr)
-	}
-	got := decodegraph.Fingerprint(fp)
+	got := decodegraph.Fingerprint(c.Fingerprint())
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.accepted) == 0 {
@@ -462,7 +452,7 @@ func (f *Fleet) attempt(rep *replica, trial bool, seq, deadlineNs uint64, s bitv
 		rep.onFail(trial)
 		return server.Response{}, fmt.Errorf("cluster: replica %s answered seq %d for request %d", rep.addr, resp.Seq, seq)
 	}
-	if resp.HaveFingerprint && !resp.Rejected && resp.Err == "" &&
+	if !resp.Rejected && resp.Err == "" &&
 		!f.fingerprintAccepted(decodegraph.Fingerprint(resp.Fingerprint)) {
 		// The replica hot-swapped generations mid-connection and this
 		// answer came from tables outside the accepted window; it must not

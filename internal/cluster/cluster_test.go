@@ -116,7 +116,7 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// startRejectingReplica speaks the extended handshake (advertising fp) and
+// startRejectingReplica completes the handshake (advertising fp) and
 // answers every decode request with a backpressure rejection.
 func startRejectingReplica(t *testing.T, ndet int, fp uint64) string {
 	t.Helper()
@@ -153,7 +153,7 @@ func startRejectingReplica(t *testing.T, ndet int, fp uint64) string {
 					QueueDepth:   64,
 					Fingerprint:  fp,
 				}
-				if server.WriteFrame(nc, server.FrameHelloAck, ack.AppendToExt(nil)) != nil {
+				if server.WriteFrame(nc, server.FrameHelloAck, ack.AppendTo(nil)) != nil {
 					return
 				}
 				for {

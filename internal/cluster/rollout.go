@@ -261,7 +261,7 @@ func (f *Fleet) collectWindow(r *replica, cfg RolloutConfig) (RateSample, error)
 	}
 }
 
-// confirmFingerprint polls the replica with fresh extended handshakes
+// confirmFingerprint polls the replica with fresh handshakes
 // until it advertises want (closing each probe connection), so the
 // rollout never judges a swap that has not actually landed.
 func (f *Fleet) confirmFingerprint(addr string, want decodegraph.Fingerprint, cfg RolloutConfig) error {
@@ -272,17 +272,13 @@ func (f *Fleet) confirmFingerprint(addr string, want decodegraph.Fingerprint, cf
 		if err != nil {
 			last = err.Error()
 		} else {
-			fp, ok := c.Fingerprint()
+			fp := decodegraph.Fingerprint(c.Fingerprint())
 			//lint:allow errwrap closing a one-shot confirmation probe; its handshake already answered
 			c.Close()
-			if ok && decodegraph.Fingerprint(fp) == want {
+			if fp == want {
 				return nil
 			}
-			if ok {
-				last = fmt.Sprintf("advertises %s", decodegraph.Fingerprint(fp))
-			} else {
-				last = "legacy handshake carries no fingerprint"
-			}
+			last = fmt.Sprintf("advertises %s", fp)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: %s did not advertise %s in time (%s)", addr, want, last)

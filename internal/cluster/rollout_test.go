@@ -100,7 +100,7 @@ func driveTraffic(fleet *Fleet, shots []rolloutShot, workers int, deadlineNs uin
 				tr.answered.Add(1)
 				want, ok := sh.want[resp.Fingerprint]
 				switch {
-				case !resp.HaveFingerprint || !ok:
+				case !ok:
 					tr.unverif.Add(1)
 				case resp.ObsMask != want:
 					tr.mismatched.Add(1)

@@ -32,9 +32,9 @@ func (f *Fleet) OpenStream(o server.ResumingStreamOptions) (*server.ResumingStre
 // dialStream dials a dedicated streaming connection to the next admitted
 // replica, offering the stream and resume feature bits on top of the
 // fleet's client options and enforcing the fingerprint guard. A replica
-// that is healthy but does not negotiate resume (a legacy daemon, or one
-// with the resume cache disabled) is skipped without tripping its breaker
-// — refusing a capability is not a fault.
+// that is healthy but does not negotiate resume (its resume cache is
+// disabled) is skipped without tripping its breaker — refusing a
+// capability is not a fault.
 func (f *Fleet) dialStream() (*server.Client, error) {
 	if f.isClosed() {
 		return nil, errFleetClosed

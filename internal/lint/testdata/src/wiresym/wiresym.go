@@ -15,10 +15,7 @@ const (
 	FrameNoDec FrameType = 3 // want `frame opcode FrameNoDec is never decoded`
 )
 
-const (
-	FeatureAux  uint32 = 1 << 0
-	FeatureSkew uint32 = 1 << 1
-)
+const FeatureAux uint32 = 1 << 0
 
 func writeFrame(w io.Writer, t FrameType, payload []byte) error {
 	_, err := w.Write(append([]byte{byte(t)}, payload...))
@@ -66,46 +63,24 @@ func ParseOrphan(b []byte) (Orphan, error) { return Orphan{}, nil } // want `Par
 // no pairing demanded.
 func ParseHeader(b []byte) int { return len(b) }
 
-// Probe's extended form guards the extra byte on FeatureAux on both sides:
-// symmetric, silent.
-type Probe struct {
+// Gated's codec branches on a feature bit on both sides: a second payload
+// layout in the making, whichever side reads the bit.
+type Gated struct {
 	Features uint32
 	Aux      uint8
 }
 
-func (p Probe) AppendToExt(dst []byte) []byte {
-	if p.Features&FeatureAux != 0 {
-		dst = append(dst, p.Aux)
+func (g Gated) AppendTo(dst []byte) []byte { // want `Gated.AppendTo consults FeatureAux`
+	if g.Features&FeatureAux != 0 {
+		dst = append(dst, g.Aux)
 	}
 	return dst
 }
 
-func ParseProbeExt(b []byte) (Probe, error) {
-	var p Probe
-	if p.Features&FeatureAux != 0 && len(b) > 0 {
-		p.Aux = b[0]
+func ParseGated(b []byte) (Gated, error) { // want `ParseGated consults FeatureAux`
+	var g Gated
+	if g.Features&FeatureAux != 0 && len(b) > 0 {
+		g.Aux = b[0]
 	}
-	return p, nil
-}
-
-// Skewed guards the encode side on FeatureSkew but decodes unconditionally:
-// the layouts desynchronise.
-type Skewed struct {
-	Features uint32
-	Tail     uint8
-}
-
-func (s Skewed) AppendToExt(dst []byte) []byte { // want `AppendToExt guards encoding on FeatureSkew but ParseSkewedExt never consults it`
-	if s.Features&FeatureSkew != 0 {
-		dst = append(dst, s.Tail)
-	}
-	return dst
-}
-
-func ParseSkewedExt(b []byte) (Skewed, error) {
-	var s Skewed
-	if len(b) > 0 {
-		s.Tail = b[0]
-	}
-	return s, nil
+	return g, nil
 }

@@ -20,17 +20,17 @@ var wiresymScope = map[string]bool{
 //     (the opcode is passed to a frame-writing call) and a decode arm
 //     (the opcode appears in a switch case or an ==/!= dispatch) — an
 //     opcode with only one side is a frame the peer can never round-trip;
-//   - every AppendTo/AppendToExt method has the matching ParseT/ParseTExt
-//     function and vice versa, and package-level Append<X> helpers pair
-//     with Parse<X> — a payload with a writer and no reader (or the
-//     reverse) is dead wire format waiting to desynchronise;
-//   - within each Append/Parse pair, the set of Feature* bits consulted
-//     is identical on both sides — a field guarded by FeatureX on encode
-//     but read unconditionally on decode shifts every later field for
-//     peers that did not negotiate X.
+//   - every T.AppendTo method has the matching ParseT function and vice
+//     versa, and package-level Append<X> helpers pair with Parse<X> — a
+//     payload with a writer and no reader (or the reverse) is dead wire
+//     format waiting to desynchronise;
+//   - no AppendTo, Append<X> or Parse<X> body consults a Feature* constant:
+//     every frame has one payload layout, and negotiated features select
+//     behaviour, never layout, so a codec that branches on one is a second
+//     layout in the making.
 var Wiresym = &Analyzer{
 	Name:  "wiresym",
-	Doc:   "wire frames have matching encode/decode arms and symmetric feature-bit guards",
+	Doc:   "wire frames have matching encode/decode arms and feature-blind payload codecs",
 	Scope: wiresymScope,
 	Run:   runWiresym,
 }
@@ -151,12 +151,12 @@ func wiresymOpcodes(pkg *Package) []Diagnostic {
 	return diags
 }
 
-// wiresymPairs checks AppendTo/Parse pairing and per-pair feature-guard
-// symmetry.
+// wiresymPairs checks AppendTo/Parse pairing and that no payload codec
+// consults a feature bit.
 func wiresymPairs(pkg *Package) []Diagnostic {
 	scope := pkg.Types.Scope()
-	// funcDecls maps "T.AppendTo", "T.AppendToExt", and package function
-	// names to their declarations.
+	// funcDecls maps "T.AppendTo" and package function names to their
+	// declarations.
 	funcDecls := map[string]*ast.FuncDecl{}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -173,91 +173,46 @@ func wiresymPairs(pkg *Package) []Diagnostic {
 			}
 		}
 	}
-	var diags []Diagnostic
-	// Encode → decode: every AppendTo/AppendToExt method needs its Parse.
 	names := make([]string, 0, len(funcDecls))
 	for name := range funcDecls {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	type pair struct {
-		enc, dec *ast.FuncDecl
-		label    string
-	}
-	var pairs []pair
+	var diags []Diagnostic
 	for _, name := range names {
 		fd := funcDecls[name]
-		ti := strings.IndexByte(name, '.')
-		if ti >= 0 {
-			typeName, method := name[:ti], name[ti+1:]
-			var want string
-			switch method {
-			case "AppendTo":
-				want = "Parse" + typeName
-			case "AppendToExt":
-				want = "Parse" + typeName + "Ext"
-			default:
+		if typeName, method, ok := strings.Cut(name, "."); ok {
+			// Encode → decode: every AppendTo method needs its Parse.
+			if method != "AppendTo" {
 				continue
 			}
-			dec, ok := funcDecls[want]
-			if !ok {
+			want := "Parse" + typeName
+			if funcDecls[want] == nil {
 				diags = append(diags, diag(pkg, "wiresym", fd.Name,
-					"%s.%s has no matching %s: an encoder with no decoder is dead wire format", typeName, method, want))
-				continue
+					"%s.AppendTo has no matching %s: an encoder with no decoder is dead wire format", typeName, want))
 			}
-			pairs = append(pairs, pair{enc: fd, dec: dec, label: name + "/" + want})
-			continue
-		}
-		// Package-level Append<X> helpers.
-		if x, ok := strings.CutPrefix(name, "Append"); ok && x != "" && ast.IsExported(name) && x != "To" {
+		} else if x, ok := strings.CutPrefix(name, "Append"); ok && x != "" && ast.IsExported(name) {
+			// Package-level Append<X> helpers need Parse<X>.
 			want := "Parse" + x
-			dec, ok := funcDecls[want]
-			if !ok {
+			if funcDecls[want] == nil {
 				diags = append(diags, diag(pkg, "wiresym", fd.Name,
 					"%s has no matching %s: an encoder with no decoder is dead wire format", name, want))
-				continue
 			}
-			pairs = append(pairs, pair{enc: fd, dec: dec, label: name + "/" + want})
-		}
-	}
-	// Decode → encode: every Parse<X> needs a writer for X.
-	for _, name := range names {
-		fd := funcDecls[name]
-		if fd.Recv != nil || strings.IndexByte(name, '.') >= 0 {
-			continue
-		}
-		x, ok := strings.CutPrefix(name, "Parse")
-		if !ok || x == "" || !ast.IsExported(name) {
-			continue
-		}
-		switch {
-		case funcDecls["Append"+x] != nil:
-		case funcDecls[x+".AppendTo"] != nil:
-		case strings.HasSuffix(x, "Ext") && funcDecls[strings.TrimSuffix(x, "Ext")+".AppendToExt"] != nil:
-		default:
-			// Only complain when X (or its Ext base) names a type in this
-			// package, so Parse helpers over non-frame inputs stay legal.
-			base := strings.TrimSuffix(x, "Ext")
-			if _, isType := scope.Lookup(base).(*types.TypeName); isType {
+		} else if x, ok := strings.CutPrefix(name, "Parse"); ok && x != "" && ast.IsExported(name) {
+			// Decode → encode: every Parse<X> over a type of this package
+			// needs a writer for X; Parse helpers over non-frame inputs
+			// stay legal.
+			if _, isType := scope.Lookup(x).(*types.TypeName); isType &&
+				funcDecls["Append"+x] == nil && funcDecls[x+".AppendTo"] == nil {
 				diags = append(diags, diag(pkg, "wiresym", fd.Name,
-					"%s has no matching encoder (Append%s or %s.AppendTo): a decoder with no encoder is dead wire format", name, x, base))
+					"%s has no matching encoder (Append%s or %s.AppendTo): a decoder with no encoder is dead wire format", name, x, x))
 			}
+		} else {
+			continue
 		}
-	}
-	// Feature-guard symmetry per pair.
-	for _, p := range pairs {
-		enc, dec := featureBits(pkg, p.enc), featureBits(pkg, p.dec)
-		for _, bit := range sortedKeys(enc) {
-			if !dec[bit] {
-				diags = append(diags, diag(pkg, "wiresym", p.enc.Name,
-					"%s guards encoding on %s but %s never consults it: the layouts desynchronise for peers without the feature", p.enc.Name.Name, bit, p.dec.Name.Name))
-			}
-		}
-		for _, bit := range sortedKeys(dec) {
-			if !enc[bit] {
-				diags = append(diags, diag(pkg, "wiresym", p.dec.Name,
-					"%s guards decoding on %s but %s never consults it: the layouts desynchronise for peers without the feature", p.dec.Name.Name, bit, p.enc.Name.Name))
-			}
+		for _, bit := range featureBits(pkg, fd) {
+			diags = append(diags, diag(pkg, "wiresym", fd.Name,
+				"%s consults %s: a payload codec must be feature-blind — features select behaviour, never layout", name, bit))
 		}
 	}
 	return diags
@@ -278,11 +233,12 @@ func recvTypeName(recv *ast.FieldList) string {
 	return ""
 }
 
-// featureBits collects the Feature* constants consulted in a function body.
-func featureBits(pkg *Package, fd *ast.FuncDecl) map[string]bool {
+// featureBits lists, sorted, the Feature* constants consulted in a
+// function body.
+func featureBits(pkg *Package, fd *ast.FuncDecl) []string {
 	bits := map[string]bool{}
 	if fd.Body == nil {
-		return bits
+		return nil
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -294,12 +250,8 @@ func featureBits(pkg *Package, fd *ast.FuncDecl) map[string]bool {
 		}
 		return true
 	})
-	return bits
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
+	out := make([]string, 0, len(bits))
+	for k := range bits {
 		out = append(out, k)
 	}
 	sort.Strings(out)

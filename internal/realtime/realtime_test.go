@@ -92,8 +92,11 @@ func TestRejectsBadLength(t *testing.T) {
 }
 
 // The headline contrast: Astrea's cycle model sustains the d=5 stream with
-// 100% on-time decodes, while wall-clock software MWPM (whose mean decode
-// here costs multiple microseconds per nonzero syndrome) falls behind.
+// 100% on-time decodes, while wall-clock software MWPM falls behind. Warm
+// MWPM's mean decode of a nonzero syndrome is about 0.5 µs on a 2-core
+// Xeon, inside the 1 µs window, but its tail is not: across 40 runs there
+// its on-time fraction read 0.71–0.97 (0.03 on the cold first run), always
+// below Astrea's 1.0.
 func TestAstreaSustainsStreamSoftwareMWPMDoesNot(t *testing.T) {
 	env, err := montecarlo.SharedEnv(5, 5, 1e-3)
 	if err != nil {
@@ -132,9 +135,6 @@ func TestAstreaSustainsStreamSoftwareMWPMDoesNot(t *testing.T) {
 		makeFeed(), env.Model.NumDetectors)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sw.OnTimeFraction() > 0.8 && !sw.Diverged {
-		t.Skipf("software MWPM unexpectedly fast on this host: %+v", sw)
 	}
 	if sw.OnTimeFraction() >= ast.OnTimeFraction() {
 		t.Fatalf("software (%v) not worse than Astrea (%v)", sw.OnTimeFraction(), ast.OnTimeFraction())

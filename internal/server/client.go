@@ -27,16 +27,9 @@ type ClientOptions struct {
 	// indefinitely while a sender goroutine keeps the stream fed.
 	CallTimeout time.Duration
 	// Features is the wire feature-bit set to offer (FeatureChecksum,
-	// FeatureProbe, FeatureStream). Offering any feature — or setting
-	// Extended — sends the
-	// extended Hello; the server's extended ack then carries its
-	// configuration fingerprint (see Client.Fingerprint) and the accepted
-	// subset of the offered features. A legacy server refuses the extended
-	// Hello outright, so leave both zero to talk to old daemons.
+	// FeatureProbe, FeatureStream, FeatureStreamResume); the server accepts
+	// the subset it supports (see Client.Features).
 	Features uint32
-	// Extended requests the extended handshake (and therefore the server
-	// fingerprint) even with no feature bits offered.
-	Extended bool
 }
 
 func (o ClientOptions) handshakeTimeout() time.Duration {
@@ -78,14 +71,11 @@ type Client struct {
 	// FeatureChecksum bit (checked framing both ways after the handshake).
 	features uint32
 	crc      bool
-	// fp is the server's decoding-configuration fingerprint (extended
-	// handshakes only; haveFP reports presence). fpSet is the full live
-	// fingerprint set on streams that negotiated FeatureRotation — more
-	// than one entry means the server was draining an old generation at
-	// handshake time.
-	fp     uint64
-	haveFP bool
-	fpSet  []uint64
+	// fp is the server's decoding-configuration fingerprint at handshake
+	// time; fpSet is its full live fingerprint set — more than one entry
+	// means the server was draining an old generation.
+	fp    uint64
+	fpSet []uint64
 
 	// Write half. wbuf holds the frames queued for the next flush, in send
 	// order (wmu); enc is the codec's scratch for the syndrome being encoded.
@@ -186,12 +176,10 @@ func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions)
 		}
 		defer nc.SetDeadline(time.Time{})
 	}
-	ext := o.Extended || o.Features != 0
 	hello := Hello{
 		Version:  ProtocolVersion,
 		Distance: uint16(distance),
 		Codec:    codecID,
-		Extended: ext,
 		Features: o.Features,
 	}
 	// The handshake itself travels unchecked (c.crc is still false).
@@ -205,10 +193,6 @@ func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions)
 	if t != FrameHelloAck {
 		return nil, fmt.Errorf("server: expected hello-ack, got frame type %d", t)
 	}
-	// Refusals always arrive in the legacy form (the fixed header carries
-	// the status), so check it before committing to the extended layout —
-	// this also yields a readable error from a legacy server that refused
-	// the 12-byte Hello it cannot parse.
 	ack, err := ParseHelloAck(payload)
 	if err != nil {
 		return nil, err
@@ -216,16 +200,10 @@ func NewClientOptions(nc net.Conn, distance int, codecID uint8, o ClientOptions)
 	if ack.Status != StatusOK {
 		return nil, fmt.Errorf("server: handshake refused (status %d): %s", ack.Status, ack.Message)
 	}
-	if ext {
-		if ack, err = ParseHelloAckExt(payload); err != nil {
-			return nil, err
-		}
-		c.features = ack.Features
-		c.crc = ack.Features&FeatureChecksum != 0
-		c.fp = ack.Fingerprint
-		c.haveFP = true
-		c.fpSet = ack.FingerprintSet
-	}
+	c.features = ack.Features
+	c.crc = ack.Features&FeatureChecksum != 0
+	c.fp = ack.Fingerprint
+	c.fpSet = ack.FingerprintSet
 	codec, err := compress.ForID(ack.Codec, uint(ack.RiceK))
 	if err != nil {
 		return nil, err
@@ -247,17 +225,16 @@ func (c *Client) QueueDepth() int { return int(c.queue) }
 // CodecName names the negotiated codec.
 func (c *Client) CodecName() string { return c.codec.Name() }
 
-// Features is the accepted feature-bit set (zero on legacy handshakes).
+// Features is the accepted feature-bit set.
 func (c *Client) Features() uint32 { return c.features }
 
 // Fingerprint returns the server's decoding-configuration digest for the
-// negotiated distance. ok is false on legacy handshakes, which carry none.
-func (c *Client) Fingerprint() (fp uint64, ok bool) { return c.fp, c.haveFP }
+// negotiated distance at handshake time.
+func (c *Client) Fingerprint() uint64 { return c.fp }
 
 // FingerprintSet returns every fingerprint the server answered for at
-// handshake time, current generation first — nil unless the stream
-// negotiated FeatureRotation. More than one entry means a superseded
-// generation was still draining (a rotation transition window).
+// handshake time, current generation first. More than one entry means a
+// superseded generation was still draining (a rotation transition window).
 func (c *Client) FingerprintSet() []uint64 { return c.fpSet }
 
 // writeFrame appends one frame under the negotiated framing behind whatever
@@ -385,11 +362,9 @@ type Response struct {
 	Degraded bool
 
 	// Fingerprint names the decoding-configuration generation that produced
-	// this result — carried only on streams that negotiated FeatureRotation
-	// (HaveFingerprint reports presence), so each answer stays attributable
-	// to exact tables across a mid-connection artifact hot-swap.
-	Fingerprint     uint64
-	HaveFingerprint bool
+	// this result, so each answer stays attributable to exact tables across
+	// a mid-connection artifact hot-swap.
+	Fingerprint uint64
 }
 
 // Recv returns the next response frame. When none is buffered, it first
@@ -411,27 +386,20 @@ func (c *Client) Recv() (Response, error) {
 	}
 	switch t {
 	case FrameResult:
-		var r ResultFrame
-		rotation := c.features&FeatureRotation != 0
-		if rotation {
-			r, err = ParseResultFrameExt(payload)
-		} else {
-			r, err = ParseResultFrame(payload)
-		}
+		r, err := ParseResultFrame(payload)
 		if err != nil {
 			return Response{}, err
 		}
 		return Response{
-			Seq:             r.Seq,
-			ObsMask:         r.ObsMask,
-			WeightMilli:     r.WeightMilli,
-			SojournNs:       r.SojournNs,
-			DeadlineMiss:    r.Flags&FlagDeadlineMiss != 0,
-			RealTime:        r.Flags&FlagRealTime != 0,
-			Skipped:         r.Flags&FlagSkipped != 0,
-			Degraded:        r.Flags&FlagDegraded != 0,
-			Fingerprint:     r.Fingerprint,
-			HaveFingerprint: rotation,
+			Seq:          r.Seq,
+			ObsMask:      r.ObsMask,
+			WeightMilli:  r.WeightMilli,
+			SojournNs:    r.SojournNs,
+			DeadlineMiss: r.Flags&FlagDeadlineMiss != 0,
+			RealTime:     r.Flags&FlagRealTime != 0,
+			Skipped:      r.Flags&FlagSkipped != 0,
+			Degraded:     r.Flags&FlagDegraded != 0,
+			Fingerprint:  r.Fingerprint,
 		}, nil
 	case FrameReject:
 		r, err := ParseRejectFrame(payload)

@@ -26,16 +26,10 @@ type StreamOptions struct {
 // used for Decode or Ping: the server is in streaming mode and the read
 // half belongs to commit frames.
 type Stream struct {
-	c      *Client
+	c *Client
+	// params is the server's stream-open-ack: the resolved window
+	// parameters plus, on a resumable session, its token and park TTL.
 	params StreamOpenAck
-
-	// Resume-session identity (connections that negotiated
-	// FeatureStreamResume): the server-issued token plus the park TTL the
-	// token survives a disconnect for. On such connections the open and
-	// commit frames use their extended layouts.
-	resumable   bool
-	token       uint64
-	resumeTTLMs uint32
 
 	sent       uint64 // rounds shipped (the next frame's FirstRow)
 	closedSend bool
@@ -43,34 +37,25 @@ type Stream struct {
 }
 
 // OpenStream negotiates a streaming session. It requires a handshake that
-// accepted FeatureStream (offer it in ClientOptions.Features); legacy
-// servers never advertise the bit, so v2 clients fail here cleanly instead
-// of sending frames the peer cannot parse.
+// accepted FeatureStream (offer it in ClientOptions.Features); a server
+// that declined the bit fails here cleanly instead of being sent frames it
+// refuses.
 func (c *Client) OpenStream(o StreamOptions) (*Stream, error) {
-	return c.openStream(o, 0, 0, 0, nil)
+	return c.OpenStreamAt(o, 0, 0, 0, nil)
 }
 
 // OpenStreamAt re-opens a stream mid-way (a cold resume): the new session
 // starts at absolute round startRow with window sequence nextSeq, seeded
 // with the resolved seam of the predecessor's trailing forced commit
 // (carrySeam rows of little-endian row words, exactly as the last
-// StreamEvent's CarrySeam/Carry reported them — both zero when the
+// commit's CarrySeam/Carry reported them — both zero when the
 // predecessor's last commit was an exact cut). Rounds sent on the returned
 // stream continue from startRow, and its first commit abuts the
-// predecessor's last. Requires a handshake that accepted
-// FeatureStreamResume.
+// predecessor's last. Requires a handshake that accepted FeatureStream.
 func (c *Client) OpenStreamAt(o StreamOptions, startRow, nextSeq uint64, carrySeam uint16, carry []byte) (*Stream, error) {
-	if c.features&FeatureStreamResume == 0 {
-		return nil, fmt.Errorf("server: stream did not negotiate resume frames")
-	}
-	return c.openStream(o, startRow, nextSeq, carrySeam, carry)
-}
-
-func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam uint16, carry []byte) (*Stream, error) {
 	if c.features&FeatureStream == 0 {
 		return nil, fmt.Errorf("server: stream did not negotiate streaming frames")
 	}
-	resumable := c.features&FeatureStreamResume != 0
 	// rmu before wmu: the read half takes wmu (TryLock) to flush.
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -80,18 +65,10 @@ func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam
 		PadRounds:    uint16(o.PadRounds),
 		RowBudgetNs:  o.RowBudgetNs,
 		MaxInflight:  uint16(o.MaxInflight),
-	}
-	var reqPayload []byte
-	if resumable {
-		reqPayload = StreamOpenExt{
-			StreamOpen: req,
-			StartRow:   startRow,
-			NextSeq:    nextSeq,
-			CarrySeam:  carrySeam,
-			Carry:      carry,
-		}.AppendTo(nil)
-	} else {
-		reqPayload = req.AppendTo(nil)
+		StartRow:     startRow,
+		NextSeq:      nextSeq,
+		CarrySeam:    carrySeam,
+		Carry:        carry,
 	}
 	if c.callTimeout > 0 {
 		//lint:allow errwrap open-only path: an unarmable deadline surfaces as the exchange's own write/read failure just below
@@ -99,7 +76,7 @@ func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam
 		defer c.conn.SetDeadline(time.Time{})
 	}
 	c.wmu.Lock()
-	err := c.writeFrame(FrameStreamOpen, reqPayload)
+	err := c.writeFrame(FrameStreamOpen, req.AppendTo(nil))
 	c.wmu.Unlock()
 	if err != nil {
 		return nil, err
@@ -111,22 +88,11 @@ func (c *Client) openStream(o StreamOptions, startRow, nextSeq uint64, carrySeam
 	if t != FrameStreamOpenAck {
 		return nil, fmt.Errorf("server: expected stream-open-ack, got frame type %d", t)
 	}
-	st := &Stream{c: c, resumable: resumable, sent: startRow}
-	if resumable {
-		ext, err := ParseStreamOpenAckExt(payload)
-		if err != nil {
-			return nil, err
-		}
-		st.params = ext.StreamOpenAck
-		st.token = ext.SessionToken
-		st.resumeTTLMs = ext.ResumeTTLMs
-	} else {
-		ack, err := ParseStreamOpenAck(payload)
-		if err != nil {
-			return nil, err
-		}
-		st.params = ack
+	ack, err := ParseStreamOpenAck(payload)
+	if err != nil {
+		return nil, err
 	}
+	st := &Stream{c: c, params: ack, sent: startRow}
 	if st.params.Status != StatusOK {
 		return nil, fmt.Errorf("server: stream refused (status %d): %s", st.params.Status, st.params.Message)
 	}
@@ -178,12 +144,11 @@ func (c *Client) ResumeStream(token, ackRow, sentRows uint64, params StreamOpenA
 	if res.Status != StatusOK {
 		return nil, res, nil
 	}
+	params.SessionToken = token
 	st := &Stream{
-		c:         c,
-		params:    params,
-		resumable: true,
-		token:     token,
-		sent:      res.RowsReceived,
+		c:      c,
+		params: params,
+		sent:   res.RowsReceived,
 		// A session the server already saw close cannot take more rounds;
 		// the resumed stream only drains.
 		closedSend: res.Closed != 0,
@@ -196,12 +161,12 @@ func (s *Stream) Params() StreamOpenAck { return s.params }
 
 // SessionToken returns the server-issued resume token (zero unless the
 // connection negotiated FeatureStreamResume).
-func (s *Stream) SessionToken() uint64 { return s.token }
+func (s *Stream) SessionToken() uint64 { return s.params.SessionToken }
 
 // ResumeTTL is how long the server parks this session after a disconnect
 // before the token expires (zero on non-resumable streams).
 func (s *Stream) ResumeTTL() time.Duration {
-	return time.Duration(s.resumeTTLMs) * time.Millisecond
+	return time.Duration(s.params.ResumeTTLMs) * time.Millisecond
 }
 
 // RowBits is the per-round detector count every pushed row must have.
@@ -271,19 +236,14 @@ func (s *Stream) CloseSend() error {
 }
 
 // StreamEvent is one server-to-client streaming message: a committed
-// window correction, or (Closed true) the final stream summary. On
-// resume-negotiated streams every commit also carries AckRows — the
-// server's contiguous rows-received watermark, which releases the client's
-// replay buffer below it — and, for forced commits, the resolved seam
-// (CarrySeam rows of little-endian row words) a cold re-open from this
-// commit's watermark must pass to OpenStreamAt.
+// window correction, or (Closed true) the final stream summary. A commit's
+// AckRows releases the client's replay buffer below it, and a forced
+// commit's CarrySeam/Carry is what a cold re-open from its watermark must
+// pass to OpenStreamAt.
 type StreamEvent struct {
-	Commit    StreamCorrections
-	AckRows   uint64
-	CarrySeam uint16
-	Carry     []byte
-	Closed    bool
-	Summary   StreamClosed
+	Commit  StreamCorrections
+	Closed  bool
+	Summary StreamClosed
 }
 
 // Forced reports a commit whose window cut was forced (approximate seam).
@@ -310,24 +270,13 @@ func (s *Stream) Recv() (StreamEvent, error) {
 	}
 	switch t {
 	case FrameStreamCorrections:
-		if s.resumable {
-			ext, err := ParseStreamCorrectionsExt(payload)
-			if err != nil {
-				return StreamEvent{}, err
-			}
-			return StreamEvent{
-				Commit:    ext.StreamCorrections,
-				AckRows:   ext.AckRows,
-				CarrySeam: ext.CarrySeam,
-				// The parsed carry aliases the client's read buffer, which the
-				// next Recv overwrites; the event outlives it.
-				Carry: bytes.Clone(ext.Carry),
-			}, nil
-		}
 		cm, err := ParseStreamCorrections(payload)
 		if err != nil {
 			return StreamEvent{}, err
 		}
+		// The parsed carry aliases the client's read buffer, which the next
+		// Recv overwrites; the event outlives it.
+		cm.Carry = bytes.Clone(cm.Carry)
 		return StreamEvent{Commit: cm}, nil
 	case FrameStreamClosed:
 		sum, err := ParseStreamClosed(payload)

@@ -53,9 +53,8 @@ type ResumingStream struct {
 	mu     sync.Mutex
 	c      *Client
 	st     *Stream
-	gen    int // bumped per reconnect; stale recover calls no-op
-	params StreamOpenAck
-	token  uint64
+	gen    int           // bumped per reconnect; stale recover calls no-op
+	params StreamOpenAck // the open stream's ack, session token included
 
 	// Replay state. buf holds rows [base, high): base is the commit
 	// watermark (buf[0]'s absolute round), high the next round to append.
@@ -131,13 +130,13 @@ func NewResumingStream(dial func() (*Client, error), o ResumingStreamOptions) (*
 			last = err
 			continue
 		}
-		if !st.resumable || st.token == 0 {
+		if st.SessionToken() == 0 {
 			//lint:allow errwrap teardown of a conn that cannot resume; the capability error below is the actionable one
 			c.Close()
 			return nil, fmt.Errorf("server: peer did not negotiate stream resume (offer the feature bit and enable the server's resume TTL)")
 		}
 		r.c, r.st = c, st
-		r.params, r.token = st.params, st.token
+		r.params = st.params
 		return r, nil
 	}
 	return nil, fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, r.pol.MaxAttempts, last)
@@ -337,7 +336,7 @@ func (r *ResumingStream) Recv() (StreamEvent, error) {
 			r.buf = nil // release the backing array between commits
 		}
 		r.nextSeq = cm.WindowSeq + 1
-		r.carrySeam, r.carry = ev.CarrySeam, ev.Carry
+		r.carrySeam, r.carry = cm.CarrySeam, cm.Carry
 		r.sumWindows++
 		if cm.Flags&FlagForcedSeam != 0 {
 			r.sumForced++
@@ -430,7 +429,7 @@ func (r *ResumingStream) reattach(c *Client) (*Stream, error) {
 	if c.Features()&FeatureStream == 0 || c.Features()&FeatureStreamResume == 0 {
 		return nil, fmt.Errorf("server: reconnected peer did not negotiate stream resume")
 	}
-	st, res, err := c.ResumeStream(r.token, r.base, r.high, r.params)
+	st, res, err := c.ResumeStream(r.params.SessionToken, r.base, r.high, r.params)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +499,6 @@ func (r *ResumingStream) reopen(c *Client) (*Stream, error) {
 			return nil, err
 		}
 	}
-	r.token = st.token
 	r.params = st.params
 	return st, nil
 }

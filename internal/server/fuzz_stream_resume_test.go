@@ -5,150 +5,67 @@ import (
 	"testing"
 )
 
-// FuzzStreamResumeFrame mirrors FuzzStreamFrame for the resume frame set
-// (FeatureStreamResume): the extended open/open-ack/corrections layouts
-// plus StreamResume/StreamResumed. Malformed lengths, truncated payloads,
-// hostile seam counts and misaligned carry bytes must surface as errors —
-// never panics — and anything a parser accepts must survive a
-// serialise/parse round trip unchanged.
+// FuzzStreamResumeFrame mirrors FuzzStreamFrame, seeded with what resumable
+// sessions (FeatureStreamResume) put on the wire: a cold re-open's start
+// row and carried seam, an ack's session token, a commit's ack watermark
+// and seam, and the StreamResume/StreamResumed exchange. Malformed lengths,
+// truncated payloads, hostile seam counts and misaligned carry bytes must
+// surface as errors — never panics — and anything a parser accepts must
+// survive a serialise/parse round trip unchanged.
 func FuzzStreamResumeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	var seed bytes.Buffer
-	WriteFrame(&seed, FrameStreamOpen, StreamOpenExt{
-		StreamOpen: StreamOpen{WindowRounds: 12, GapRounds: 5, PadRounds: 3, RowBudgetNs: 1000, MaxInflight: 4},
-		StartRow:   96, NextSeq: 7, CarrySeam: 3,
-		Carry: make([]byte, 3*8),
-	}.AppendTo(nil))
-	WriteFrame(&seed, FrameStreamOpenAck, StreamOpenAckExt{
-		StreamOpenAck: StreamOpenAck{Status: StatusOK, WindowRounds: 12, GapRounds: 5,
-			PadRounds: 3, RowBudgetNs: 1000, MaxInflight: 4, RowBits: 4, Message: "ok"},
-		SessionToken: 0xDEC0DE, ResumeTTLMs: 120000,
-	}.AppendTo(nil))
-	WriteFrame(&seed, FrameStreamCorrections, StreamCorrectionsExt{
-		StreamCorrections: StreamCorrections{WindowSeq: 1, FirstRow: 7, RowCount: 6,
-			ObsMask: 3, WeightMilli: 1200, SojournNs: 800, Flags: FlagForcedSeam},
-		AckRows: 13, CarrySeam: 3, Carry: make([]byte, 3*8),
-	}.AppendTo(nil))
+	WriteFrame(&seed, FrameStreamOpen, StreamOpen{WindowRounds: 12, GapRounds: 5, PadRounds: 3,
+		RowBudgetNs: 1000, MaxInflight: 4, StartRow: 96, NextSeq: 7, CarrySeam: 3,
+		Carry: make([]byte, 3*8)}.AppendTo(nil))
+	WriteFrame(&seed, FrameStreamOpenAck, StreamOpenAck{Status: StatusOK, WindowRounds: 12, GapRounds: 5,
+		PadRounds: 3, RowBudgetNs: 1000, MaxInflight: 4, RowBits: 4,
+		SessionToken: 0xDEC0DE, ResumeTTLMs: 120000, Message: "ok"}.AppendTo(nil))
+	WriteFrame(&seed, FrameStreamCorrections, StreamCorrections{WindowSeq: 1, FirstRow: 7, RowCount: 6,
+		ObsMask: 3, WeightMilli: 1200, SojournNs: 800, Flags: FlagForcedSeam,
+		AckRows: 13, CarrySeam: 3, Carry: make([]byte, 3*8)}.AppendTo(nil))
 	WriteFrame(&seed, FrameStreamResume, StreamResume{Token: 0xDEC0DE, AckRow: 96, SentRows: 104}.AppendTo(nil))
 	WriteFrame(&seed, FrameStreamResumed, StreamResumed{Status: StatusOK, RowsReceived: 100, Closed: 1, Message: "m"}.AppendTo(nil))
 	f.Add(seed.Bytes())
 	// Hostile seams: a giant row count on a tiny carry, and a misaligned carry.
-	f.Add(StreamOpenExt{StreamOpen: StreamOpen{}, CarrySeam: 65535, Carry: []byte{1}}.AppendTo(nil))
-	f.Add(StreamCorrectionsExt{StreamCorrections: StreamCorrections{RowCount: 1}, CarrySeam: 2, Carry: make([]byte, 17)}.AppendTo(nil))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			ft, payload, err := ReadFrame(r, 1<<16)
-			if err != nil {
-				return
-			}
-			switch ft {
-			case FrameStreamOpen:
-				if o, err := ParseStreamOpenExt(payload); err == nil {
-					if int(o.CarrySeam) > maxStreamSeamRows {
-						t.Fatalf("parser accepted seam %d", o.CarrySeam)
-					}
-					back, err := ParseStreamOpenExt(o.AppendTo(nil))
-					if err != nil || back.StreamOpen != o.StreamOpen || back.StartRow != o.StartRow ||
-						back.NextSeq != o.NextSeq || back.CarrySeam != o.CarrySeam || !bytes.Equal(back.Carry, o.Carry) {
-						t.Fatalf("ext stream-open round trip diverged: %+v vs %+v (%v)", back, o, err)
-					}
-				}
-			case FrameStreamOpenAck:
-				if a, err := ParseStreamOpenAckExt(payload); err == nil {
-					if back, err := ParseStreamOpenAckExt(a.AppendTo(nil)); err != nil || back != a {
-						t.Fatalf("ext stream-open-ack round trip diverged: %+v vs %+v (%v)", back, a, err)
-					}
-				}
-			case FrameStreamCorrections:
-				if c, err := ParseStreamCorrectionsExt(payload); err == nil {
-					if int(c.CarrySeam) > maxStreamSeamRows {
-						t.Fatalf("parser accepted seam %d", c.CarrySeam)
-					}
-					back, err := ParseStreamCorrectionsExt(c.AppendTo(nil))
-					if err != nil || back.StreamCorrections != c.StreamCorrections || back.AckRows != c.AckRows ||
-						back.CarrySeam != c.CarrySeam || !bytes.Equal(back.Carry, c.Carry) {
-						t.Fatalf("ext stream-corrections round trip diverged: %+v vs %+v (%v)", back, c, err)
-					}
-				}
-			case FrameStreamResume:
-				if rr, err := ParseStreamResume(payload); err == nil {
-					if back, err := ParseStreamResume(rr.AppendTo(nil)); err != nil || back != rr {
-						t.Fatalf("stream-resume round trip diverged: %+v vs %+v (%v)", back, rr, err)
-					}
-				}
-			case FrameStreamResumed:
-				if rr, err := ParseStreamResumed(payload); err == nil {
-					if back, err := ParseStreamResumed(rr.AppendTo(nil)); err != nil || back != rr {
-						t.Fatalf("stream-resumed round trip diverged: %+v vs %+v (%v)", back, rr, err)
-					}
-				}
-			}
-		}
-	})
+	f.Add(StreamOpen{CarrySeam: 65535, Carry: []byte{1}}.AppendTo(nil))
+	f.Add(StreamCorrections{RowCount: 1, CarrySeam: 2, Carry: make([]byte, 17)}.AppendTo(nil))
+	f.Fuzz(checkStreamFrames)
 }
 
-// TestStreamResumePayloadBoundaries pins the length contracts of the
-// resume frame set: one byte short of every fixed prefix must be rejected,
-// seam declarations must be whole words under the cap, and the
-// variable-tail forms must keep their tails.
+// TestStreamResumePayloadBoundaries pins the resume-bearing parts of the
+// stream wire: seam declarations must be whole words under the cap, the
+// ack's message must follow its session token, and the resume exchange's
+// fixed and variable-tail forms keep their lengths and tails.
 func TestStreamResumePayloadBoundaries(t *testing.T) {
-	open := StreamOpenExt{StreamOpen: StreamOpen{WindowRounds: 1}, StartRow: 9, NextSeq: 2}.AppendTo(nil)
-	if len(open) != 30 {
-		t.Fatalf("carryless ext stream-open serialises to %d bytes, want 30", len(open))
-	}
-	if _, err := ParseStreamOpenExt(open); err != nil {
+	withSeam := StreamOpen{CarrySeam: 2, Carry: make([]byte, 16)}.AppendTo(nil)
+	if _, err := ParseStreamOpen(withSeam); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseStreamOpenExt(open[:29]); err == nil {
-		t.Fatal("truncated ext stream-open accepted")
-	}
-	if _, err := ParseStreamOpenExt(append(open[:30:30], 1)); err == nil {
-		t.Fatal("carry bytes with a zero seam accepted")
-	}
-	withSeam := StreamOpenExt{StreamOpen: StreamOpen{}, CarrySeam: 2, Carry: make([]byte, 16)}.AppendTo(nil)
-	if _, err := ParseStreamOpenExt(withSeam); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseStreamOpenExt(withSeam[:len(withSeam)-1]); err == nil {
+	if _, err := ParseStreamOpen(withSeam[:len(withSeam)-1]); err == nil {
 		t.Fatal("misaligned carry accepted")
 	}
-	bigSeam := StreamOpenExt{CarrySeam: maxStreamSeamRows + 1,
+	bigSeam := StreamOpen{CarrySeam: maxStreamSeamRows + 1,
 		Carry: make([]byte, (maxStreamSeamRows+1)*8)}.AppendTo(nil)
-	if _, err := ParseStreamOpenExt(bigSeam); err == nil {
+	if _, err := ParseStreamOpen(bigSeam); err == nil {
 		t.Fatal("over-cap seam accepted")
 	}
-
-	ack := StreamOpenAckExt{StreamOpenAck: StreamOpenAck{Status: StatusOK, RowBits: 4},
-		SessionToken: 7, ResumeTTLMs: 1000}.AppendTo(nil)
-	if len(ack) != 27 {
-		t.Fatalf("messageless ext stream-open-ack serialises to %d bytes, want 27", len(ack))
+	corrSeam := StreamCorrections{RowCount: 1, AckRows: 12, CarrySeam: 1, Carry: make([]byte, 8)}.AppendTo(nil)
+	if c, err := ParseStreamCorrections(corrSeam); err != nil || c.AckRows != 12 || len(c.Carry) != 8 {
+		t.Fatalf("seamed stream-corrections: %+v (%v)", c, err)
 	}
-	if _, err := ParseStreamOpenAckExt(ack[:26]); err == nil {
-		t.Fatal("truncated ext stream-open-ack accepted")
-	}
-	if a, err := ParseStreamOpenAckExt(append(ack, "why"...)); err != nil || a.Message != "why" || a.SessionToken != 7 {
-		t.Fatalf("ext ack tail lost: %+v (%v)", a, err)
-	}
-	withMsg := StreamOpenAckExt{StreamOpenAck: StreamOpenAck{Status: StatusOK, Message: "m"}, SessionToken: 9}.AppendTo(nil)
-	if a, err := ParseStreamOpenAckExt(withMsg); err != nil || a.Message != "m" || a.SessionToken != 9 {
-		t.Fatalf("ext ack message must serialise after the resume fields: %+v (%v)", a, err)
+	if _, err := ParseStreamCorrections(corrSeam[:len(corrSeam)-1]); err == nil {
+		t.Fatal("misaligned carry accepted")
 	}
 
-	corr := StreamCorrectionsExt{StreamCorrections: StreamCorrections{RowCount: 1}, AckRows: 12}.AppendTo(nil)
-	if len(corr) != 53 {
-		t.Fatalf("carryless ext stream-corrections serialises to %d bytes, want 53", len(corr))
+	ack := StreamOpenAck{Status: StatusOK, RowBits: 4, SessionToken: 7, ResumeTTLMs: 1000}.AppendTo(nil)
+	if a, err := ParseStreamOpenAck(append(ack, "why"...)); err != nil || a.Message != "why" || a.SessionToken != 7 {
+		t.Fatalf("ack tail lost: %+v (%v)", a, err)
 	}
-	if _, err := ParseStreamCorrectionsExt(corr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseStreamCorrectionsExt(corr[:52]); err == nil {
-		t.Fatal("truncated ext stream-corrections accepted")
-	}
-	if _, err := ParseStreamCorrectionsExt(append(corr[:53:53], 1)); err == nil {
-		t.Fatal("carry bytes with a zero seam accepted")
+	withMsg := StreamOpenAck{Status: StatusOK, Message: "m", SessionToken: 9}.AppendTo(nil)
+	if a, err := ParseStreamOpenAck(withMsg); err != nil || a.Message != "m" || a.SessionToken != 9 {
+		t.Fatalf("ack message must serialise after the resume fields: %+v (%v)", a, err)
 	}
 
 	res := StreamResume{Token: 1, AckRow: 2, SentRows: 3}.AppendTo(nil)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -27,78 +28,114 @@ func FuzzStreamFrame(f *testing.F) {
 	f.Add(seed.Bytes())
 	// A hostile rounds frame: a giant Count riding a tiny payload.
 	f.Add(StreamRounds{FirstRow: 0, Count: 65535, Rows: []byte{1}}.AppendTo(nil))
+	f.Fuzz(checkStreamFrames)
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			ft, payload, err := ReadFrame(r, 1<<16)
-			if err != nil {
-				return
+// checkStreamFrames reads frames until the input runs out and holds every
+// streaming payload a parser accepts to a serialise/parse round trip.
+func checkStreamFrames(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	for {
+		ft, payload, err := ReadFrame(r, 1<<16)
+		if err != nil {
+			return
+		}
+		switch ft {
+		case FrameStreamOpen:
+			if o, err := ParseStreamOpen(payload); err == nil {
+				if int(o.CarrySeam) > maxStreamSeamRows {
+					t.Fatalf("parser accepted seam %d", o.CarrySeam)
+				}
+				if back, err := ParseStreamOpen(o.AppendTo(nil)); err != nil || !sameStreamOpen(back, o) {
+					t.Fatalf("stream-open round trip diverged: %+v vs %+v (%v)", back, o, err)
+				}
 			}
-			switch ft {
-			case FrameStreamOpen:
-				if o, err := ParseStreamOpen(payload); err == nil {
-					if back, err := ParseStreamOpen(o.AppendTo(nil)); err != nil || back != o {
-						t.Fatalf("stream-open round trip diverged: %+v vs %+v (%v)", back, o, err)
-					}
+		case FrameStreamOpenAck:
+			if a, err := ParseStreamOpenAck(payload); err == nil {
+				if back, err := ParseStreamOpenAck(a.AppendTo(nil)); err != nil || back != a {
+					t.Fatalf("stream-open-ack round trip diverged: %+v vs %+v (%v)", back, a, err)
 				}
-			case FrameStreamOpenAck:
-				if a, err := ParseStreamOpenAck(payload); err == nil {
-					if back, err := ParseStreamOpenAck(a.AppendTo(nil)); err != nil || back != a {
-						t.Fatalf("stream-open-ack round trip diverged: %+v vs %+v (%v)", back, a, err)
-					}
+			}
+		case FrameStreamRounds:
+			if rr, err := ParseStreamRounds(payload); err == nil {
+				if rr.Count == 0 || int(rr.Count) > maxStreamRowsPerFrame {
+					t.Fatalf("parser accepted count %d", rr.Count)
 				}
-			case FrameStreamRounds:
-				if rr, err := ParseStreamRounds(payload); err == nil {
-					if rr.Count == 0 || int(rr.Count) > maxStreamRowsPerFrame {
-						t.Fatalf("parser accepted count %d", rr.Count)
-					}
-					back, err := ParseStreamRounds(rr.AppendTo(nil))
-					if err != nil || back.FirstRow != rr.FirstRow || back.Count != rr.Count || !bytes.Equal(back.Rows, rr.Rows) {
-						t.Fatalf("stream-rounds round trip diverged: %+v vs %+v (%v)", back, rr, err)
-					}
+				back, err := ParseStreamRounds(rr.AppendTo(nil))
+				if err != nil || back.FirstRow != rr.FirstRow || back.Count != rr.Count || !bytes.Equal(back.Rows, rr.Rows) {
+					t.Fatalf("stream-rounds round trip diverged: %+v vs %+v (%v)", back, rr, err)
 				}
-			case FrameStreamCorrections:
-				if c, err := ParseStreamCorrections(payload); err == nil {
-					if back, err := ParseStreamCorrections(c.AppendTo(nil)); err != nil || back != c {
-						t.Fatalf("stream-corrections round trip diverged: %+v vs %+v (%v)", back, c, err)
-					}
+			}
+		case FrameStreamCorrections:
+			if c, err := ParseStreamCorrections(payload); err == nil {
+				if int(c.CarrySeam) > maxStreamSeamRows {
+					t.Fatalf("parser accepted seam %d", c.CarrySeam)
 				}
-			case FrameStreamClosed:
-				if c, err := ParseStreamClosed(payload); err == nil {
-					if back, err := ParseStreamClosed(c.AppendTo(nil)); err != nil || back != c {
-						t.Fatalf("stream-closed round trip diverged: %+v vs %+v (%v)", back, c, err)
-					}
+				if back, err := ParseStreamCorrections(c.AppendTo(nil)); err != nil || !sameStreamCorrections(back, c) {
+					t.Fatalf("stream-corrections round trip diverged: %+v vs %+v (%v)", back, c, err)
+				}
+			}
+		case FrameStreamClosed:
+			if c, err := ParseStreamClosed(payload); err == nil {
+				if back, err := ParseStreamClosed(c.AppendTo(nil)); err != nil || back != c {
+					t.Fatalf("stream-closed round trip diverged: %+v vs %+v (%v)", back, c, err)
+				}
+			}
+		case FrameStreamResume:
+			if rr, err := ParseStreamResume(payload); err == nil {
+				if back, err := ParseStreamResume(rr.AppendTo(nil)); err != nil || back != rr {
+					t.Fatalf("stream-resume round trip diverged: %+v vs %+v (%v)", back, rr, err)
+				}
+			}
+		case FrameStreamResumed:
+			if rr, err := ParseStreamResumed(payload); err == nil {
+				if back, err := ParseStreamResumed(rr.AppendTo(nil)); err != nil || back != rr {
+					t.Fatalf("stream-resumed round trip diverged: %+v vs %+v (%v)", back, rr, err)
 				}
 			}
 		}
-	})
+	}
+}
+
+// sameStreamOpen and sameStreamCorrections compare field for field; the
+// carry slice makes both structs non-comparable with ==.
+func sameStreamOpen(a, b StreamOpen) bool {
+	carry := bytes.Equal(a.Carry, b.Carry)
+	a.Carry, b.Carry = nil, nil
+	return carry && reflect.DeepEqual(a, b)
+}
+
+func sameStreamCorrections(a, b StreamCorrections) bool {
+	carry := bytes.Equal(a.Carry, b.Carry)
+	a.Carry, b.Carry = nil, nil
+	return carry && reflect.DeepEqual(a, b)
 }
 
 // TestStreamPayloadBoundaries pins the exact length contracts of every
 // streaming payload: one byte short and one byte long must both be
 // rejected wherever the format is fixed-size, and the minimum-length forms
-// of the variable-size payloads must parse.
+// of the variable-size payloads must parse. A carry byte behind a zero seam
+// is the one-byte-long case of the seam-carrying payloads.
 func TestStreamPayloadBoundaries(t *testing.T) {
 	open := StreamOpen{WindowRounds: 1}.AppendTo(nil)
-	if len(open) != 12 {
-		t.Fatalf("stream-open serialises to %d bytes, want 12", len(open))
+	if len(open) != 30 {
+		t.Fatalf("carryless stream-open serialises to %d bytes, want 30", len(open))
 	}
 	if _, err := ParseStreamOpen(open); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseStreamOpen(open[:11]); err == nil {
+	if _, err := ParseStreamOpen(open[:29]); err == nil {
 		t.Fatal("truncated stream-open accepted")
 	}
 	if _, err := ParseStreamOpen(append(open, 0)); err == nil {
-		t.Fatal("oversize stream-open accepted")
+		t.Fatal("carry bytes with a zero seam accepted")
 	}
 
 	ack := StreamOpenAck{Status: StatusOK, RowBits: 4}.AppendTo(nil)
-	if len(ack) != 15 {
-		t.Fatalf("messageless stream-open-ack serialises to %d bytes, want 15", len(ack))
+	if len(ack) != 27 {
+		t.Fatalf("messageless stream-open-ack serialises to %d bytes, want 27", len(ack))
 	}
-	if _, err := ParseStreamOpenAck(ack[:14]); err == nil {
+	if _, err := ParseStreamOpenAck(ack[:26]); err == nil {
 		t.Fatal("truncated stream-open-ack accepted")
 	}
 	if a, err := ParseStreamOpenAck(append(ack, "why"...)); err != nil || a.Message != "why" {
@@ -123,14 +160,17 @@ func TestStreamPayloadBoundaries(t *testing.T) {
 	}
 
 	corr := StreamCorrections{RowCount: 1}.AppendTo(nil)
-	if len(corr) != 43 {
-		t.Fatalf("stream-corrections serialises to %d bytes, want 43", len(corr))
+	if len(corr) != 53 {
+		t.Fatalf("carryless stream-corrections serialises to %d bytes, want 53", len(corr))
 	}
-	if _, err := ParseStreamCorrections(corr[:42]); err == nil {
+	if _, err := ParseStreamCorrections(corr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseStreamCorrections(corr[:52]); err == nil {
 		t.Fatal("truncated stream-corrections accepted")
 	}
 	if _, err := ParseStreamCorrections(append(corr, 0)); err == nil {
-		t.Fatal("oversize stream-corrections accepted")
+		t.Fatal("carry bytes with a zero seam accepted")
 	}
 
 	closed := StreamClosed{Windows: 1}.AppendTo(nil)

@@ -109,64 +109,55 @@ func FuzzCheckedFrame(f *testing.F) {
 	})
 }
 
-// FuzzHelloAckExt drives the extended hello-ack parser (and its legacy
-// prefix view) over arbitrary bytes: parse must error or produce an ack
-// that re-serialises to a parseable form, never panic.
-func FuzzHelloAckExt(f *testing.F) {
+// FuzzHelloAck drives the hello-ack parser over arbitrary bytes: parse
+// must error or produce an ack that re-serialises to a form that parses
+// back to the same ack, never panic.
+func FuzzHelloAck(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(make([]byte, 23))
+	f.Add(make([]byte, 24))
 	f.Add(HelloAck{Version: ProtocolVersion, Status: StatusOK, NumDetectors: 24,
 		Codec: compress.IDRice, RiceK: 4, QueueDepth: 64,
-		Features: FeatureChecksum | FeatureProbe, Fingerprint: ^uint64(0), Message: "m"}.AppendToExt(nil))
+		Features: FeatureChecksum | FeatureProbe, Fingerprint: ^uint64(0),
+		FingerprintSet: []uint64{^uint64(0)}, Message: "m"}.AppendTo(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ack, err := ParseHelloAckExt(data)
+		ack, err := ParseHelloAck(data)
 		if err != nil {
 			return
 		}
-		back, err := ParseHelloAckExt(ack.AppendToExt(nil))
+		back, err := ParseHelloAck(ack.AppendTo(nil))
 		if err != nil || !back.equal(ack) {
-			t.Fatalf("extended ack round trip diverged: %+v vs %+v (%v)", back, ack, err)
-		}
-		// The legacy view of the same bytes must parse and agree on the
-		// fixed header — old clients read extended acks this way.
-		legacy, err := ParseHelloAck(data)
-		if err != nil || legacy.Status != ack.Status || legacy.Codec != ack.Codec {
-			t.Fatalf("legacy view diverged: %+v vs %+v (%v)", legacy, ack, err)
+			t.Fatalf("hello-ack round trip diverged: %+v vs %+v (%v)", back, ack, err)
 		}
 	})
 }
 
-// FuzzHelloFingerprintSet targets the rotation extension of the extended
-// ack: the variable-length fingerprint set appended when FeatureRotation
-// is accepted. Hostile counts (claiming more digests than the payload
+// FuzzHelloFingerprintSet targets the hello-ack's variable-length
+// fingerprint set. Hostile counts (claiming more digests than the payload
 // holds), sets whose lead disagrees with the header fingerprint, and
 // truncation anywhere inside the set must surface as errors — and every
 // accepted parse must uphold the set invariants and survive a re-encode.
 func FuzzHelloFingerprintSet(f *testing.F) {
 	base := HelloAck{Version: ProtocolVersion, Status: StatusOK, NumDetectors: 24,
 		Codec: compress.IDRice, RiceK: 4, QueueDepth: 64,
-		Features: FeatureRotation, Fingerprint: 0xA1B2C3D4E5F60718, Message: "m"}
+		Features: FeatureStream, Fingerprint: 0xA1B2C3D4E5F60718, Message: "m"}
 	empty := base
 	empty.FingerprintSet = nil
-	f.Add(empty.AppendToExt(nil))
+	f.Add(empty.AppendTo(nil))
 	one := base
 	one.FingerprintSet = []uint64{base.Fingerprint}
-	f.Add(one.AppendToExt(nil))
+	f.Add(one.AppendTo(nil))
 	draining := base
 	draining.FingerprintSet = []uint64{base.Fingerprint, 0x1111111111111111, 0x2222222222222222}
-	good := draining.AppendToExt(nil)
+	good := draining.AppendTo(nil)
 	f.Add(good)
 	f.Add(good[:len(good)-4]) // truncated mid-digest
 	bad := draining
 	bad.FingerprintSet = []uint64{0xDEAD, base.Fingerprint} // lead disagrees with header
-	f.Add(bad.AppendToExt(nil))
+	f.Add(bad.AppendTo(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ack, err := ParseHelloAckExt(data)
+		ack, err := ParseHelloAck(data)
 		if err != nil {
 			return
-		}
-		if ack.Features&FeatureRotation == 0 && ack.FingerprintSet != nil {
-			t.Fatalf("fingerprint set parsed without the rotation feature: %+v", ack)
 		}
 		if len(ack.FingerprintSet) > 255 {
 			t.Fatalf("parsed fingerprint set has %d entries, wire count is one byte", len(ack.FingerprintSet))
@@ -174,9 +165,9 @@ func FuzzHelloFingerprintSet(f *testing.F) {
 		if len(ack.FingerprintSet) > 0 && ack.FingerprintSet[0] != ack.Fingerprint {
 			t.Fatalf("accepted a set leading %016x under header %016x", ack.FingerprintSet[0], ack.Fingerprint)
 		}
-		back, err := ParseHelloAckExt(ack.AppendToExt(nil))
+		back, err := ParseHelloAck(ack.AppendTo(nil))
 		if err != nil || !back.equal(ack) {
-			t.Fatalf("rotation ack round trip diverged: %+v vs %+v (%v)", back, ack, err)
+			t.Fatalf("fingerprint-set ack round trip diverged: %+v vs %+v (%v)", back, ack, err)
 		}
 	})
 }

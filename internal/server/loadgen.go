@@ -250,13 +250,10 @@ type LoadRun struct {
 	pacer loadPacer
 	rep   LoadReport
 	// gens maps a generation fingerprint to its local reference decoder,
-	// the run's VerifyDecoder (nil without Verify); baseFP is the
-	// generation assumed for answers that carry no fingerprint (legacy
-	// daemons can only be serving the base tables). Decoder instances carry
+	// the run's VerifyDecoder (nil without Verify). Decoder instances carry
 	// scratch state, so they are only ever called from LoadRun.Finish, on
 	// the caller's goroutine.
 	gens    map[uint64]decoder.Decoder
-	baseFP  uint64
 	answers []loadAnswer
 }
 
@@ -280,7 +277,6 @@ func NewLoadRun(cfg LoadConfig, env *montecarlo.Env, rotated ...*montecarlo.Env)
 		Env:       env,
 		Syndromes: sampleLoadSyndromes(env, cfg.Seed, cfg.Shots),
 		gens:      make(map[uint64]decoder.Decoder, 1+len(rotated)),
-		baseFP:    uint64(decodegraph.FingerprintOf(env.Model, env.GWT)),
 	}
 	r.rep.Offered = cfg.Shots
 	var factory montecarlo.Factory
@@ -299,7 +295,7 @@ func NewLoadRun(cfg LoadConfig, env *montecarlo.Env, rotated ...*montecarlo.Env)
 		}
 		r.gens[uint64(decodegraph.FingerprintOf(genv.Model, genv.GWT))] = local
 	}
-	if base := r.gens[r.baseFP]; base != nil {
+	if base := r.gens[uint64(decodegraph.FingerprintOf(env.Model, env.GWT))]; base != nil {
 		r.rep.VerifyEngine = decoder.EngineOf(base)
 	}
 	return r, nil
@@ -337,11 +333,7 @@ func (r *LoadRun) Record(seq int, resp Response, rttNs float64) {
 	if resp.DeadlineMiss {
 		rep.DeadlineMisses++
 	}
-	fp := r.baseFP
-	if resp.HaveFingerprint {
-		fp = resp.Fingerprint
-	}
-	local, known := r.gens[fp]
+	local, known := r.gens[resp.Fingerprint]
 	switch {
 	case !known:
 		rep.OtherGeneration++
@@ -389,16 +381,16 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		close(stop)
 		sendWG.Wait()
 	}()
-	// Offer FeatureRotation so every answer carries the fingerprint of the
-	// tables that produced it: a daemon hot-swapped to a new artifact
-	// generation mid-run stays distinguishable from a wrong answer.
+	// Every answer carries the fingerprint of the tables that produced it,
+	// so a daemon hot-swapped to a new artifact generation mid-run stays
+	// distinguishable from a wrong answer.
 	nc, err := net.DialTimeout("tcp", cfg.Addr, DefaultHandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	conn := &ioCounter{Conn: nc}
 	defer conn.Close()
-	client, err := NewClientOptions(conn, cfg.Distance, cfg.Codec, ClientOptions{Features: FeatureRotation})
+	client, err := NewClient(conn, cfg.Distance, cfg.Codec)
 	if err != nil {
 		return nil, err
 	}

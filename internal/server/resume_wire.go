@@ -3,152 +3,20 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
-// Resume-frame payloads (FeatureStreamResume). On a connection that
-// negotiated the resume bit, the streaming session handshake frames use
-// the extended forms below (the HelloAck/HelloAckExt pattern): the legacy
-// layout rides in front byte for byte, resume fields follow, and any
-// variable tail (seam words, message) stays last. Legacy peers never see
-// an extended payload, so the v2 stream wire is unchanged for them.
+// Resume-frame payloads (FeatureStreamResume): the reattach exchange a
+// client runs on a new connection to pick up a parked session. Like every
+// v3 frame they have one layout each; the session token and the per-commit
+// ack watermark and seam they rely on travel in the stream-open-ack and
+// stream-corrections payloads (stream_wire.go) whatever was negotiated.
 
-// maxStreamSeamRows bounds the carried-seam height a peer may claim in an
-// extended stream-open or stream-corrections payload, mirroring
+// maxStreamSeamRows bounds the carried-seam height a peer may claim in a
+// stream-open or stream-corrections payload, mirroring
 // maxStreamRowsPerFrame: a hostile seam count must fail before any
 // allocation. The session layer re-validates against the session's actual
 // seam geometry (PadRounds × row words).
 const maxStreamSeamRows = 4096
-
-// StreamOpenExt is the resume-mode stream-open: the legacy request plus
-// the watermark state needed to re-open a stream mid-way (a cold resume
-// after the server lost the session). A fresh stream leaves the resume
-// fields zero. StartRow is the absolute round index the replayed stream
-// starts at (the client's commit watermark), NextSeq the window sequence
-// the first cut must carry, and CarrySeam/Carry the resolved seam of the
-// predecessor's trailing forced commit (StreamCorrectionsExt.Carry),
-// CarrySeam rows of row-words serialised little-endian.
-type StreamOpenExt struct {
-	StreamOpen
-	StartRow  uint64
-	NextSeq   uint64
-	CarrySeam uint16
-	Carry     []byte
-}
-
-// AppendTo serialises the extended stream-open payload.
-func (o StreamOpenExt) AppendTo(dst []byte) []byte {
-	dst = o.StreamOpen.AppendTo(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, o.StartRow)
-	dst = binary.LittleEndian.AppendUint64(dst, o.NextSeq)
-	dst = binary.LittleEndian.AppendUint16(dst, o.CarrySeam)
-	return append(dst, o.Carry...)
-}
-
-// ParseStreamOpenExt deserialises an extended stream-open payload. The
-// carry bytes are aliased, not copied.
-func ParseStreamOpenExt(b []byte) (StreamOpenExt, error) {
-	if len(b) < 30 {
-		return StreamOpenExt{}, fmt.Errorf("server: extended stream-open payload is %d bytes, want ≥ 30", len(b))
-	}
-	open, err := ParseStreamOpen(b[:12])
-	if err != nil {
-		return StreamOpenExt{}, err
-	}
-	o := StreamOpenExt{
-		StreamOpen: open,
-		StartRow:   binary.LittleEndian.Uint64(b[12:20]),
-		NextSeq:    binary.LittleEndian.Uint64(b[20:28]),
-		CarrySeam:  binary.LittleEndian.Uint16(b[28:30]),
-		Carry:      b[30:],
-	}
-	if err := checkSeam(o.CarrySeam, o.Carry, "stream-open"); err != nil {
-		return StreamOpenExt{}, err
-	}
-	return o, nil
-}
-
-// StreamOpenAckExt is the resume-mode stream-open-ack: the legacy resolved
-// parameters plus the server-issued session token and the park TTL the
-// token stays resumable for after a disconnect.
-type StreamOpenAckExt struct {
-	StreamOpenAck
-	SessionToken uint64
-	ResumeTTLMs  uint32
-}
-
-// AppendTo serialises the extended stream-open-ack payload.
-func (a StreamOpenAckExt) AppendTo(dst []byte) []byte {
-	fixed := a.StreamOpenAck
-	msg := fixed.Message
-	fixed.Message = ""
-	dst = fixed.AppendTo(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, a.SessionToken)
-	dst = binary.LittleEndian.AppendUint32(dst, a.ResumeTTLMs)
-	return append(dst, msg...)
-}
-
-// ParseStreamOpenAckExt deserialises an extended stream-open-ack payload.
-func ParseStreamOpenAckExt(b []byte) (StreamOpenAckExt, error) {
-	if len(b) < 27 {
-		return StreamOpenAckExt{}, fmt.Errorf("server: extended stream-open-ack payload is %d bytes, want ≥ 27", len(b))
-	}
-	ack, err := ParseStreamOpenAck(b[:15])
-	if err != nil {
-		return StreamOpenAckExt{}, err
-	}
-	a := StreamOpenAckExt{
-		StreamOpenAck: ack,
-		SessionToken:  binary.LittleEndian.Uint64(b[15:23]),
-		ResumeTTLMs:   binary.LittleEndian.Uint32(b[23:27]),
-	}
-	a.Message = string(b[27:])
-	return a, nil
-}
-
-// StreamCorrectionsExt is the resume-mode commit: the legacy commit plus
-// the ack watermark both sides agree on (AckRows — the server has received
-// every round below it, contiguously) and, for forced commits, the
-// resolved seam the committed matching left behind (CarrySeam rows of
-// row-words, little-endian). A client that later re-opens cold from this
-// commit's watermark must pass CarrySeam/Carry back in its extended
-// stream-open, which is what makes a mid-seam resume bit-identical.
-type StreamCorrectionsExt struct {
-	StreamCorrections
-	AckRows   uint64
-	CarrySeam uint16
-	Carry     []byte
-}
-
-// AppendTo serialises the extended stream-corrections payload.
-func (c StreamCorrectionsExt) AppendTo(dst []byte) []byte {
-	dst = c.StreamCorrections.AppendTo(slices.Grow(dst, 53+len(c.Carry)))
-	dst = binary.LittleEndian.AppendUint64(dst, c.AckRows)
-	dst = binary.LittleEndian.AppendUint16(dst, c.CarrySeam)
-	return append(dst, c.Carry...)
-}
-
-// ParseStreamCorrectionsExt deserialises an extended stream-corrections
-// payload. The carry bytes are aliased, not copied.
-func ParseStreamCorrectionsExt(b []byte) (StreamCorrectionsExt, error) {
-	if len(b) < 53 {
-		return StreamCorrectionsExt{}, fmt.Errorf("server: extended stream-corrections payload is %d bytes, want ≥ 53", len(b))
-	}
-	cm, err := ParseStreamCorrections(b[:43])
-	if err != nil {
-		return StreamCorrectionsExt{}, err
-	}
-	c := StreamCorrectionsExt{
-		StreamCorrections: cm,
-		AckRows:           binary.LittleEndian.Uint64(b[43:51]),
-		CarrySeam:         binary.LittleEndian.Uint16(b[51:53]),
-		Carry:             b[53:],
-	}
-	if err := checkSeam(c.CarrySeam, c.Carry, "stream-corrections"); err != nil {
-		return StreamCorrectionsExt{}, err
-	}
-	return c, nil
-}
 
 // StreamResume asks the server to reattach this connection to the parked
 // session Token. AckRow is the client's commit watermark (every round

@@ -21,10 +21,10 @@ import (
 //     resolved at admission (each holds a reference);
 //   - open streaming sessions stay pinned to the generation they opened
 //     on, so an old-generation stream finishes bit-identical to an
-//     uninterrupted run;
-//   - connections that did not negotiate FeatureRotation stay pinned to
-//     their handshake generation for their whole life, keeping their
-//     single advertised fingerprint truthful.
+//     uninterrupted run.
+//
+// A connection is not pinned: each request resolves the current
+// generation, and its result names that generation's fingerprint.
 //
 // When the last reference drops, the superseded generation retires — the
 // same drain discipline Close applies to the whole daemon, scoped to one
@@ -114,17 +114,11 @@ func (s *Server) Rotate(rot Rotation) (decodegraph.Fingerprint, error) {
 	return next.fp, nil
 }
 
-// acquirePool resolves the generation a new request decodes against and
-// takes a reference on it. Non-rotation-aware connections always use their
-// pinned handshake generation (whose conn-lifetime reference makes the
-// bare increment safe); rotation-aware connections resolve the slot's
-// current generation, re-checking after the increment so a concurrent
-// Rotate cannot retire the pool between the load and the acquire.
+// acquirePool resolves the generation a new request or stream session
+// decodes against — the slot's current one — and takes a reference on it,
+// re-checking after the increment so a concurrent Rotate cannot retire the
+// pool between the load and the acquire.
 func (s *Server) acquirePool(c *conn) *distPool {
-	if c.features&FeatureRotation == 0 {
-		c.pool.refs.Add(1)
-		return c.pool
-	}
 	for {
 		p := c.slot.cur.Load()
 		p.refs.Add(1)
@@ -169,9 +163,9 @@ func (s *Server) maybeRetireLocked(slot *distSlot, p *distPool) {
 	s.stats.generationsRetired.Add(1)
 }
 
-// liveFingerprints shapes the advertised fingerprint set for a
-// rotation-aware handshake: the lead pool's digest first, then every other
-// not-yet-retired generation of the slot.
+// liveFingerprints shapes a handshake's advertised fingerprint set: the
+// lead pool's digest first, then every other not-yet-retired generation of
+// the slot.
 func (s *Server) liveFingerprints(slot *distSlot, lead *distPool) []uint64 {
 	s.rotateMu.Lock()
 	defer s.rotateMu.Unlock()

@@ -27,8 +27,8 @@ const rotationDeadline = uint64(10 * time.Second)
 // carries the digest of the generation that produced it and is verified
 // against that exact generation's tables run locally; a streaming session
 // opened before the swap finishes bit-identical to a local pipeline on the
-// old tables; a legacy connection stays pinned to its handshake
-// generation; and once the last reference drains the old generation
+// old tables; a connection that offered no features follows the swap like
+// every other; and once the last reference drains the old generation
 // retires from the advertised fingerprint set.
 func TestRotateUnderLoad(t *testing.T) {
 	leakCheck(t)
@@ -92,31 +92,28 @@ func TestRotateUnderLoad(t *testing.T) {
 		}
 	}
 
-	// A legacy connection (no FeatureRotation) is pinned to its handshake
-	// generation for its whole life.
-	legacy, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
-		Extended:    true,
+	// A connection that offered no features, opened and used before the
+	// swap: every answer names the generation that produced it.
+	plain, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
 		CallTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pin := all[0][0]
-	resp, err := legacy.Decode(900000, rotationDeadline, pin.s)
+	resp, err := plain.Decode(900000, rotationDeadline, pin.s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.HaveFingerprint {
-		t.Fatal("legacy connection received an extended result frame")
-	}
-	if resp.ObsMask != pin.want[fp1] {
-		t.Fatalf("legacy pre-rotation answer %#x, want %#x", resp.ObsMask, pin.want[fp1])
+	if resp.Fingerprint != fp1 || resp.ObsMask != pin.want[fp1] {
+		t.Fatalf("featureless pre-rotation answer %#x from %016x, want %#x from %016x",
+			resp.ObsMask, resp.Fingerprint, pin.want[fp1], fp1)
 	}
 
 	// A streaming session opened before the swap; its first half is on the
 	// wire before any rotation, the rest follows after.
 	streamConn, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
-		Features:    FeatureStream | FeatureRotation,
+		Features:    FeatureStream,
 		CallTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -150,7 +147,6 @@ func TestRotateUnderLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
-				Features:    FeatureRotation,
 				CallTimeout: 30 * time.Second,
 			})
 			if err != nil {
@@ -169,10 +165,6 @@ func TestRotateUnderLoad(t *testing.T) {
 				}
 				if resp.Rejected || resp.Err != "" {
 					errs <- fmt.Errorf("worker %d request %d dropped across the swap: rejected=%v err=%q", w, i, resp.Rejected, resp.Err)
-					return
-				}
-				if !resp.HaveFingerprint {
-					errs <- fmt.Errorf("worker %d request %d: rotation stream answered without a generation digest", w, i)
 					return
 				}
 				want, ok := sh.want[resp.Fingerprint]
@@ -206,11 +198,9 @@ func TestRotateUnderLoad(t *testing.T) {
 		t.Fatalf("load did not straddle the swap: %d old-generation answers, %d new", sawOld.Load(), sawNew.Load())
 	}
 
-	// Mid-drain, a fresh rotation-aware handshake advertises both
-	// generations, newest first (the legacy conn and the open stream still
-	// hold the old one live).
+	// Mid-drain, a fresh handshake advertises both generations, newest
+	// first (the open stream still holds the old one live).
 	probe, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
-		Features:    FeatureRotation,
 		CallTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -223,14 +213,15 @@ func TestRotateUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The legacy connection keeps answering from its pinned generation
-	// after the swap — its single advertised fingerprint stays truthful.
-	resp, err = legacy.Decode(900001, rotationDeadline, pin.s)
+	// The featureless connection opened before the swap now answers from
+	// the new generation, and says so.
+	resp, err = plain.Decode(900001, rotationDeadline, pin.s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ObsMask != pin.want[fp1] {
-		t.Fatalf("legacy post-rotation answer %#x, want the pinned generation's %#x", resp.ObsMask, pin.want[fp1])
+	if resp.Fingerprint != fp2 || resp.ObsMask != pin.want[fp2] {
+		t.Fatalf("featureless post-rotation answer %#x from %016x, want %#x from the new generation %016x",
+			resp.ObsMask, resp.Fingerprint, pin.want[fp2], fp2)
 	}
 
 	// The old-generation stream finishes across the swap, bit-identical to
@@ -283,9 +274,9 @@ func TestRotateUnderLoad(t *testing.T) {
 		}
 	}
 
-	// Drop the last references; the superseded generation must retire and
+	// Drop the last reference; the superseded generation must retire and
 	// leave the advertised set.
-	if err := legacy.Close(); err != nil {
+	if err := plain.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := streamConn.Close(); err != nil {
@@ -347,7 +338,7 @@ func TestRetiredGenerationReleased(t *testing.T) {
 	runtime.SetFinalizer(srv.pools[3].cur.Load().env, func(*montecarlo.Env) { close(released) })
 
 	c, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{
-		Features:    FeatureStream | FeatureRotation,
+		Features:    FeatureStream,
 		CallTimeout: 30 * time.Second,
 	})
 	if err != nil {

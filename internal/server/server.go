@@ -183,13 +183,13 @@ func defaultDuration(d, def time.Duration) time.Duration {
 // one out for the duration of a decode; instances declaring
 // decoder.ConcurrencySafe could be shared, but pooling is uniformly correct
 // either way. Artifact rotation replaces a distance's current pool with a
-// new generation while requests, streams and legacy connections pinned to
-// the old one finish on it (see rotate.go).
+// new generation while the requests and streams holding the old one finish
+// on it (see rotate.go).
 type distPool struct {
 	env   *montecarlo.Env
 	riceK uint8
-	// fp is the decoding-configuration digest advertised in extended
-	// handshakes: a replica fleet refuses to mix answers from servers whose
+	// fp is the decoding-configuration digest advertised in handshakes and
+	// results: a replica fleet refuses to mix answers from servers whose
 	// fingerprints disagree.
 	fp decodegraph.Fingerprint
 
@@ -207,9 +207,8 @@ type distPool struct {
 	engine string
 
 	// refs counts the holders that keep a superseded generation alive: one
-	// per in-flight request, one per open streaming session pinned to the
-	// pool, one per legacy (non-rotation-aware) connection for its whole
-	// life. A retiring pool with zero refs is retired (rotate.go); the
+	// per in-flight request and one per open streaming session pinned to
+	// the pool. A retiring pool with zero refs is retired (rotate.go); the
 	// current generation never retires.
 	refs     atomic.Int64
 	retiring atomic.Bool
@@ -296,12 +295,9 @@ type request struct {
 	arrival    time.Time
 }
 
-// conn is one client stream's server-side state. pool is the generation
-// pinned at handshake time — the one whose Rice parameter the negotiated
-// codec uses, and the one every request on a non-rotation-aware connection
-// decodes against. slot is the distance's hot-swap indirection: connections
-// that negotiated FeatureRotation resolve slot's current generation per
-// request instead.
+// conn is one client stream's server-side state. slot is the handshake
+// distance's hot-swap indirection: every request resolves slot's current
+// generation when it is read.
 //
 // The socket is paid for per batch, not per frame. Inbound frames come
 // through br, so one read syscall delivers every frame the peer has
@@ -311,10 +307,8 @@ type request struct {
 // a read that could block), every other frame is flushed as it is appended.
 type conn struct {
 	net.Conn
-	stats   *stats
-	pool    *distPool
-	slot    *distSlot
-	codecID uint8
+	stats *stats
+	slot  *distSlot
 	// features is the negotiated feature-bit set (FeatureChecksum switches
 	// both directions to CRC32C-trailed frames; FeatureProbe enables
 	// Ping/Pong probe frames).
@@ -397,13 +391,7 @@ func (c *conn) queueResult(rf ResultFrame) {
 		return // the connection is closed; the client re-dials and retries
 	}
 	start := len(c.wbuf)
-	c.wbuf = beginFrame(c.wbuf, FrameResult)
-	if c.features&FeatureRotation != 0 {
-		c.wbuf = rf.AppendToExt(c.wbuf)
-	} else {
-		c.wbuf = rf.AppendTo(c.wbuf)
-	}
-	c.wbuf = endFrame(c.wbuf, start, c.checked())
+	c.wbuf = endFrame(rf.AppendTo(beginFrame(c.wbuf, FrameResult)), start, c.checked())
 	c.wframes++
 }
 
@@ -702,7 +690,7 @@ func (s *Server) Distances() []int {
 }
 
 // Fingerprints returns the current decoding-configuration digest per
-// served distance — what the extended handshake advertises and what every
+// served distance — what the handshake advertises and what every
 // replica of a fleet must agree on. After a rotation this is the new
 // generation's digest even while the old one drains.
 func (s *Server) Fingerprints() map[int]decodegraph.Fingerprint {
@@ -886,20 +874,9 @@ func (s *Server) serveConn(c *conn) {
 		//lint:allow errwrap deferred teardown; the read loop error that got us here is the one that matters
 		c.Close()
 	}()
-	if err := s.handshake(c); err != nil {
-		return
-	}
-	if c.features&FeatureRotation == 0 {
-		// A non-rotation-aware connection is pinned to its handshake
-		// generation for its whole life — its single advertised fingerprint
-		// must stay truthful — so it holds a reference that keeps the
-		// generation from retiring until the connection closes.
-		c.pool.refs.Add(1)
-		defer s.releasePool(c.pool)
-	}
-	codec, err := compress.ForID(c.codecID, uint(c.pool.riceK))
+	codec, err := s.handshake(c)
 	if err != nil {
-		return // unreachable: the handshake validated the ID
+		return
 	}
 	// fl holds the results decoded inline; whatever ends the loop, they
 	// still leave (this runs before the deferred close above).
@@ -1026,9 +1003,12 @@ func (s *Server) serveConn(c *conn) {
 	}
 }
 
-// handshake runs the Hello/HelloAck exchange and pins the stream to a
-// distance and codec.
-func (s *Server) handshake(c *conn) error {
+// handshake runs the Hello/HelloAck exchange, pins the stream to a
+// distance and returns its negotiated codec. The codec keeps the handshake
+// generation's Rice parameter for the connection's life; a rotation never
+// changes the syndrome width, so it stays valid for every later
+// generation.
+func (s *Server) handshake(c *conn) (compress.Codec, error) {
 	// One deadline covers the whole exchange (Hello read + ack write): a
 	// peer that connects and never speaks, or trickles the Hello, is
 	// dropped instead of pinning a connection slot forever.
@@ -1036,7 +1016,7 @@ func (s *Server) handshake(c *conn) error {
 		if err := c.Conn.SetDeadline(time.Now().Add(to)); err != nil {
 			// An unarmable deadline means the conn is already dead; without
 			// it a never-speaking peer would pin this slot forever.
-			return fmt.Errorf("server: arming handshake deadline: %w", err)
+			return nil, fmt.Errorf("server: arming handshake deadline: %w", err)
 		}
 		defer c.Conn.SetDeadline(time.Time{})
 	}
@@ -1045,26 +1025,24 @@ func (s *Server) handshake(c *conn) error {
 	// handshake deadline above stands in for the idle cutoff.
 	t, payload, err := c.readFrame(s.cfg.MaxFrameBytes, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	refuse := func(status uint8, msg string) error {
-		// Refusals use the legacy ack form, which both legacy and extended
-		// clients parse (the fixed header carries the status).
+	refuse := func(status uint8, msg string) (compress.Codec, error) {
 		//lint:allow errwrap best-effort refusal: the handshake error below is what serveConn acts on either way
 		c.writeFrame(FrameHelloAck, HelloAck{
 			Version: ProtocolVersion, Status: status, Message: msg,
 		}.AppendTo(nil))
-		return fmt.Errorf("server: handshake refused: %s", msg)
+		return nil, fmt.Errorf("server: handshake refused: %s", msg)
 	}
 	if t != FrameHello {
 		return refuse(StatusProtocolError, fmt.Sprintf("expected hello frame, got type %d", t))
 	}
 	h, err := ParseHello(payload)
-	if err != nil {
+	switch {
+	case errors.Is(err, errBadVersion):
+		return refuse(StatusBadVersion, err.Error())
+	case err != nil:
 		return refuse(StatusProtocolError, err.Error())
-	}
-	if h.Version != ProtocolVersion {
-		return refuse(StatusBadVersion, fmt.Sprintf("protocol version %d unsupported", h.Version))
 	}
 	slot, ok := s.pools[int(h.Distance)]
 	if !ok {
@@ -1072,39 +1050,31 @@ func (s *Server) handshake(c *conn) error {
 			fmt.Sprintf("distance %d not served (have %v)", h.Distance, s.Distances()))
 	}
 	pool := slot.cur.Load()
-	if _, err := compress.ForID(h.Codec, uint(pool.riceK)); err != nil {
+	codec, err := compress.ForID(h.Codec, uint(pool.riceK))
+	if err != nil {
 		return refuse(StatusUnknownCodec, err.Error())
 	}
-	c.pool = pool
 	c.slot = slot
-	c.codecID = h.Codec
+	// Accept the intersection of the offered and supported features and
+	// advertise every live generation's fingerprint, led by the current
+	// one. The negotiated framing (checksums) applies to every frame AFTER
+	// the ack, which itself still travels unchecked.
 	ack := HelloAck{
-		Version:      ProtocolVersion,
-		Status:       StatusOK,
-		NumDetectors: uint32(pool.env.Model.NumDetectors),
-		Codec:        h.Codec,
-		RiceK:        pool.riceK,
-		QueueDepth:   uint32(s.cfg.QueueDepth),
+		Version:        ProtocolVersion,
+		Status:         StatusOK,
+		NumDetectors:   uint32(pool.env.Model.NumDetectors),
+		Codec:          h.Codec,
+		RiceK:          pool.riceK,
+		QueueDepth:     uint32(s.cfg.QueueDepth),
+		Features:       h.Features & s.features,
+		Fingerprint:    uint64(pool.fp),
+		FingerprintSet: s.liveFingerprints(slot, pool),
 	}
-	if !h.Extended {
-		return c.writeFrame(FrameHelloAck, ack.AppendTo(nil))
-	}
-	// Extended handshake: accept the intersection of the offered and
-	// supported features and advertise this distance's configuration
-	// fingerprint. The negotiated framing (checksums) applies to every
-	// frame AFTER the ack, which itself still travels unchecked. A
-	// rotation-aware peer additionally gets the full live-generation
-	// fingerprint set, led by the one the ack's fingerprint field names.
-	ack.Features = h.Features & s.features
-	ack.Fingerprint = uint64(pool.fp)
-	if ack.Features&FeatureRotation != 0 {
-		ack.FingerprintSet = s.liveFingerprints(slot, pool)
-	}
-	if err := c.writeFrame(FrameHelloAck, ack.AppendToExt(nil)); err != nil {
-		return err
+	if err := c.writeFrame(FrameHelloAck, ack.AppendTo(nil)); err != nil {
+		return nil, err
 	}
 	c.features = ack.Features
-	return nil
+	return codec, nil
 }
 
 // worker drains the queue in batches: one blocking receive, then up to
@@ -1204,9 +1174,6 @@ func (s *Server) decodeOne(r *request, fl *flusher) {
 		WeightMilli: uint64(weight),
 		SojournNs:   uint64(sojournNs),
 		Flags:       flags,
-		// Rotation-aware peers get the extended result layout, whose
-		// trailing fingerprint names the generation that produced this
-		// answer — attributable even across a mid-connection hot-swap.
 		Fingerprint: uint64(r.pool.fp),
 	})
 	fl.queued(r.conn, done)

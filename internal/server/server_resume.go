@@ -202,11 +202,11 @@ func (s *Server) serveStreamResume(c *conn, codec compress.Codec, payload []byte
 	if sess == nil {
 		return refuse("unknown or expired stream session")
 	}
-	if sess.pool != c.pool && (c.features&FeatureRotation == 0 || sess.pool.dist != c.pool.dist) {
-		// A rotation-aware client may resume a session opened on a since-
-		// superseded generation — the session keeps decoding on its pinned
-		// pool, and the rotation contract guarantees the row width did not
-		// change. Anything else is a genuinely different operating point.
+	if s.pools[sess.pool.dist] != c.slot {
+		// A session opened on a since-superseded generation of this
+		// distance may be resumed — it keeps decoding on its pinned pool,
+		// and the rotation contract guarantees the row width did not
+		// change. Another distance is a different operating point.
 		return refuse("session belongs to a different operating point")
 	}
 
@@ -258,14 +258,9 @@ func (s *Server) serveStreamResume(c *conn, codec compress.Codec, payload []byte
 		sess.mu.Unlock()
 		return err // this conn is dead too; the session stays parked
 	}
-	for _, rc := range sess.retained[start:] {
-		pl := StreamCorrectionsExt{
-			StreamCorrections: rc.cm,
-			AckRows:           rows,
-			CarrySeam:         rc.seam,
-			Carry:             rc.carry,
-		}.AppendTo(nil)
-		if err := c.writeFrame(FrameStreamCorrections, pl); err != nil {
+	for _, cm := range sess.retained[start:] {
+		cm.AckRows = rows
+		if err := c.writeFrame(FrameStreamCorrections, cm.AppendTo(nil)); err != nil {
 			sess.mu.Unlock()
 			return err
 		}

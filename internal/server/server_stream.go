@@ -68,20 +68,11 @@ const (
 	sessionDone
 )
 
-// retainedCommit is one already-delivered commit kept for resume
-// redelivery, in wire shape (the carry already serialised).
-type retainedCommit struct {
-	cm    StreamCorrections
-	seam  uint16
-	carry []byte
-	size  int
-}
-
 // streamSession is one windowed streaming session. The attached
 // connection's read loop feeds the pipeline; the pump goroutine drains
-// commits to the ring and the attached connection. Legacy (non-resumable)
-// sessions use the same structure but die with their connection, exactly
-// as before the resume feature existed.
+// commits to the ring and the attached connection. Sessions on connections
+// without FeatureStreamResume use the same structure but keep no ring and
+// die with their connection.
 type streamSession struct {
 	token     uint64
 	resumable bool
@@ -113,11 +104,12 @@ type streamSession struct {
 	// died before the StreamClosed frame was delivered; a resumed
 	// connection drains the ring and then this summary.
 	summary *StreamClosed
-	// retained is the redelivery ring in write order. trimmed records that
+	// retained is the redelivery ring in write order, each commit in wire
+	// shape (the carry already serialised). trimmed records that
 	// old entries were dropped, in which case only ack watermarks still in
 	// the ring are warm-resumable. commitHigh is the round watermark after
 	// the newest retained commit (the session's StartRow before any).
-	retained      []retainedCommit
+	retained      []StreamCorrections
 	retainedBytes int
 	trimmed       bool
 	commitHigh    uint64
@@ -145,13 +137,16 @@ func (sess *streamSession) footprint() int {
 	return sess.baseBytes + sess.retainedBytes
 }
 
+// retainedSize estimates one retained commit's resident bytes.
+func retainedSize(cm StreamCorrections) int { return 53 + len(cm.Carry) }
+
 // retain appends one commit to the redelivery ring; callers hold sess.mu.
-func (sess *streamSession) retain(rc retainedCommit) {
-	sess.retained = append(sess.retained, rc)
-	sess.retainedBytes += rc.size
-	sess.commitHigh = rc.cm.FirstRow + uint64(rc.cm.RowCount)
+func (sess *streamSession) retain(cm StreamCorrections) {
+	sess.retained = append(sess.retained, cm)
+	sess.retainedBytes += retainedSize(cm)
+	sess.commitHigh = cm.FirstRow + uint64(cm.RowCount)
 	for len(sess.retained) > maxRetainedCommits {
-		sess.retainedBytes -= sess.retained[0].size
+		sess.retainedBytes -= retainedSize(sess.retained[0])
 		sess.retained = sess.retained[1:]
 		sess.trimmed = true
 	}
@@ -166,7 +161,7 @@ func (sess *streamSession) replayStart(ack uint64) (int, bool) {
 		return len(sess.retained), true
 	}
 	for i := range sess.retained {
-		if sess.retained[i].cm.FirstRow == ack {
+		if sess.retained[i].FirstRow == ack {
 			return i, true
 		}
 	}
@@ -230,19 +225,7 @@ func (s *Server) serveStream(c *conn, codec compress.Codec, payload []byte) erro
 		return fmt.Errorf("server: stream-open on a connection that did not negotiate FeatureStream")
 	}
 	resumable := c.features&FeatureStreamResume != 0
-
-	// A connection that negotiated the resume bit uses the extended frame
-	// forms in both directions, deterministically; legacy connections see
-	// the v2 wire byte for byte.
-	var req StreamOpen
-	var ext StreamOpenExt
-	var err error
-	if resumable {
-		ext, err = ParseStreamOpenExt(payload)
-		req = ext.StreamOpen
-	} else {
-		req, err = ParseStreamOpen(payload)
-	}
+	req, err := ParseStreamOpen(payload)
 	if err != nil {
 		return err
 	}
@@ -257,33 +240,28 @@ func (s *Server) serveStream(c *conn, codec compress.Codec, payload []byte) erro
 		// still healthy.
 		s.releasePool(pool)
 		s.stats.streamsRefused.Add(1)
-		ack := StreamOpenAck{Status: StatusInternalError, Message: msg}
-		pl := ack.AppendTo(nil)
-		if resumable {
-			pl = StreamOpenAckExt{StreamOpenAck: ack}.AppendTo(nil)
-		}
 		//lint:allow errwrap best-effort refusal; a failed write already closed the conn and the next read exits the loop
-		c.writeFrame(FrameStreamOpenAck, pl)
+		c.writeFrame(FrameStreamOpenAck, StreamOpenAck{Status: StatusInternalError, Message: msg}.AppendTo(nil))
 		return nil
 	}
 
 	cfg := resolveStreamConfig(pool.env, s.cfg.Decoder, req)
 	width := stream.RowWidth(pool.env)
 	rowWords := (width + 63) / 64
-	if resumable && (ext.StartRow > 0 || ext.NextSeq > 0 || ext.CarrySeam > 0) {
+	if req.StartRow > 0 || req.NextSeq > 0 || req.CarrySeam > 0 {
 		// Cold re-open: the client restarts a lost session from its commit
 		// watermark and will replay the uncommitted tail.
-		if len(ext.Carry) != int(ext.CarrySeam)*rowWords*8 {
+		if len(req.Carry) != int(req.CarrySeam)*rowWords*8 {
 			return refuse(fmt.Sprintf("resumed carry is %d bytes, want %d (%d rows × %d words)",
-				len(ext.Carry), int(ext.CarrySeam)*rowWords*8, ext.CarrySeam, rowWords))
+				len(req.Carry), int(req.CarrySeam)*rowWords*8, req.CarrySeam, rowWords))
 		}
-		cfg.StartRow = ext.StartRow
-		cfg.StartSeq = ext.NextSeq
-		cfg.CarrySeam = int(ext.CarrySeam)
-		if n := int(ext.CarrySeam) * rowWords; n > 0 {
+		cfg.StartRow = req.StartRow
+		cfg.StartSeq = req.NextSeq
+		cfg.CarrySeam = int(req.CarrySeam)
+		if n := int(req.CarrySeam) * rowWords; n > 0 {
 			words := make([]uint64, n)
 			for i := range words {
-				words[i] = binary.LittleEndian.Uint64(ext.Carry[i*8:])
+				words[i] = binary.LittleEndian.Uint64(req.Carry[i*8:])
 			}
 			cfg.Carry = words
 		}
@@ -324,15 +302,11 @@ func (s *Server) serveStream(c *conn, codec compress.Codec, payload []byte) erro
 		MaxInflight:  uint16(cfg.MaxInflight),
 		RowBits:      uint16(width),
 	}
-	ackPayload := ack.AppendTo(nil)
 	if resumable {
 		sess.token = s.newStreamToken()
 		s.registerSession(sess)
-		ackPayload = StreamOpenAckExt{
-			StreamOpenAck: ack,
-			SessionToken:  sess.token,
-			ResumeTTLMs:   uint32(s.cfg.StreamResumeTTL / time.Millisecond),
-		}.AppendTo(nil)
+		ack.SessionToken = sess.token
+		ack.ResumeTTLMs = uint32(s.cfg.StreamResumeTTL / time.Millisecond)
 	}
 
 	// The pump starts before the ack write so every teardown path can wait
@@ -341,7 +315,7 @@ func (s *Server) serveStream(c *conn, codec compress.Codec, payload []byte) erro
 	s.streamWG.Add(1)
 	go s.pumpStream(sess)
 
-	if err := c.writeFrame(FrameStreamOpenAck, ackPayload); err != nil {
+	if err := c.writeFrame(FrameStreamOpenAck, ack.AppendTo(nil)); err != nil {
 		return s.abortStream(sess, err)
 	}
 	return s.runStream(c, codec, sess)
@@ -360,8 +334,8 @@ func (s *Server) pumpStream(sess *streamSession) {
 
 // deliver retains and writes one commit. A write failure detaches the
 // connection (the read loop observes the closed conn and parks or aborts
-// the session); legacy sessions also abort the pipeline immediately, as
-// the pre-resume protocol did.
+// the session); a session that cannot be resumed also aborts its pipeline
+// at once.
 func (sess *streamSession) deliver(cm stream.Commit) {
 	var flags uint8
 	if cm.DeadlineMiss {
@@ -382,41 +356,31 @@ func (sess *streamSession) deliver(cm stream.Commit) {
 		SojournNs:   uint64(cm.SojournNs),
 		Flags:       flags,
 	}
-	var seam uint16
-	var carry []byte
 	if cm.Forced {
-		seam = uint16(cm.CarryRows)
-		carry = make([]byte, len(cm.Carry)*8)
+		f.CarrySeam = uint16(cm.CarryRows)
+		f.Carry = make([]byte, len(cm.Carry)*8)
 		for i, w := range cm.Carry {
-			binary.LittleEndian.PutUint64(carry[i*8:], w)
+			binary.LittleEndian.PutUint64(f.Carry[i*8:], w)
 		}
 	}
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.resumable {
-		sess.retain(retainedCommit{cm: f, seam: seam, carry: carry, size: 53 + len(carry)})
+		sess.retain(f)
 	}
 	c := sess.attached
 	if c == nil || sess.writeErr != nil {
 		return
 	}
-	payload := f.AppendTo(nil)
-	if sess.resumable {
-		payload = StreamCorrectionsExt{
-			StreamCorrections: f,
-			AckRows:           sess.rowsReceived.Load(),
-			CarrySeam:         seam,
-			Carry:             carry,
-		}.AppendTo(nil)
-	}
-	if err := c.writeFrame(FrameStreamCorrections, payload); err != nil {
+	f.AckRows = sess.rowsReceived.Load()
+	if err := c.writeFrame(FrameStreamCorrections, f.AppendTo(nil)); err != nil {
 		// writeFrame already closed the conn; the read loop observes the
-		// death and parks (resumable) or aborts (legacy) the session.
+		// death and parks (resumable) or aborts the session.
 		sess.writeErr = err
 		sess.attached = nil
 		if !sess.resumable {
-			// Legacy sessions cannot be resumed: stop decoding now so the
+			// The session cannot be resumed: stop decoding now so the
 			// remaining commits drain and the pump can exit.
 			sess.p.Abort()
 		}
@@ -541,7 +505,7 @@ func buildStreamSummary(st stream.Stats) StreamClosed {
 }
 
 // suspendStream handles a connection loss: resumable sessions park in the
-// resume cache awaiting a StreamResume; legacy sessions abort.
+// resume cache awaiting a StreamResume; the others abort.
 func (s *Server) suspendStream(sess *streamSession, err error) error {
 	if sess.resumable && s.parkStream(sess) {
 		return err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,6 +277,42 @@ func TestHandshakeRefusals(t *testing.T) {
 	ack, err = ParseHelloAck(payload)
 	if err != nil || ack.Status != StatusProtocolError {
 		t.Fatalf("expected protocol-error refusal, got %+v (%v)", ack, err)
+	}
+}
+
+// TestV2HelloRefusedByVersion: a v2 peer's Hello, in either of its 8- and
+// 12-byte forms, is refused with StatusBadVersion and a message naming both
+// versions — not with StatusProtocolError, although v3 frames no 8-byte
+// Hello. The status sits where v2's ack header put it, so a v2 client reads
+// the refusal's status too.
+func TestV2HelloRefusedByVersion(t *testing.T) {
+	leakCheck(t)
+	srv := startServer(t, Config{
+		Distances: []int{3},
+		P:         1e-3,
+		Envs:      map[int]*montecarlo.Env{3: testEnv(t, 3)},
+	})
+	v2 := Hello{Version: 2, Distance: 3, Codec: compress.IDSparse, Features: FeatureChecksum}.AppendTo(nil)
+	for _, hello := range [][]byte{v2[:8], v2} {
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(nc, FrameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := ReadFrame(nc, 0)
+		nc.Close()
+		if err != nil || ft != FrameHelloAck {
+			t.Fatalf("%d-byte v2 hello: expected hello-ack, got %d (%v)", len(hello), ft, err)
+		}
+		ack, err := ParseHelloAck(payload)
+		if err != nil || ack.Status != StatusBadVersion || payload[1] != StatusBadVersion {
+			t.Fatalf("%d-byte v2 hello: got %+v (%v), want a bad-version refusal", len(hello), ack, err)
+		}
+		if !strings.Contains(ack.Message, "v2") || !strings.Contains(ack.Message, "v3") {
+			t.Fatalf("%d-byte v2 hello: refusal message %q does not name both versions", len(hello), ack.Message)
+		}
 	}
 }
 

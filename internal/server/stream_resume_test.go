@@ -371,7 +371,7 @@ func TestStreamResumeFailover(t *testing.T) {
 // (protocol violation); an unknown token is refused with
 // StatusUnknownSession while the connection stays usable; and a server
 // with the resume cache disabled never advertises the feature bit, so
-// legacy-shaped streaming still works end to end.
+// non-resumable streaming (token 0) still works end to end.
 func TestStreamResumeRefusals(t *testing.T) {
 	leakCheck(t)
 	env := testEnv(t, 3)
@@ -426,7 +426,7 @@ func TestStreamResumeRefusals(t *testing.T) {
 	}
 
 	// Resume disabled: the feature bit is never granted, and a client
-	// offering it still streams in the legacy shape.
+	// offering it still streams, without a session token.
 	off := startServer(t, Config{
 		Distances:       []int{3},
 		P:               1e-3,
@@ -446,7 +446,7 @@ func TestStreamResumeRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st2.SessionToken() != 0 {
-		t.Fatal("legacy-shaped stream carries a session token")
+		t.Fatal("non-resumable stream carries a session token")
 	}
 	if err := st2.CloseSend(); err != nil {
 		t.Fatal(err)

@@ -288,8 +288,8 @@ func TestEveryDecoderNameOpensAStream(t *testing.T) {
 
 // TestStreamRequiresFeature checks both refusal sides: a client that did
 // not negotiate FeatureStream refuses OpenStream locally, and a server
-// receiving a stream-open on a legacy connection closes it as a protocol
-// violation instead of guessing at unparseable frames.
+// receiving a stream-open on a connection without the bit closes it as a
+// protocol violation.
 func TestStreamRequiresFeature(t *testing.T) {
 	leakCheck(t)
 	env := testEnv(t, 3)
@@ -299,22 +299,22 @@ func TestStreamRequiresFeature(t *testing.T) {
 		Envs:      map[int]*montecarlo.Env{3: env},
 	})
 
-	legacy, err := Dial(srv.Addr().String(), 3, compress.IDSparse)
+	plain, err := Dial(srv.Addr().String(), 3, compress.IDSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if _, err := legacy.OpenStream(StreamOptions{}); err == nil || !strings.Contains(err.Error(), "negotiate") {
+	defer plain.Close()
+	if _, err := plain.OpenStream(StreamOptions{}); err == nil || !strings.Contains(err.Error(), "negotiate") {
 		t.Fatalf("OpenStream without FeatureStream: %v", err)
 	}
 
-	// Raw stream-open on the legacy connection: the server must drop the
+	// Raw stream-open on that connection: the server must drop the
 	// connection (contiguous streaming cannot be error-framed per request).
-	if err := WriteFrame(legacy.conn, FrameStreamOpen, StreamOpen{}.AppendTo(nil)); err != nil {
+	if err := WriteFrame(plain.conn, FrameStreamOpen, StreamOpen{}.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if ft, _, err := ReadFrame(legacy.conn, 0); err == nil {
-		t.Fatalf("legacy connection survived a stream-open (got frame type %d)", ft)
+	if ft, _, err := ReadFrame(plain.conn, 0); err == nil {
+		t.Fatalf("featureless connection survived a stream-open (got frame type %d)", ft)
 	}
 }
 

@@ -18,9 +18,16 @@ import (
 const maxStreamRowsPerFrame = 4096
 
 // StreamOpen asks the server to switch the connection into a windowed
-// streaming session on the handshake's pinned distance. All parameters are
-// requests; zero means "server default". The server replies with a
-// StreamOpenAck carrying the resolved values.
+// streaming session on the handshake's pinned distance. All window
+// parameters are requests; zero means "server default". The server replies
+// with a StreamOpenAck carrying the resolved values.
+//
+// A fresh stream leaves the re-open fields zero. A cold re-open — the
+// client restarts a lost session from its commit watermark — sets StartRow
+// to the absolute round the replayed stream starts at, NextSeq to the
+// window sequence the first cut must carry, and CarrySeam/Carry to the
+// resolved seam of the predecessor's trailing forced commit
+// (StreamCorrections.Carry): CarrySeam rows of row words, little-endian.
 type StreamOpen struct {
 	// WindowRounds caps a window's committed height in rounds before the
 	// planner forces a cut (clamped server-side).
@@ -35,6 +42,11 @@ type StreamOpen struct {
 	RowBudgetNs uint32
 	// MaxInflight bounds concurrently decoding windows for this session.
 	MaxInflight uint16
+
+	StartRow  uint64
+	NextSeq   uint64
+	CarrySeam uint16
+	Carry     []byte
 }
 
 // AppendTo serialises the stream-open payload.
@@ -43,26 +55,42 @@ func (o StreamOpen) AppendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, o.GapRounds)
 	dst = binary.LittleEndian.AppendUint16(dst, o.PadRounds)
 	dst = binary.LittleEndian.AppendUint32(dst, o.RowBudgetNs)
-	return binary.LittleEndian.AppendUint16(dst, o.MaxInflight)
+	dst = binary.LittleEndian.AppendUint16(dst, o.MaxInflight)
+	dst = binary.LittleEndian.AppendUint64(dst, o.StartRow)
+	dst = binary.LittleEndian.AppendUint64(dst, o.NextSeq)
+	dst = binary.LittleEndian.AppendUint16(dst, o.CarrySeam)
+	return append(dst, o.Carry...)
 }
 
-// ParseStreamOpen deserialises a stream-open payload.
+// ParseStreamOpen deserialises a stream-open payload. The carry bytes are
+// aliased, not copied.
 func ParseStreamOpen(b []byte) (StreamOpen, error) {
-	if len(b) != 12 {
-		return StreamOpen{}, fmt.Errorf("server: stream-open payload is %d bytes, want 12", len(b))
+	if len(b) < 30 {
+		return StreamOpen{}, fmt.Errorf("server: stream-open payload is %d bytes, want ≥ 30", len(b))
 	}
-	return StreamOpen{
+	o := StreamOpen{
 		WindowRounds: binary.LittleEndian.Uint16(b[0:2]),
 		GapRounds:    binary.LittleEndian.Uint16(b[2:4]),
 		PadRounds:    binary.LittleEndian.Uint16(b[4:6]),
 		RowBudgetNs:  binary.LittleEndian.Uint32(b[6:10]),
 		MaxInflight:  binary.LittleEndian.Uint16(b[10:12]),
-	}, nil
+		StartRow:     binary.LittleEndian.Uint64(b[12:20]),
+		NextSeq:      binary.LittleEndian.Uint64(b[20:28]),
+		CarrySeam:    binary.LittleEndian.Uint16(b[28:30]),
+		Carry:        b[30:],
+	}
+	if err := checkSeam(o.CarrySeam, o.Carry, "stream-open"); err != nil {
+		return StreamOpen{}, err
+	}
+	return o, nil
 }
 
 // StreamOpenAck accepts (Status 0) or refuses a streaming session. On
 // acceptance the fixed fields echo the resolved window parameters the
-// session will actually run with.
+// session will actually run with. SessionToken and ResumeTTLMs name the
+// session for a later StreamResume and how long it stays parked after a
+// disconnect; both are zero unless the connection negotiated
+// FeatureStreamResume.
 type StreamOpenAck struct {
 	Status       uint8
 	WindowRounds uint16
@@ -72,8 +100,10 @@ type StreamOpenAck struct {
 	MaxInflight  uint16
 	// RowBits is the per-round detector count: every StreamRounds row must
 	// encode exactly this many bits with the stream's negotiated codec.
-	RowBits uint16
-	Message string
+	RowBits      uint16
+	SessionToken uint64
+	ResumeTTLMs  uint32
+	Message      string
 }
 
 // AppendTo serialises the stream-open-ack payload.
@@ -85,13 +115,15 @@ func (a StreamOpenAck) AppendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, a.RowBudgetNs)
 	dst = binary.LittleEndian.AppendUint16(dst, a.MaxInflight)
 	dst = binary.LittleEndian.AppendUint16(dst, a.RowBits)
+	dst = binary.LittleEndian.AppendUint64(dst, a.SessionToken)
+	dst = binary.LittleEndian.AppendUint32(dst, a.ResumeTTLMs)
 	return append(dst, a.Message...)
 }
 
 // ParseStreamOpenAck deserialises a stream-open-ack payload.
 func ParseStreamOpenAck(b []byte) (StreamOpenAck, error) {
-	if len(b) < 15 {
-		return StreamOpenAck{}, fmt.Errorf("server: stream-open-ack payload is %d bytes, want ≥ 15", len(b))
+	if len(b) < 27 {
+		return StreamOpenAck{}, fmt.Errorf("server: stream-open-ack payload is %d bytes, want ≥ 27", len(b))
 	}
 	return StreamOpenAck{
 		Status:       b[0],
@@ -101,7 +133,9 @@ func ParseStreamOpenAck(b []byte) (StreamOpenAck, error) {
 		RowBudgetNs:  binary.LittleEndian.Uint32(b[7:11]),
 		MaxInflight:  binary.LittleEndian.Uint16(b[11:13]),
 		RowBits:      binary.LittleEndian.Uint16(b[13:15]),
-		Message:      string(b[15:]),
+		SessionToken: binary.LittleEndian.Uint64(b[15:23]),
+		ResumeTTLMs:  binary.LittleEndian.Uint32(b[23:27]),
+		Message:      string(b[27:]),
 	}, nil
 }
 
@@ -150,6 +184,14 @@ func ParseStreamRounds(b []byte) (StreamRounds, error) {
 // mask and matching weight) for rounds [FirstRow, FirstRow+RowCount), plus
 // commit-latency accounting. Windows commit in round order, each round
 // exactly once.
+//
+// AckRows is the server's contiguous rows-received watermark when the
+// commit was written: every round below it has arrived, so the client may
+// release its replay buffer there. A forced commit also carries the
+// resolved seam its matching left behind (CarrySeam rows of row words,
+// little-endian); a client that later re-opens cold from this commit's
+// watermark passes CarrySeam/Carry back in its StreamOpen, which is what
+// makes a mid-seam re-open bit-identical.
 type StreamCorrections struct {
 	WindowSeq   uint64
 	FirstRow    uint64
@@ -162,27 +204,34 @@ type StreamCorrections struct {
 	// cut was forced rather than placed in a quiet gap, FlagDegraded when
 	// the window was answered by the MWPM fallback after its decoder
 	// skipped it.
-	Flags uint8
+	Flags     uint8
+	AckRows   uint64
+	CarrySeam uint16
+	Carry     []byte
 }
 
 // AppendTo serialises the stream-corrections payload.
 func (c StreamCorrections) AppendTo(dst []byte) []byte {
-	dst = slices.Grow(dst, 43)
+	dst = slices.Grow(dst, 53+len(c.Carry))
 	dst = binary.LittleEndian.AppendUint64(dst, c.WindowSeq)
 	dst = binary.LittleEndian.AppendUint64(dst, c.FirstRow)
 	dst = binary.LittleEndian.AppendUint16(dst, c.RowCount)
 	dst = binary.LittleEndian.AppendUint64(dst, c.ObsMask)
 	dst = binary.LittleEndian.AppendUint64(dst, c.WeightMilli)
 	dst = binary.LittleEndian.AppendUint64(dst, c.SojournNs)
-	return append(dst, c.Flags)
+	dst = append(dst, c.Flags)
+	dst = binary.LittleEndian.AppendUint64(dst, c.AckRows)
+	dst = binary.LittleEndian.AppendUint16(dst, c.CarrySeam)
+	return append(dst, c.Carry...)
 }
 
-// ParseStreamCorrections deserialises a stream-corrections payload.
+// ParseStreamCorrections deserialises a stream-corrections payload. The
+// carry bytes are aliased, not copied.
 func ParseStreamCorrections(b []byte) (StreamCorrections, error) {
-	if len(b) != 43 {
-		return StreamCorrections{}, fmt.Errorf("server: stream-corrections payload is %d bytes, want 43", len(b))
+	if len(b) < 53 {
+		return StreamCorrections{}, fmt.Errorf("server: stream-corrections payload is %d bytes, want ≥ 53", len(b))
 	}
-	return StreamCorrections{
+	c := StreamCorrections{
 		WindowSeq:   binary.LittleEndian.Uint64(b[:8]),
 		FirstRow:    binary.LittleEndian.Uint64(b[8:16]),
 		RowCount:    binary.LittleEndian.Uint16(b[16:18]),
@@ -190,7 +239,14 @@ func ParseStreamCorrections(b []byte) (StreamCorrections, error) {
 		WeightMilli: binary.LittleEndian.Uint64(b[26:34]),
 		SojournNs:   binary.LittleEndian.Uint64(b[34:42]),
 		Flags:       b[42],
-	}, nil
+		AckRows:     binary.LittleEndian.Uint64(b[43:51]),
+		CarrySeam:   binary.LittleEndian.Uint16(b[51:53]),
+		Carry:       b[53:],
+	}
+	if err := checkSeam(c.CarrySeam, c.Carry, "stream-corrections"); err != nil {
+		return StreamCorrections{}, err
+	}
+	return c, nil
 }
 
 // StreamClosed is the server's final summary after a clean StreamClose:

@@ -21,6 +21,11 @@
 // client sends Decode frames and receives exactly one Result, Reject or
 // Error frame per request, correlated by sequence number; responses may
 // arrive out of order across a batched queue.
+//
+// Version 3 gives every frame exactly one payload layout. Feature bits,
+// offered in the Hello and accepted in the HelloAck, select behaviour —
+// checksummed framing, which frames are allowed, whether a streaming
+// session is parked on disconnect — and never the shape of a payload.
 package server
 
 import (
@@ -34,10 +39,11 @@ import (
 
 // ProtocolVersion is the wire protocol version carried in the handshake.
 // Version 2 flipped every multi-byte field from big- to little-endian so
-// the wire matches the .astc artifact layer; a v1 peer's hello magic no
-// longer matches, so the mix is refused at the handshake rather than
-// misparsed.
-const ProtocolVersion = 2
+// the wire matches the .astc artifact layer (a v1 peer's hello magic no
+// longer matches). Version 3 dropped v2's per-connection choice between a
+// legacy and an extended payload layout: every frame has one layout, and a
+// v2 peer's Hello is refused with StatusBadVersion.
+const ProtocolVersion = 3
 
 // helloMagic guards against a non-astread peer; it spells "ASTR" when
 // read as a little-endian uint32 (the bytes "RTSA" on the wire).
@@ -96,10 +102,10 @@ const (
 	FrameStreamResumed FrameType = 16 // server → client: accept/refuse the reattach
 )
 
-// Wire feature bits, offered by the client in an extended Hello and echoed
-// back (intersected with what the server supports) in the extended
-// HelloAck. A legacy 8-byte Hello negotiates no features, so old peers are
-// unaffected.
+// Wire feature bits, offered by the client in the Hello and echoed back
+// (intersected with what the server supports) in the HelloAck. A bit
+// selects behaviour, never a payload layout: every frame parses the same
+// way whatever was negotiated.
 const (
 	// FeatureChecksum adds a CRC32C trailer to every post-handshake frame
 	// in both directions; a corrupt frame is rejected (StatusProtocolError)
@@ -110,33 +116,18 @@ const (
 	FeatureProbe uint32 = 1 << 1
 	// FeatureStream enables windowed streaming sessions (the FrameStream*
 	// frames): unbounded syndrome-round streams decoded in overlapping
-	// time windows and committed in round order. A v2 peer that did not
-	// negotiate the bit refuses stream frames cleanly as a protocol
-	// violation instead of misparsing them.
+	// time windows and committed in round order. A peer that did not
+	// negotiate the bit has stream frames refused as a protocol violation.
 	FeatureStream uint32 = 1 << 2
 	// FeatureStreamResume makes streaming sessions resumable: the server
-	// issues a session token (extended stream-open-ack), retains a parked
-	// session for a TTL after its connection dies, piggybacks a
-	// rows-received ack watermark on every commit, and accepts
-	// StreamResume/StreamResumed reattach exchanges. On a connection that
-	// negotiated the bit the stream-open, stream-open-ack and
-	// stream-corrections payloads use their extended forms; legacy peers
-	// keep the v2 layouts byte for byte.
+	// issues a session token in the stream-open-ack, retains a parked
+	// session for a TTL after its connection dies, and accepts
+	// StreamResume/StreamResumed reattach exchanges. Without it the token
+	// and TTL are zero and a session dies with its connection.
 	FeatureStreamResume uint32 = 1 << 3
-	// FeatureRotation makes the connection artifact-rotation aware: the
-	// extended HelloAck carries the full set of live decoding-configuration
-	// fingerprints (current generation first) instead of just one, new
-	// requests decode against the newest generation even when the pool is
-	// hot-swapped mid-connection, and every Result uses its 41-byte extended
-	// form whose trailing u64 names the fingerprint of the generation that
-	// produced the answer — so a client can verify each correction against
-	// the exact tables that computed it. A connection that did not negotiate
-	// the bit stays pinned to its handshake-time generation for its whole
-	// life, keeping the single advertised fingerprint truthful.
-	FeatureRotation uint32 = 1 << 4
 
 	// supportedFeatures is what this build negotiates.
-	supportedFeatures = FeatureChecksum | FeatureProbe | FeatureStream | FeatureStreamResume | FeatureRotation
+	supportedFeatures = FeatureChecksum | FeatureProbe | FeatureStream | FeatureStreamResume
 )
 
 // Result flag bits.
@@ -284,17 +275,12 @@ func ReadFrameChecked(r io.Reader, maxFrame int) (FrameType, []byte, error) {
 	return t, payload, err
 }
 
-// Hello is the client's stream-opening request. A legacy payload is 8
-// bytes; an extended payload appends a 4-byte feature-bit set and asks for
-// the extended HelloAck (which carries the server's configuration
-// fingerprint alongside the accepted features).
+// Hello is the client's stream-opening request: 12 bytes, ending with the
+// offered feature-bit set (Feature*).
 type Hello struct {
 	Version  uint8
 	Distance uint16
 	Codec    uint8 // compress.ID*
-	// Extended marks the 12-byte form; Features is the offered feature-bit
-	// set (Feature*). Offering any feature implies the extended form.
-	Extended bool
 	Features uint32
 }
 
@@ -304,31 +290,36 @@ func (h Hello) AppendTo(dst []byte) []byte {
 	dst = append(dst, h.Version)
 	dst = binary.LittleEndian.AppendUint16(dst, h.Distance)
 	dst = append(dst, h.Codec)
-	if h.Extended || h.Features != 0 {
-		dst = binary.LittleEndian.AppendUint32(dst, h.Features)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, h.Features)
 }
 
-// ParseHello deserialises a hello payload, legacy (8 bytes) or extended
-// (12 bytes with trailing feature bits).
+// errBadVersion reports a Hello whose protocol version this build does not
+// speak.
+var errBadVersion = errors.New("server: unsupported protocol version")
+
+// ParseHello deserialises a hello payload. The version byte is checked
+// before the length, so a peer of another version — whose Hello may be
+// shorter, as v2's legacy 8-byte form is — gets errBadVersion rather than
+// a malformed-payload error.
 func ParseHello(b []byte) (Hello, error) {
-	if len(b) != 8 && len(b) != 12 {
-		return Hello{}, fmt.Errorf("server: hello payload is %d bytes, want 8 or 12", len(b))
+	if len(b) < 5 {
+		return Hello{}, fmt.Errorf("server: hello payload is %d bytes, want 12", len(b))
 	}
 	if magic := binary.LittleEndian.Uint32(b[:4]); magic != helloMagic {
 		return Hello{}, fmt.Errorf("server: bad hello magic %#x", magic)
 	}
-	h := Hello{
+	if b[4] != ProtocolVersion {
+		return Hello{}, fmt.Errorf("%w: peer speaks v%d, this server v%d", errBadVersion, b[4], ProtocolVersion)
+	}
+	if len(b) != 12 {
+		return Hello{}, fmt.Errorf("server: hello payload is %d bytes, want 12", len(b))
+	}
+	return Hello{
 		Version:  b[4],
 		Distance: binary.LittleEndian.Uint16(b[5:7]),
 		Codec:    b[7],
-	}
-	if len(b) == 12 {
-		h.Extended = true
-		h.Features = binary.LittleEndian.Uint32(b[8:12])
-	}
-	return h, nil
+		Features: binary.LittleEndian.Uint32(b[8:12]),
+	}, nil
 }
 
 // HelloAck is the server's handshake reply. Status 0 accepts the stream;
@@ -341,19 +332,17 @@ type HelloAck struct {
 	Codec        uint8  // the accepted codec ID
 	RiceK        uint8  // Golomb–Rice parameter when Codec == IDRice
 	QueueDepth   uint32 // the server's queue bound (backpressure threshold)
-	// Features and Fingerprint travel only in the extended ack (sent in
-	// reply to an extended Hello): the accepted feature-bit set and the
-	// server's decoding-configuration digest for the pinned distance
+	// Features is the accepted feature-bit set. Fingerprint is the server's
+	// current decoding-configuration digest for the pinned distance
 	// (decodegraph.FingerprintOf over the DEM and quantised GWT), so a
 	// fleet client can refuse a replica serving a different noise model.
 	Features    uint32
 	Fingerprint uint64
-	// FingerprintSet travels only when the accepted features include
-	// FeatureRotation: every fingerprint the server currently answers with
+	// FingerprintSet is every fingerprint the server currently answers with
 	// for the pinned distance, newest generation first (so FingerprintSet[0]
 	// == Fingerprint). During a hot-swap drain both the new and the retiring
 	// generation appear; a fleet client in a staged rollout accepts any
-	// member of the set.
+	// member of the set. Refusals carry none.
 	FingerprintSet []uint64
 	Message        string
 }
@@ -389,110 +378,67 @@ const (
 // equal reports field-for-field equality (the fingerprint set makes the
 // struct non-comparable with ==).
 func (a HelloAck) equal(b HelloAck) bool {
-	if len(a.FingerprintSet) != len(b.FingerprintSet) {
-		return false
-	}
-	for i := range a.FingerprintSet {
-		if a.FingerprintSet[i] != b.FingerprintSet[i] {
-			return false
-		}
-	}
-	return a.Version == b.Version && a.Status == b.Status &&
+	return slices.Equal(a.FingerprintSet, b.FingerprintSet) &&
+		a.Version == b.Version && a.Status == b.Status &&
 		a.NumDetectors == b.NumDetectors && a.Codec == b.Codec &&
 		a.RiceK == b.RiceK && a.QueueDepth == b.QueueDepth &&
 		a.Features == b.Features && a.Fingerprint == b.Fingerprint &&
 		a.Message == b.Message
 }
 
-// AppendTo serialises the legacy hello-ack payload (no features or
-// fingerprint), the only form a legacy client can parse.
+// AppendTo serialises the hello-ack payload: the fixed header, accepted
+// features, the fingerprint, a u8-counted fingerprint set, then the
+// message tail.
 func (a HelloAck) AppendTo(dst []byte) []byte {
-	dst = append(dst, a.Version, a.Status)
-	dst = binary.LittleEndian.AppendUint32(dst, a.NumDetectors)
-	dst = append(dst, a.Codec, a.RiceK)
-	dst = binary.LittleEndian.AppendUint32(dst, a.QueueDepth)
-	return append(dst, a.Message...)
-}
-
-// AppendToExt serialises the extended hello-ack payload: the legacy fixed
-// header, then accepted features and the configuration fingerprint, then —
-// only when the accepted features include FeatureRotation — a u8-counted
-// list of all live fingerprints, then the message tail. Sent only in reply
-// to an extended Hello.
-func (a HelloAck) AppendToExt(dst []byte) []byte {
 	dst = append(dst, a.Version, a.Status)
 	dst = binary.LittleEndian.AppendUint32(dst, a.NumDetectors)
 	dst = append(dst, a.Codec, a.RiceK)
 	dst = binary.LittleEndian.AppendUint32(dst, a.QueueDepth)
 	dst = binary.LittleEndian.AppendUint32(dst, a.Features)
 	dst = binary.LittleEndian.AppendUint64(dst, a.Fingerprint)
-	if a.Features&FeatureRotation != 0 {
-		set := a.FingerprintSet
-		if len(set) > 255 {
-			set = set[:255] // u8 count; newest-first order keeps the live generation
-		}
-		dst = append(dst, uint8(len(set)))
-		for _, fp := range set {
-			dst = binary.LittleEndian.AppendUint64(dst, fp)
-		}
+	set := a.FingerprintSet
+	if len(set) > 255 {
+		set = set[:255] // u8 count; newest-first order keeps the live generation
+	}
+	dst = append(dst, uint8(len(set)))
+	for _, fp := range set {
+		dst = binary.LittleEndian.AppendUint64(dst, fp)
 	}
 	return append(dst, a.Message...)
 }
 
-// ParseHelloAck deserialises a legacy hello-ack payload.
+// ParseHelloAck deserialises a hello-ack payload. A fingerprint count
+// pointing past the payload, or a non-empty set whose first entry
+// disagrees with the fingerprint field, is malformed.
 func ParseHelloAck(b []byte) (HelloAck, error) {
-	if len(b) < 12 {
-		return HelloAck{}, fmt.Errorf("server: hello-ack payload is %d bytes, want ≥ 12", len(b))
+	if len(b) < 25 {
+		return HelloAck{}, fmt.Errorf("server: hello-ack payload is %d bytes, want ≥ 25", len(b))
 	}
-	return HelloAck{
+	a := HelloAck{
 		Version:      b[0],
 		Status:       b[1],
 		NumDetectors: binary.LittleEndian.Uint32(b[2:6]),
 		Codec:        b[6],
 		RiceK:        b[7],
 		QueueDepth:   binary.LittleEndian.Uint32(b[8:12]),
-		Message:      string(b[12:]),
-	}, nil
-}
-
-// ParseHelloAckExt deserialises an extended hello-ack payload. When the
-// accepted features include FeatureRotation the fixed header is followed by
-// a u8-counted fingerprint list; a count pointing past the payload, or a
-// non-empty list whose first entry disagrees with the fingerprint field, is
-// malformed.
-func ParseHelloAckExt(b []byte) (HelloAck, error) {
-	if len(b) < 24 {
-		return HelloAck{}, fmt.Errorf("server: extended hello-ack payload is %d bytes, want ≥ 24", len(b))
+		Features:     binary.LittleEndian.Uint32(b[12:16]),
+		Fingerprint:  binary.LittleEndian.Uint64(b[16:24]),
 	}
-	a, err := ParseHelloAck(b[:12])
-	if err != nil {
-		return HelloAck{}, err
+	n, rest := int(b[24]), b[25:]
+	if len(rest) < 8*n {
+		return HelloAck{}, fmt.Errorf("server: hello-ack claims %d fingerprints in %d bytes", n, len(rest))
 	}
-	a.Features = binary.LittleEndian.Uint32(b[12:16])
-	a.Fingerprint = binary.LittleEndian.Uint64(b[16:24])
-	rest := b[24:]
-	if a.Features&FeatureRotation != 0 {
-		if len(rest) < 1 {
-			return HelloAck{}, fmt.Errorf("server: rotation hello-ack is missing its fingerprint count")
+	if n > 0 {
+		a.FingerprintSet = make([]uint64, n)
+		for i := range a.FingerprintSet {
+			a.FingerprintSet[i] = binary.LittleEndian.Uint64(rest[8*i:])
 		}
-		n := int(rest[0])
-		rest = rest[1:]
-		if len(rest) < 8*n {
-			return HelloAck{}, fmt.Errorf("server: rotation hello-ack claims %d fingerprints in %d bytes", n, len(rest))
+		if a.FingerprintSet[0] != a.Fingerprint {
+			return HelloAck{}, fmt.Errorf("server: hello-ack fingerprint set leads with %016x, header says %016x",
+				a.FingerprintSet[0], a.Fingerprint)
 		}
-		if n > 0 {
-			a.FingerprintSet = make([]uint64, n)
-			for i := range a.FingerprintSet {
-				a.FingerprintSet[i] = binary.LittleEndian.Uint64(rest[8*i:])
-			}
-			if a.FingerprintSet[0] != a.Fingerprint {
-				return HelloAck{}, fmt.Errorf("server: rotation hello-ack fingerprint set leads with %016x, header says %016x",
-					a.FingerprintSet[0], a.Fingerprint)
-			}
-		}
-		rest = rest[8*n:]
 	}
-	a.Message = string(rest)
+	a.Message = string(rest[8*n:])
 	return a, nil
 }
 
@@ -530,43 +476,33 @@ func ParseDecodeRequest(b []byte) (DecodeRequest, error) {
 // the server-side latency from frame arrival to decode completion —
 // internal/realtime's on-time criterion applied to it yields the
 // FlagDeadlineMiss bit. WeightMilli is the matching weight in
-// milli-decades.
+// milli-decades. Fingerprint is the decoding-configuration digest of the
+// generation that produced the answer, so a client can attribute every
+// correction to exact tables even across a mid-connection hot-swap.
 type ResultFrame struct {
 	Seq         uint64
 	ObsMask     uint64
 	WeightMilli uint64
 	SojournNs   uint64
 	Flags       uint8
-	// Fingerprint travels only on connections that negotiated
-	// FeatureRotation (the 41-byte extended result layout): the
-	// decoding-configuration digest of the generation that produced this
-	// answer, so a client can attribute every correction to exact tables
-	// even across a mid-connection hot-swap.
 	Fingerprint uint64
 }
 
-// AppendTo serialises the result payload.
+// AppendTo serialises the 41-byte result payload.
 func (r ResultFrame) AppendTo(dst []byte) []byte {
-	dst = slices.Grow(dst, 33)
+	dst = slices.Grow(dst, 41)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, r.ObsMask)
 	dst = binary.LittleEndian.AppendUint64(dst, r.WeightMilli)
 	dst = binary.LittleEndian.AppendUint64(dst, r.SojournNs)
-	return append(dst, r.Flags)
-}
-
-// AppendToExt serialises the extended 41-byte result payload used on
-// connections that negotiated FeatureRotation: the legacy layout plus the
-// trailing generation fingerprint.
-func (r ResultFrame) AppendToExt(dst []byte) []byte {
-	dst = r.AppendTo(slices.Grow(dst, 41))
+	dst = append(dst, r.Flags)
 	return binary.LittleEndian.AppendUint64(dst, r.Fingerprint)
 }
 
 // ParseResultFrame deserialises a result payload.
 func ParseResultFrame(b []byte) (ResultFrame, error) {
-	if len(b) != 33 {
-		return ResultFrame{}, fmt.Errorf("server: result payload is %d bytes, want 33", len(b))
+	if len(b) != 41 {
+		return ResultFrame{}, fmt.Errorf("server: result payload is %d bytes, want 41", len(b))
 	}
 	return ResultFrame{
 		Seq:         binary.LittleEndian.Uint64(b[:8]),
@@ -574,20 +510,8 @@ func ParseResultFrame(b []byte) (ResultFrame, error) {
 		WeightMilli: binary.LittleEndian.Uint64(b[16:24]),
 		SojournNs:   binary.LittleEndian.Uint64(b[24:32]),
 		Flags:       b[32],
+		Fingerprint: binary.LittleEndian.Uint64(b[33:41]),
 	}, nil
-}
-
-// ParseResultFrameExt deserialises the extended 41-byte result payload.
-func ParseResultFrameExt(b []byte) (ResultFrame, error) {
-	if len(b) != 41 {
-		return ResultFrame{}, fmt.Errorf("server: extended result payload is %d bytes, want 41", len(b))
-	}
-	r, err := ParseResultFrame(b[:33])
-	if err != nil {
-		return ResultFrame{}, err
-	}
-	r.Fingerprint = binary.LittleEndian.Uint64(b[33:41])
-	return r, nil
 }
 
 // RejectFrame is the server's backpressure answer: the queue was full when

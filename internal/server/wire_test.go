@@ -68,8 +68,8 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	bad := h.AppendTo(nil)
 	bad[0] ^= 0xFF // corrupt magic
-	if _, err := ParseHello(bad); err == nil {
-		t.Fatal("bad magic accepted")
+	if _, err := ParseHello(bad); err == nil || errors.Is(err, errBadVersion) {
+		t.Fatalf("bad magic: %v, want a malformed-hello error", err)
 	}
 }
 
@@ -82,53 +82,57 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	if err != nil || !got.equal(a) {
 		t.Fatalf("hello-ack round trip: %+v, %v", got, err)
 	}
-	if _, err := ParseHelloAck(make([]byte, 11)); err == nil {
+	if _, err := ParseHelloAck(make([]byte, 24)); err == nil {
 		t.Fatal("short hello-ack accepted")
 	}
 }
 
+// TestExtendedHelloRoundTrip: the 12-byte hello that v2 called extended is
+// v3's only form. Its feature word round-trips, and a hello of another
+// protocol version — v2's 8-byte and 12-byte forms included — is refused
+// by version before its length is judged.
 func TestExtendedHelloRoundTrip(t *testing.T) {
-	h := Hello{Version: ProtocolVersion, Distance: 9, Codec: 2, Extended: true,
+	h := Hello{Version: ProtocolVersion, Distance: 9, Codec: 2,
 		Features: FeatureChecksum | FeatureProbe}
-	got, err := ParseHello(h.AppendTo(nil))
+	enc := h.AppendTo(nil)
+	if len(enc) != 12 {
+		t.Fatalf("hello serialised to %d bytes, want 12", len(enc))
+	}
+	got, err := ParseHello(enc)
 	if err != nil || got != h {
-		t.Fatalf("extended hello round trip: %+v, %v", got, err)
+		t.Fatalf("hello round trip: %+v, %v", got, err)
 	}
-	// Offering features implies the extended form even without the flag.
-	implied := Hello{Version: ProtocolVersion, Distance: 9, Codec: 2, Features: FeatureProbe}
-	if enc := implied.AppendTo(nil); len(enc) != 12 {
-		t.Fatalf("hello with features serialised to %d bytes, want 12", len(enc))
+	if _, err := ParseHello(enc[:10]); err == nil || errors.Is(err, errBadVersion) {
+		t.Fatalf("10-byte hello: %v, want a malformed-hello error", err)
 	}
-	// The legacy 8-byte form must stay parseable with zero features.
-	legacy := Hello{Version: ProtocolVersion, Distance: 9, Codec: 2}
-	got, err = ParseHello(legacy.AppendTo(nil))
-	if err != nil || got.Extended || got.Features != 0 {
-		t.Fatalf("legacy hello round trip: %+v, %v", got, err)
-	}
-	if _, err := ParseHello(make([]byte, 10)); err == nil {
-		t.Fatal("10-byte hello accepted (only 8 and 12 are framed)")
+	v2 := Hello{Version: 2, Distance: 9, Codec: 2}.AppendTo(nil)
+	for _, b := range [][]byte{v2[:8], v2} {
+		if _, err := ParseHello(b); !errors.Is(err, errBadVersion) {
+			t.Fatalf("%d-byte v2 hello: %v, want errBadVersion", len(b), err)
+		}
 	}
 }
 
+// TestHelloAckExtRoundTrip: the fields v2 sent only in its extended ack —
+// accepted features, the fingerprint and the live fingerprint set — round
+// trip in v3's one layout, and the message stays last.
 func TestHelloAckExtRoundTrip(t *testing.T) {
 	a := HelloAck{
 		Version: ProtocolVersion, Status: StatusOK, NumDetectors: 72,
 		Codec: 2, RiceK: 5, QueueDepth: 1024,
-		Features: FeatureChecksum, Fingerprint: 0xDEADBEEFCAFEF00D, Message: "ok",
+		Features: FeatureChecksum, Fingerprint: 0xDEADBEEFCAFEF00D,
+		FingerprintSet: []uint64{0xDEADBEEFCAFEF00D, 0x0123456789ABCDEF}, Message: "ok",
 	}
-	enc := a.AppendToExt(nil)
-	got, err := ParseHelloAckExt(enc)
+	enc := a.AppendTo(nil)
+	if want := 25 + 2*8 + len(a.Message); len(enc) != want {
+		t.Fatalf("hello-ack serialised to %d bytes, want %d", len(enc), want)
+	}
+	got, err := ParseHelloAck(enc)
 	if err != nil || !got.equal(a) {
-		t.Fatalf("extended hello-ack round trip: %+v, %v", got, err)
+		t.Fatalf("hello-ack round trip: %+v, %v", got, err)
 	}
-	// The fixed header must stay legacy-parseable: an old client reading an
-	// extended ack sees the right status, even if it ignores the tail.
-	legacy, err := ParseHelloAck(enc)
-	if err != nil || legacy.Status != a.Status || legacy.NumDetectors != a.NumDetectors {
-		t.Fatalf("extended ack not legacy-parseable: %+v, %v", legacy, err)
-	}
-	if _, err := ParseHelloAckExt(make([]byte, 23)); err == nil {
-		t.Fatal("short extended hello-ack accepted")
+	if _, err := ParseHelloAck(enc[:25+8]); err == nil {
+		t.Fatal("hello-ack truncated inside its fingerprint set accepted")
 	}
 }
 
@@ -197,12 +201,13 @@ func TestDecodeRequestRoundTrip(t *testing.T) {
 }
 
 func TestResultRejectErrorRoundTrip(t *testing.T) {
-	r := ResultFrame{Seq: 3, ObsMask: 5, WeightMilli: 700, SojournNs: 456, Flags: FlagRealTime | FlagSkipped}
+	r := ResultFrame{Seq: 3, ObsMask: 5, WeightMilli: 700, SojournNs: 456, Flags: FlagRealTime | FlagSkipped,
+		Fingerprint: 0xFEEDFACE}
 	gotR, err := ParseResultFrame(r.AppendTo(nil))
 	if err != nil || gotR != r {
 		t.Fatalf("result round trip: %+v, %v", gotR, err)
 	}
-	if _, err := ParseResultFrame(make([]byte, 32)); err == nil {
+	if _, err := ParseResultFrame(make([]byte, 40)); err == nil {
 		t.Fatal("short result accepted")
 	}
 
