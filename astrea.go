@@ -435,8 +435,8 @@ type StreamStats = stream.Stats
 // StreamPipeline decodes an unbounded syndrome-round stream by windowed
 // MWPM: rows are pushed one syndrome round at a time, windows are cut at
 // provably safe quiet gaps (or forced at a length cap and reconciled
-// across the seam), decoded concurrently on pooled decoders, and fused
-// back into in-order commits. On a closed stream the committed corrections
+// across the seam), and each window is decoded and committed, in order, on
+// the goroutine that pushed its last row. On a closed stream the committed corrections
 // are bit-identical to a whole-shot decode.
 type StreamPipeline = stream.Pipeline
 

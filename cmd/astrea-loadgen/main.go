@@ -40,7 +40,7 @@
 //	-window N         requested window cap in rounds (0 = server default)
 //	-gap N            requested quiet-gap cut length (0 = provably safe)
 //	-pad N            requested seam padding in rounds (0 = server default)
-//	-inflight N       requested concurrent window decodes (0 = default)
+//	-inflight N       requested commit backlog in windows (0 = default)
 //
 // Stream-resume mode (resilience measurement):
 //
@@ -133,7 +133,7 @@ func run(args []string) error {
 	windowRounds := fs.Int("window", 0, "streaming mode: requested window cap in rounds (0 = server default)")
 	gapRounds := fs.Int("gap", 0, "streaming mode: requested quiet-gap cut length (0 = provably safe)")
 	padRounds := fs.Int("pad", 0, "streaming mode: requested seam padding in rounds (0 = server default)")
-	inflight := fs.Int("inflight", 0, "streaming mode: requested concurrent window decodes (0 = default)")
+	inflight := fs.Int("inflight", 0, "streaming mode: requested commit backlog in windows (0 = default)")
 	streamResume := fs.Bool("stream-resume", false, "resilience mode: resumable session with scheduled connection kills")
 	streamKills := fs.Int("stream-kills", 3, "stream-resume mode: scheduled connection kills")
 	servers := fs.String("servers", "", "comma-separated replica addresses (fleet mode)")

@@ -27,6 +27,7 @@ package decodegraph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"astrea/internal/circuit"
@@ -261,7 +262,9 @@ type GWT struct {
 
 // BuildGWT computes the Global Weight Table by running Dijkstra from every
 // node. Pair entries already include the through-boundary alternative
-// min(direct, bnd(i)+bnd(j)).
+// min(direct, bnd(i)+bnd(j)). The per-row Dijkstras are independent and
+// each writes only its own row, so they are split across GOMAXPROCS
+// goroutines; the table is byte-identical to a serial build.
 func (g *Graph) BuildGWT() (*GWT, error) {
 	n := g.N
 	t := &GWT{
@@ -273,47 +276,57 @@ func (g *Graph) BuildGWT() (*GWT, error) {
 		direct:    make([]float64, n*n),
 		directObs: make([]uint64, n*n),
 	}
-	dist := make([]float64, n+1)
-	obs := make([]uint64, n+1)
-	h := newMinHeap(n + 1)
 
 	// All distances to the boundary first (single Dijkstra from boundary).
-	g.shortestFrom(g.Boundary(), dist, obs, h)
-	bndW := make([]float64, n)
-	bndObs := make([]uint64, n)
+	bndW := make([]float64, n+1)
+	bndObs := make([]uint64, n+1)
+	g.shortestFrom(g.Boundary(), bndW, bndObs, newMinHeap(n+1))
 	for i := 0; i < n; i++ {
-		if math.IsInf(dist[i], 1) {
+		if math.IsInf(bndW[i], 1) {
 			return nil, fmt.Errorf("decodegraph: detector %d cannot reach the boundary", i)
 		}
-		bndW[i] = dist[i]
-		bndObs[i] = obs[i]
-		t.w[i*n+i] = dist[i]
-		t.obs[i*n+i] = obs[i]
+		t.w[i*n+i] = bndW[i]
+		t.obs[i*n+i] = bndObs[i]
 	}
 
-	for i := 0; i < n; i++ {
-		g.shortestFrom(i, dist, obs, h)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+	// Every detector reaches the boundary, so every pair has the finite
+	// through-boundary chain bnd(i)+bnd(j): no pair can be disconnected.
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for k := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dist := make([]float64, n+1)
+			obs := make([]uint64, n+1)
+			h := newMinHeap(n + 1)
+			for i := k; i < n; i += workers {
+				t.fillRow(g, i, bndW, bndObs, dist, obs, h)
 			}
+		}()
+	}
+	wg.Wait()
+	return t, nil
+}
+
+// fillRow fills row i of the table from one Dijkstra out of detector i,
+// using the caller's scratch.
+func (t *GWT) fillRow(g *Graph, i int, bndW []float64, bndObs []uint64, dist []float64, obs []uint64, h *minHeap) {
+	n := t.N
+	g.shortestFrom(i, dist, obs, h)
+	for j := 0; j < n; j++ {
+		if j != i {
 			w, o := dist[j], obs[j]
 			t.direct[i*n+j] = w
 			t.directObs[i*n+j] = o
 			if via := bndW[i] + bndW[j]; via < w {
 				w, o = via, bndObs[i]^bndObs[j]
 			}
-			if math.IsInf(w, 1) {
-				return nil, fmt.Errorf("decodegraph: detectors %d and %d are disconnected", i, j)
-			}
 			t.w[i*n+j] = w
 			t.obs[i*n+j] = o
 		}
+		t.q[i*n+j] = Quantize(t.w[i*n+j])
 	}
-	for k, w := range t.w {
-		t.q[k] = Quantize(w)
-	}
-	return t, nil
 }
 
 // Weight returns the float chain weight between detectors i and j; Weight(i,

@@ -26,7 +26,7 @@ import (
 // On connections that negotiated FeatureStreamResume the session outlives
 // its connection: the pipeline and a ring of recently written commits are
 // owned by a streamSession, a per-session pump goroutine moves commits
-// from the fuse stage to whichever connection is currently attached, and
+// from the pipeline to whichever connection is currently attached, and
 // a connection loss parks the session in a TTL-bounded resume cache (see
 // server_resume.go) instead of aborting it. A StreamResume frame on a new
 // connection reattaches, re-delivers the commits the client has not
@@ -41,8 +41,8 @@ const (
 	// may demand: the Global Weight Table is dense N², so detector rows ×
 	// row width is capped regardless of what the client requests.
 	maxStreamDetRows = 4096
-	// maxStreamInflight bounds the per-session decode concurrency a client
-	// may request.
+	// maxStreamInflight bounds the per-session commit backlog a client may
+	// request.
 	maxStreamInflight = 64
 	// maxRetainedCommits bounds one resumable session's redelivery ring.
 	// TCP delivers commits in order, so the commits a client is missing
@@ -81,8 +81,8 @@ type streamSession struct {
 	width     int
 	rowWords  int
 	// baseBytes estimates the session's parked memory footprint outside
-	// the redelivery ring (planner buffer plus in-flight windows), used by
-	// the resume cache's byte bound.
+	// the redelivery ring (one window plus the commit backlog's seams),
+	// used by the resume cache's byte bound.
 	baseBytes int
 
 	// rowsReceived is the contiguous-rounds watermark: every round below
@@ -287,11 +287,9 @@ func (s *Server) serveStream(c *conn, codec compress.Codec, payload []byte) erro
 	}
 	sess.cond = sync.NewCond(&sess.mu)
 	sess.rowsReceived.Store(cfg.StartRow)
-	inflight := cfg.MaxInflight
-	if inflight < 1 {
-		inflight = 1
-	}
-	sess.baseBytes = rowWords * 8 * (resolved.WindowRounds + 2*resolved.PadRounds) * (inflight + 2)
+	// One window is materialised at a time (planner buffer, cut copy and
+	// padded embedding), and each commit in the backlog may hold a seam.
+	sess.baseBytes = rowWords * 8 * (resolved.WindowRounds + 2*resolved.PadRounds + resolved.MaxInflight*resolved.PadRounds)
 
 	ack := StreamOpenAck{
 		Status:       StatusOK,
@@ -299,7 +297,7 @@ func (s *Server) serveStream(c *conn, codec compress.Codec, payload []byte) erro
 		GapRounds:    uint16(resolved.GapRounds),
 		PadRounds:    uint16(resolved.PadRounds),
 		RowBudgetNs:  uint32(resolved.RowBudgetNs),
-		MaxInflight:  uint16(cfg.MaxInflight),
+		MaxInflight:  uint16(resolved.MaxInflight),
 		RowBits:      uint16(width),
 	}
 	if resumable {

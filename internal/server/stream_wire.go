@@ -40,7 +40,8 @@ type StreamOpen struct {
 	// RowBudgetNs is the per-round deadline budget used for commit-latency
 	// accounting (a window of R rounds must commit within R×budget).
 	RowBudgetNs uint32
-	// MaxInflight bounds concurrently decoding windows for this session.
+	// MaxInflight is the session's commit backlog: commits decoded but not
+	// yet taken by the connection before the pipeline stops reading rounds.
 	MaxInflight uint16
 
 	StartRow  uint64
@@ -97,7 +98,9 @@ type StreamOpenAck struct {
 	GapRounds    uint16
 	PadRounds    uint16
 	RowBudgetNs  uint32
-	MaxInflight  uint16
+	// MaxInflight echoes the resolved commit backlog (the default when the
+	// open asked for zero).
+	MaxInflight uint16
 	// RowBits is the per-round detector count: every StreamRounds row must
 	// encode exactly this many bits with the stream's negotiated codec.
 	RowBits      uint16

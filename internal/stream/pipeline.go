@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"astrea/internal/bitvec"
@@ -30,16 +31,18 @@ const (
 // Pipeline decodes an unbounded round stream: PushRow feeds syndrome
 // rounds in order, Commits delivers committed window corrections in round
 // order, Close declares the stream complete (final data-measurement round
-// received) and Abort tears everything down early. One goroutine may call
-// PushRow/Close; Commits is read by one consumer; Abort/Stats/Err are safe
-// from anywhere. The consumer must drain Commits until it closes (or call
-// Abort) or the pipeline's goroutines stall on backpressure by design.
+// received) and Abort tears it down early. Windows are cut, decoded and
+// committed on the goroutine that calls PushRow/Close; New starts none.
+// One goroutine may call PushRow/Close; Commits is read by one consumer;
+// Abort/Stats/Err are safe from anywhere, Abort from inside the consumer
+// too. The consumer must drain Commits until it closes (or call Abort), or
+// PushRow stalls on backpressure by design.
 type Pipeline struct {
 	cfg      Config
 	width    int // detector bits per round
 	rowWords int // 64-bit words per buffered row
 
-	// Planner state, owned by the PushRow/Close caller.
+	// Planner and decode state, owned by the PushRow/Close caller.
 	buf        []uint64 // bufRows×rowWords, row-major
 	rowDefects []int    // per-buffered-row defect count
 	bufRows    int
@@ -47,25 +50,23 @@ type Pipeline struct {
 	quietRun   int    // trailing defect-free rounds in the buffer
 	firstRow   uint64 // absolute round index of buf row 0
 	nextSeq    uint64
-	// carryRows counts leading placeholder rows whose content arrives via
-	// pendingCarry (a forced predecessor's resolved seam).
+	// carryRows counts leading placeholder rows whose content is
+	// pendingCarry: a forced predecessor's resolved seam.
 	carryRows    int
-	pendingCarry chan []uint64
+	pendingCarry []uint64
 	// placeholders counts raw seam rows a resumed pipeline still expects:
 	// PushRow records their defect counts but zeroes their content, the
 	// same placeholder-rebase an uninterrupted forced cut performs.
 	placeholders int
 	closed       bool
 	scratch      []int
+	decs         decoders
 
-	jobs    chan *window
-	results chan decoded
 	commits chan Commit
-
+	// send guards closing commits against a send in progress (see emit).
+	send     atomic.Uint32
 	stop     chan struct{}
 	stopOnce sync.Once
-	workerWG sync.WaitGroup
-	auxWG    sync.WaitGroup
 
 	tracker *realtime.Tracker
 
@@ -74,15 +75,23 @@ type Pipeline struct {
 	err   error
 }
 
-// New starts a pipeline: MaxInflight decode workers, a fuse stage
-// reordering window results into round-order commits, and bounded channels
-// end to end so a slow consumer backpressures PushRow instead of growing
-// queues.
+// The commits channel's send states. Only the pusher moves sendIdle →
+// sendBusy → sendIdle, and whoever moves sendIdle → sendClosed closes the
+// channel, so Abort on another goroutine never closes it under a send.
+const (
+	sendIdle uint32 = iota
+	sendBusy
+	sendClosed
+)
+
+// New validates the configuration and returns an idle pipeline. Its
+// commits channel holds MaxInflight commits, so a slow consumer
+// backpressures PushRow instead of growing a queue.
 func New(cfg Config) (*Pipeline, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	// Fail fast on an unresolvable decoder name (workers would only hit it
+	// Fail fast on an unresolvable decoder name (PushRow would only hit it
 	// on the first non-empty window).
 	if _, err := experiments.FactoryFor(cfg.Decoder); err != nil {
 		return nil, err
@@ -94,8 +103,7 @@ func New(cfg Config) (*Pipeline, error) {
 		rowWords: (width + 63) / 64,
 		firstRow: cfg.StartRow,
 		nextSeq:  cfg.StartSeq,
-		jobs:     make(chan *window, cfg.MaxInflight),
-		results:  make(chan decoded, cfg.MaxInflight),
+		decs:     decoders{},
 		commits:  make(chan Commit, cfg.MaxInflight),
 		stop:     make(chan struct{}),
 		tracker:  realtime.NewTracker(cfg.RowBudgetNs),
@@ -112,23 +120,11 @@ func New(cfg Config) (*Pipeline, error) {
 				len(cfg.Carry), cfg.CarrySeam*p.rowWords, cfg.CarrySeam, p.rowWords)
 		}
 		// Pre-load the predecessor's resolved seam exactly as an
-		// uninterrupted forced cut would have: the first window absorbing
-		// the seam prefix receives it through the carry channel.
-		carry := make([]uint64, len(cfg.Carry))
-		copy(carry, cfg.Carry)
-		pc := make(chan []uint64, 1)
-		pc <- carry
+		// uninterrupted forced cut would have left it.
+		p.pendingCarry = append([]uint64(nil), cfg.Carry...)
 		p.carryRows = cfg.CarrySeam
 		p.placeholders = cfg.CarrySeam
-		p.pendingCarry = pc
 	}
-	p.workerWG.Add(cfg.MaxInflight)
-	for i := 0; i < cfg.MaxInflight; i++ {
-		go p.worker()
-	}
-	p.auxWG.Add(2)
-	go p.closer()
-	go p.fuse()
 	return p, nil
 }
 
@@ -157,12 +153,14 @@ func (p *Pipeline) Stats() Stats {
 	s.WindowRounds = p.cfg.WindowRounds
 	s.PadRounds = p.cfg.PadRounds
 	s.RowBudgetNs = p.cfg.RowBudgetNs
+	s.MaxInflight = p.cfg.MaxInflight
 	return s
 }
 
 // PushRow appends the next syndrome round (row.Len() must equal the
-// environment's per-round detector count) and dispatches any window the
-// planner cuts. It blocks when MaxInflight windows are already in flight.
+// environment's per-round detector count) and, when the planner cuts a
+// window, decodes and commits it before returning. It blocks while the
+// commit backlog is full.
 func (p *Pipeline) PushRow(row bitvec.Vec) error {
 	if p.closed {
 		return ErrClosed
@@ -181,8 +179,8 @@ func (p *Pipeline) PushRow(row bitvec.Vec) error {
 	p.scratch = row.Ones(p.scratch[:0])
 	if p.placeholders > 0 {
 		// A replayed raw seam row on a resumed pipeline: its resolved
-		// content was pre-loaded into the carry channel, so the buffer keeps
-		// the zeroed placeholder; only the raw defect count below feeds the
+		// content was pre-loaded into pendingCarry, so the buffer keeps the
+		// zeroed placeholder; only the raw defect count below feeds the
 		// planner (matching the uninterrupted forced-cut rebase).
 		p.placeholders--
 	} else {
@@ -222,7 +220,7 @@ func (p *Pipeline) decide() cutKind {
 	return cutNone
 }
 
-// cut dispatches the window the planner chose, if any, and rebases the
+// cut commits the window the planner chose, if any, and rebases the
 // buffer on the retained tail.
 func (p *Pipeline) cut(k cutKind) error {
 	switch k {
@@ -239,9 +237,9 @@ func (p *Pipeline) cut(k cutKind) error {
 			keep = p.quietRun
 		}
 		if p.bufRows-keep < p.carryRows {
-			// The cut would split a carried seam prefix whose content is
-			// still in flight; keep buffering until the window can take the
-			// whole prefix.
+			// A window takes a carried seam prefix whole, so that one
+			// window re-matches every surviving seam defect; keep buffering
+			// until the cut clears the prefix.
 			return nil
 		}
 		return p.dispatch(p.bufRows-keep, 0)
@@ -257,16 +255,15 @@ func (p *Pipeline) cut(k cutKind) error {
 	return nil
 }
 
-// dispatch sends rows [0, take) of the buffer as one window (retaining the
-// last seam of them as the successor's carried prefix when seam > 0) and
-// rebases the buffer.
+// dispatch cuts rows [0, take) of the buffer as one window (retaining the
+// last seam of them as the successor's carried prefix when seam > 0),
+// rebases the buffer, then decodes the window and sends its commit.
 func (p *Pipeline) dispatch(take, seam int) error {
 	w := &window{
 		seq:          p.nextSeq,
 		firstRow:     p.firstRow,
 		rows:         take,
 		words:        make([]uint64, take*p.rowWords),
-		defects:      0,
 		closedBottom: p.firstRow == 0,
 		closedTop:    p.closed && take == p.bufRows,
 		forced:       seam > 0,
@@ -274,20 +271,21 @@ func (p *Pipeline) dispatch(take, seam int) error {
 		cutAtNs:      time.Now().UnixNano(),
 	}
 	copy(w.words, p.buf[:take*p.rowWords])
-	for _, d := range p.rowDefects[:take] {
-		w.defects += d
-	}
 	if p.carryRows > 0 {
-		w.carryFrom = p.pendingCarry
-		p.pendingCarry = nil
-	}
-	if seam > 0 {
-		w.carryTo = make(chan []uint64, 1)
+		// The leading placeholders become the predecessor's resolved seam:
+		// its surviving defects are re-matched here, against the frontier
+		// the predecessor's commit established.
+		copy(w.words, p.pendingCarry)
+		w.defects = countDefects(w.words, w.rows, p.rowWords, p.width)
+	} else {
+		for _, d := range p.rowDefects[:take] {
+			w.defects += d
+		}
 	}
 	p.nextSeq++
 
 	// Rebase the buffer: a forced cut leaves seam placeholder rows (their
-	// true content arrives through the carry channel, but their pre-clear
+	// true content is the seam this window resolves, but their pre-clear
 	// defect counts stand in for planner decisions — clearing can only make
 	// them quieter); a clean cut leaves the retained quiet tail.
 	committed := take - seam
@@ -299,12 +297,10 @@ func (p *Pipeline) dispatch(take, seam int) error {
 		tail := make([]uint64, rest*p.rowWords)
 		copy(tail[seam*p.rowWords:], p.buf[take*p.rowWords:p.bufRows*p.rowWords])
 		p.buf = append(p.buf[:0], tail...)
-		p.carryRows = seam
-		p.pendingCarry = w.carryTo
 	} else {
 		p.buf = append(p.buf[:0], p.buf[committed*p.rowWords:p.bufRows*p.rowWords]...)
-		p.carryRows = 0
 	}
+	p.carryRows = seam
 	p.rowDefects = append(p.rowDefects[:0], p.rowDefects[committed:]...)
 	p.bufRows = rest
 	p.bufDefects = 0
@@ -316,17 +312,47 @@ func (p *Pipeline) dispatch(take, seam int) error {
 	}
 	p.firstRow += uint64(committed)
 
-	select {
-	case p.jobs <- w:
-		return nil
-	case <-p.stop:
+	d, err := p.decodeWindow(w)
+	if err != nil {
+		p.fail(err)
+		return err
+	}
+	p.pendingCarry = d.carry
+	return p.emit(p.commitOf(w, d))
+}
+
+// emit sends one commit, blocking while the backlog is full. A send that
+// Abort interrupts, or that races it, closes the channel on Abort's
+// behalf: Abort saw the send in progress and left the close to it.
+func (p *Pipeline) emit(cm Commit) error {
+	if !p.send.CompareAndSwap(sendIdle, sendBusy) {
 		return p.stopErr()
+	}
+	select {
+	case p.commits <- cm:
+	case <-p.stop:
+	}
+	p.send.Store(sendIdle)
+	select {
+	case <-p.stop:
+		p.closeCommits()
+		return p.stopErr()
+	default:
+		return nil
+	}
+}
+
+// closeCommits closes the commits channel unless it is closed already or
+// a send holds it (that sender closes it when it sees stop).
+func (p *Pipeline) closeCommits() {
+	if p.send.CompareAndSwap(sendIdle, sendClosed) {
+		close(p.commits)
 	}
 }
 
 // Close declares the round stream complete: the buffered remainder becomes
-// the final window (its last row is the stream's data-measurement round)
-// and, once every window commits, the Commits channel closes.
+// the final window (its last row is the stream's data-measurement round),
+// and once it commits the Commits channel closes.
 func (p *Pipeline) Close() error {
 	if p.closed {
 		return ErrClosed
@@ -339,19 +365,17 @@ func (p *Pipeline) Close() error {
 	if p.bufRows > 0 {
 		err = p.cut(cutFinal)
 	}
-	close(p.jobs)
+	p.closeCommits()
 	return err
 }
 
-// Abort tears the pipeline down without waiting for in-flight windows and
-// blocks until every pipeline goroutine has exited. Safe to call more than
-// once and after Close.
-func (p *Pipeline) Abort() {
-	p.fail(ErrAborted)
-	p.auxWG.Wait()
-}
+// Abort stops the pipeline: the next PushRow returns ErrAborted, and
+// Commits closes at once or, when a commit send is in progress, as
+// soon as that send gives up. It never blocks, so the Commits consumer may
+// call it. Safe to call more than once and after Close.
+func (p *Pipeline) Abort() { p.fail(ErrAborted) }
 
-// fail records the first error and stops every stage.
+// fail records the first error, stops the pipeline and closes Commits.
 func (p *Pipeline) fail(err error) {
 	p.mu.Lock()
 	if p.err == nil {
@@ -359,6 +383,7 @@ func (p *Pipeline) fail(err error) {
 	}
 	p.mu.Unlock()
 	p.stopOnce.Do(func() { close(p.stop) })
+	p.closeCommits()
 }
 
 // stopErr returns the recorded failure, defaulting to ErrAborted.
@@ -369,76 +394,9 @@ func (p *Pipeline) stopErr() error {
 	return ErrAborted
 }
 
-// worker decodes windows until the jobs channel closes or the pipeline
-// stops, on decoder instances of its own.
-func (p *Pipeline) worker() {
-	defer p.workerWG.Done()
-	decs := decoders{}
-	for {
-		select {
-		case <-p.stop:
-			return
-		case w, ok := <-p.jobs:
-			if !ok {
-				return
-			}
-			var d decoded
-			if w.defects == 0 && w.carryFrom == nil {
-				d = decoded{win: w, empty: true}
-			} else {
-				var err error
-				d, err = p.decodeWindow(w, decs)
-				if err != nil {
-					p.fail(err)
-					return
-				}
-			}
-			select {
-			case p.results <- d:
-			case <-p.stop:
-				return
-			}
-		}
-	}
-}
-
-// closer closes the results channel once every worker has exited (clean
-// drain after Close, or stop), which in turn lets fuse finish.
-func (p *Pipeline) closer() {
-	defer p.auxWG.Done()
-	p.workerWG.Wait()
-	close(p.results)
-}
-
-// fuse reorders per-window results into committed, round-ordered
-// corrections and applies deadline accounting.
-func (p *Pipeline) fuse() {
-	defer p.auxWG.Done()
-	defer close(p.commits)
-	pending := make(map[uint64]decoded)
-	next := p.cfg.StartSeq
-	for d := range p.results {
-		pending[d.win.seq] = d
-		for {
-			dd, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			select {
-			case p.commits <- p.commitOf(dd):
-			case <-p.stop:
-				return
-			}
-			next++
-		}
-	}
-}
-
 // commitOf turns one decoded window into its commit, updating counters and
 // the latency tracker.
-func (p *Pipeline) commitOf(d decoded) Commit {
-	w := d.win
+func (p *Pipeline) commitOf(w *window, d decoded) Commit {
 	sojournNs := float64(time.Now().UnixNano() - w.cutAtNs)
 	if sojournNs < 0 {
 		sojournNs = 0
@@ -473,7 +431,7 @@ func (p *Pipeline) commitOf(d decoded) Commit {
 		RowCount:     w.rows,
 		ObsMask:      d.obs,
 		Weight:       d.weight,
-		Defects:      d.defects,
+		Defects:      w.defects,
 		SojournNs:    sojournNs,
 		DeadlineMiss: miss,
 		Forced:       w.forced,

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -169,5 +170,120 @@ func TestResumeConfigValidation(t *testing.T) {
 	}
 	p.Abort()
 	for range p.Commits() {
+	}
+}
+
+// commitDigest folds every data field commitEqual compares into an FNV-1a
+// digest. Weight enters in micro-decades, inside commitEqual's tolerance.
+func commitDigest(h uint64, c Commit) uint64 {
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v & 0xff)) * 0x100000001b3
+			v >>= 8
+		}
+	}
+	b := func(x bool) uint64 {
+		if x {
+			return 1
+		}
+		return 0
+	}
+	mix(c.WindowSeq)
+	mix(c.FirstRow)
+	mix(uint64(c.RowCount))
+	mix(c.ObsMask)
+	mix(uint64(math.Round(c.Weight * 1e6)))
+	mix(uint64(c.Defects))
+	mix(b(c.Forced)<<2 | b(c.Fallback)<<1 | b(c.Empty))
+	mix(uint64(c.CarryRows))
+	mix(uint64(len(c.Carry)))
+	for _, w := range c.Carry {
+		mix(w)
+	}
+	return h
+}
+
+// TestForcedSeamCommitDigest pins the whole commit stream — forced seams
+// included, whose corrections are approximate and so match no whole-shot
+// reference — on heavy-noise streams at d ∈ {3, 5, 7}, at the default window
+// cap and at the tightest one, for a decoder that falls back (astrea) and
+// one that does not (mwpm). A change to how windows are cut, decoded or
+// split at a seam moves a digest.
+func TestForcedSeamCommitDigest(t *testing.T) {
+	leakcheck.Check(t)
+	dists := []struct {
+		d       int
+		p       float64
+		rounds  int
+		streams int
+	}{
+		{d: 3, p: 8e-3, rounds: 400, streams: 4},
+		{d: 5, p: 3e-3, rounds: 300, streams: 3},
+		{d: 7, p: 2e-3, rounds: 200, streams: 3},
+	}
+	// Generated on the worker-pool pipeline this one replaced; the commit
+	// stream did not move.
+	want := map[string]uint64{
+		"d=3/default/astrea": 0x86d6501a3ca1ffed,
+		"d=3/default/mwpm":   0x8ff8215c588ab1e9,
+		"d=3/tight/astrea":   0xa2626c4ac7baa4bc,
+		"d=3/tight/mwpm":     0x680f255c3ef8ae30,
+		"d=5/default/astrea": 0xacd1b5276b31fd63,
+		"d=5/default/mwpm":   0x1575ef5f5482082f,
+		"d=5/tight/astrea":   0x8fb3642e64fa4b00,
+		"d=5/tight/mwpm":     0x52a2d6e2a0711ca5,
+		"d=7/default/astrea": 0x3b69a83b02fe89fc,
+		"d=7/default/mwpm":   0xd3f6dfafc536efe6,
+		"d=7/tight/astrea":   0x3d136a6c64a25d41,
+		"d=7/tight/mwpm":     0x80af7888425acbeb,
+	}
+	for _, tc := range dists {
+		env, err := montecarlo.SharedEnv(tc.d, tc.d, tc.p)
+		if err != nil {
+			t.Fatalf("d=%d: %v", tc.d, err)
+		}
+		smp := dem.NewSampler(env.Model)
+		rng := prng.New(uint64(0xD16E57 + tc.d))
+		synd := bitvec.New(env.Graph.N)
+		streams := make([][]bitvec.Vec, tc.streams)
+		for s := range streams {
+			for len(streams[s]) < tc.rounds {
+				smp.Sample(rng, synd)
+				streams[s] = append(streams[s], rowsOf(env, synd)...)
+			}
+			streams[s] = streams[s][:tc.rounds]
+		}
+		for _, wr := range []struct {
+			name   string
+			rounds int
+		}{{"default", 0}, {"tight", SafeGapRounds(env) + 2}} {
+			for _, dec := range []string{"astrea", "mwpm"} {
+				key := fmt.Sprintf("d=%d/%s/%s", tc.d, wr.name, dec)
+				cfg := Config{Env: env, Decoder: dec, WindowRounds: wr.rounds}
+				h := uint64(0xcbf29ce484222325)
+				var windows, forced int
+				for s, rows := range streams {
+					commits, _, err := DecodeClosed(cfg, rows)
+					if err != nil {
+						t.Fatalf("%s stream %d: %v", key, s, err)
+					}
+					checkPartition(t, commits, uint64(len(rows)))
+					for _, c := range commits {
+						h = commitDigest(h, c)
+						windows++
+						if c.Forced {
+							forced++
+						}
+					}
+				}
+				if forced == 0 {
+					t.Fatalf("%s: no forced seam in %d windows — the digest pins nothing approximate", key, windows)
+				}
+				t.Logf("%s: %d windows, %d forced, digest %#016x", key, windows, forced, h)
+				if w, ok := want[key]; !ok || w != h {
+					t.Errorf("%s: digest %#016x, want %#016x", key, h, w)
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,12 @@
-// Package stream decodes unbounded syndrome streams by windowed MWPM:
-// the Fusion-Blossom-style parallelism path the whole-shot service cannot
-// offer. A control system produces one row of detector bits per syndrome
-// round forever; this package slices that open-ended stream into time
-// windows, decodes each window independently on the existing pooled
-// decoders, and fuses the per-window matchings back into a single in-order
-// stream of committed corrections.
+// Package stream decodes unbounded syndrome streams by windowed MWPM, the
+// Fusion-Blossom-style windowing the whole-shot service cannot offer. A
+// control system produces one row of detector bits per syndrome round
+// forever; this package slices that open-ended stream into time windows,
+// decodes each window as it is cut, on the goroutine that pushed its last
+// row, and commits the per-window corrections as one in-order stream.
+// Windows are not spread across cores: Fusion Blossom does that only where
+// one core cannot keep up, and here a pool of window decoders bought no
+// rounds/s on two cores while adding milliseconds of commit tail.
 //
 // # Window planning
 //
@@ -53,7 +55,7 @@
 // stream equivalence bit-for-bit rather than approximate. Embedded
 // environments are resolved through montecarlo.SharedEnv, so concurrent
 // streams at the same operating point share one weight table and never
-// rebuild a GWT per stream open; each decode worker builds its own decoder
+// rebuild a GWT per stream open; each pipeline builds its own decoder
 // instances on them, which are released with the pipeline.
 package stream
 
@@ -105,9 +107,8 @@ type Config struct {
 	// R rounds should commit within R×RowBudgetNs of its cut. Default:
 	// the paper's 1 µs syndrome period (hwmodel.RealTimeBudgetNs).
 	RowBudgetNs float64
-	// MaxInflight bounds windows decoding concurrently; it is also the
-	// backpressure depth — when fuse falls this many windows behind,
-	// PushRow blocks. Default 4.
+	// MaxInflight is the commit backlog: how many commits may wait in
+	// Commits for the consumer before PushRow blocks. Default 4.
 	MaxInflight int
 
 	// The remaining fields restart a pipeline mid-stream (session resume
@@ -179,7 +180,9 @@ type Commit struct {
 	Weight float64
 	// Defects is the window's defect count (set syndrome bits).
 	Defects int
-	// SojournNs is the commit latency: cut (last row buffered) → commit.
+	// SojournNs is the commit latency: from the cut (last row buffered)
+	// to the commit, i.e. the window's decode and seam split. Time spent
+	// waiting in the commit backlog is not included.
 	SojournNs float64
 	// DeadlineMiss reports SojournNs > RowCount × Config.RowBudgetNs.
 	DeadlineMiss bool
@@ -230,6 +233,7 @@ type Stats struct {
 	WindowRounds int
 	PadRounds    int
 	RowBudgetNs  float64
+	MaxInflight  int
 }
 
 // RowWidth returns the stream row width of an environment: detector bits

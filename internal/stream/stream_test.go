@@ -340,6 +340,98 @@ func TestAbortMidStream(t *testing.T) {
 	}
 }
 
+// gapFreeRow is round i of a stream with a defect in every round, so every
+// window is a forced cut that decodes.
+func gapFreeRow(width, i int) bitvec.Vec {
+	row := bitvec.New(width)
+	row.Set(i % width)
+	return row
+}
+
+// TestAbortFromConsumer is the serving layer's shape: the Commits consumer
+// itself calls Abort (a failed connection write) while the pusher is
+// decoding or blocked sending the next commit. Commits must close exactly
+// once — a second close panics, a missing one hangs the range — and the
+// pusher must see ErrAborted.
+func TestAbortFromConsumer(t *testing.T) {
+	leakcheck.Check(t)
+	env, err := montecarlo.SharedEnv(3, 3, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, after := range []int{1, 2, 5} {
+		p, err := New(Config{Env: env, Decoder: "mwpm", MaxInflight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushed := make(chan error, 1)
+		go func() {
+			for i := 0; ; i++ {
+				if err := p.PushRow(gapFreeRow(rowWidth(env), i)); err != nil {
+					pushed <- err
+					return
+				}
+			}
+		}()
+		got := 0
+		for range p.Commits() {
+			if got++; got == after {
+				p.Abort()
+			}
+		}
+		if err := <-pushed; !errors.Is(err, ErrAborted) {
+			t.Fatalf("abort after %d commits: PushRow returned %v, want ErrAborted", after, err)
+		}
+		if err := p.PushRow(gapFreeRow(rowWidth(env), 0)); !errors.Is(err, ErrAborted) {
+			t.Fatalf("abort after %d commits: next PushRow returned %v, want ErrAborted", after, err)
+		}
+		p.Abort()
+	}
+}
+
+// TestAbortWhileIdle is the resume reaper's shape: a parked session's
+// pipeline is aborted from another goroutine while no PushRow runs, with
+// commits still waiting in the backlog. Commits must close exactly once,
+// after the waiting commits, and the next PushRow must see ErrAborted.
+func TestAbortWhileIdle(t *testing.T) {
+	leakcheck.Check(t)
+	env, err := montecarlo.SharedEnv(3, 3, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{Env: env, Decoder: "mwpm", MaxInflight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; p.Stats().Commits < 2; i++ {
+		if err := p.PushRow(gapFreeRow(rowWidth(env), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		go func() {
+			p.Abort()
+			done <- struct{}{}
+		}()
+	}
+	<-done
+	<-done
+	n := 0
+	for range p.Commits() {
+		n++
+	}
+	if n != 2 {
+		t.Fatalf("drained %d commits after abort, want the 2 in the backlog", n)
+	}
+	if err := p.PushRow(gapFreeRow(rowWidth(env), 0)); !errors.Is(err, ErrAborted) {
+		t.Fatalf("PushRow after abort returned %v, want ErrAborted", err)
+	}
+	if err := p.Err(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Err() = %v, want ErrAborted", err)
+	}
+}
+
 // TestPushAfterClose checks the lifecycle sentinels.
 func TestPushAfterClose(t *testing.T) {
 	leakcheck.Check(t)
@@ -416,7 +508,7 @@ type panicDecoder struct{}
 func (panicDecoder) Name() string                     { return "panicker" }
 func (panicDecoder) Decode(bitvec.Vec) decoder.Result { panic("corrupted scratch") }
 
-// TestPoisonedInstanceDropped pins the fault contract of a worker's
+// TestPoisonedInstanceDropped pins the fault contract of a pipeline's
 // decoder instances: a panicking decode becomes an error, the poisoned
 // instance is dropped, and the next decode builds a fresh one.
 func TestPoisonedInstanceDropped(t *testing.T) {

@@ -16,9 +16,9 @@ type decoderKey struct {
 	dec string
 }
 
-// decoders holds one decode worker's instances. Most decoders are stateful
-// (scratch buffers) and not concurrency safe, so each worker owns its own,
-// built on first use and released with the pipeline.
+// decoders holds a pipeline's decoder instances, built on first use and
+// released with the pipeline. Most decoders are stateful (scratch buffers)
+// and not concurrency safe; only the pushing goroutine touches them.
 type decoders map[decoderKey]decoder.Decoder
 
 // decode runs the named decoder on the syndrome. An instance whose decode
@@ -66,31 +66,20 @@ type window struct {
 	// carrySeam is the seam height carried into the successor window.
 	forced    bool
 	carrySeam int
-	// carryFrom, when non-nil, delivers this window's leading rows: the
-	// predecessor's forced-cut seam after the defects its committed body
-	// consumed were cleared. The decode worker blocks on it before
-	// decoding, which is what re-matches surviving seam defects against the
-	// committed frontier.
-	carryFrom chan []uint64
-	// carryTo, when non-nil (forced windows), receives the resolved seam
-	// for the successor. Buffered; the worker sends exactly once.
-	carryTo chan []uint64
 	// cutAtNs is the monotonic cut timestamp; commit latency is measured
 	// from here.
 	cutAtNs int64
 }
 
-// decoded is a window's decode outcome, headed for the fuse stage.
+// decoded is a window's decode outcome.
 type decoded struct {
-	win      *window
 	obs      uint64
 	weight   float64
-	defects  int
 	fallback bool
 	empty    bool
-	// carry is a forced window's resolved seam (what went down carryTo),
-	// surfaced on the commit so a resumed pipeline can be restarted from
-	// this window's watermark.
+	// carry is a forced window's resolved seam: the successor window's
+	// leading rows, surfaced on the commit so a resumed pipeline can be
+	// restarted from this window's watermark.
 	carry []uint64
 }
 
@@ -133,33 +122,20 @@ func windowEnv(base *montecarlo.Env, h, pad, sizeClass int, closedBottom, closed
 	return env, offset, nil
 }
 
-// decodeWindow decodes one non-empty window on its embedded environment and
-// splits the matching at a forced seam, on the calling worker's decoder
-// instances. It resolves carried rows first, and falls back to exact MWPM
-// when the configured decoder declines the window or reports no matching
-// to split.
-func (p *Pipeline) decodeWindow(w *window, decs decoders) (decoded, error) {
-	if w.carryFrom != nil {
-		select {
-		case prefix := <-w.carryFrom:
-			copy(w.words, prefix)
-		case <-p.stop:
-			return decoded{}, ErrAborted
+// decodeWindow decodes one window on its embedded environment and splits
+// the matching at a forced seam, falling back to exact MWPM when the
+// configured decoder declines the window or reports no matching to split.
+func (p *Pipeline) decodeWindow(w *window) (decoded, error) {
+	if w.defects == 0 {
+		// Nothing to match: a quiet window, or one whose every defect lived
+		// in the carried prefix and was consumed by the predecessor's
+		// committed body. A forced one still hands its (defect-free) seam
+		// to its successor.
+		if !w.forced {
+			return decoded{empty: true}, nil
 		}
-		w.defects = countDefects(w.words, w.rows, p.rowWords, p.width)
-		if w.defects == 0 {
-			// Every defect lived in the carried prefix and was consumed by
-			// the predecessor's committed body. A forced window must still
-			// hand its (now defect-free) seam to its successor, or the
-			// successor would wait on the carry channel forever.
-			if w.forced {
-				empty := make([]uint64, w.carrySeam*p.rowWords)
-				w.carryTo <- empty
-				w.rows -= w.carrySeam
-				return decoded{win: w, empty: true, carry: empty}, nil
-			}
-			return decoded{win: w, empty: true}, nil
-		}
+		w.rows -= w.carrySeam
+		return decoded{empty: true, carry: make([]uint64, w.carrySeam*p.rowWords)}, nil
 	}
 
 	env, offset, err := windowEnv(p.cfg.Env, w.rows, p.cfg.PadRounds, p.cfg.SizeClassRounds, w.closedBottom, w.closedTop)
@@ -167,26 +143,26 @@ func (p *Pipeline) decodeWindow(w *window, decs decoders) (decoded, error) {
 		return decoded{}, err
 	}
 
-	res, fellBack, err := p.decodeOn(decs, env, p.buildSyndrome(w, env.Graph.N, offset))
+	res, fellBack, err := p.decodeOn(env, p.buildSyndrome(w, env.Graph.N, offset))
 	if err != nil {
 		return decoded{}, err
 	}
 
 	if !w.forced {
-		return decoded{win: w, obs: res.ObsPrediction, weight: res.Weight, defects: w.defects, fallback: fellBack}, nil
+		return decoded{obs: res.ObsPrediction, weight: res.Weight, fallback: fellBack}, nil
 	}
-	return p.splitForced(decs, w, env, offset, res, fellBack)
+	return p.splitForced(w, env, offset, res, fellBack)
 }
 
 // decodeOn runs the configured decoder on the syndrome, retrying with
 // exact MWPM when the primary declines (e.g. Astrea beyond its
 // Hamming-weight cap). The boolean reports whether the fallback answered.
-func (p *Pipeline) decodeOn(decs decoders, env *montecarlo.Env, synd bitvec.Vec) (decoder.Result, bool, error) {
-	res, err := decs.decode(env, p.cfg.Decoder, synd)
+func (p *Pipeline) decodeOn(env *montecarlo.Env, synd bitvec.Vec) (decoder.Result, bool, error) {
+	res, err := p.decs.decode(env, p.cfg.Decoder, synd)
 	if err != nil || !res.Skipped || p.cfg.Decoder == "mwpm" {
 		return res, false, err
 	}
-	res, err = decs.decode(env, "mwpm", synd)
+	res, err = p.decs.decode(env, "mwpm", synd)
 	return res, true, err
 }
 
@@ -198,12 +174,12 @@ func (p *Pipeline) decodeOn(decs decoders, env *montecarlo.Env, synd bitvec.Vec)
 // window's committed frontier. Committed observable parity and weight are
 // rebuilt chain by chain from the weight table, because the decoder's
 // aggregate covers deferred chains too.
-func (p *Pipeline) splitForced(decs decoders, w *window, env *montecarlo.Env, offset int, res decoder.Result, fellBack bool) (decoded, error) {
+func (p *Pipeline) splitForced(w *window, env *montecarlo.Env, offset int, res decoder.Result, fellBack bool) (decoded, error) {
 	if res.Pairs == nil {
 		// A table decoder predicts the observable without a matching, which
 		// cannot be split; the exact fallback always produces pairs.
 		var err error
-		res, err = decs.decode(env, "mwpm", p.buildSyndrome(w, env.Graph.N, offset))
+		res, err = p.decs.decode(env, "mwpm", p.buildSyndrome(w, env.Graph.N, offset))
 		if err != nil {
 			return decoded{}, err
 		}
@@ -252,8 +228,7 @@ func (p *Pipeline) splitForced(decs decoders, w *window, env *montecarlo.Env, of
 	}
 
 	w.rows = bodyRows
-	w.carryTo <- carry
-	return decoded{win: w, obs: obs, weight: weight, defects: w.defects, fallback: fellBack, carry: carry}, nil
+	return decoded{obs: obs, weight: weight, fallback: fellBack, carry: carry}, nil
 }
 
 // buildSyndrome embeds a window's detector bits into a syndrome of the
