@@ -28,7 +28,8 @@
 //	-stats URL        the daemon's /stats endpoint (astread -http); the
 //	                  request report then adds the share of this run's
 //	                  requests the daemon answered inline on the
-//	                  connection's reader rather than through its queue
+//	                  connection's reader rather than through its queue,
+//	                  and the stream report the daemon's frames per write
 //
 // Streaming mode (windowed decode over an open-ended round stream):
 //
@@ -127,7 +128,7 @@ func run(args []string) error {
 	verifyDecoder := fs.String("verify-decoder", "astrea", "local decoder for -verify")
 	chaos := fs.Bool("chaos", false, "route traffic through a fault-injecting proxy")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "fault schedule seed for -chaos")
-	statsURL := fs.String("stats", "", "the daemon's /stats URL; adds its answered-inline share to the request report")
+	statsURL := fs.String("stats", "", "the daemon's /stats URL; adds its answered-inline share (requests) or frames per write (stream) to the report")
 	streamMode := fs.Bool("stream", false, "streaming mode: push syndrome rounds through a windowed session")
 	streamBatch := fs.Int("stream-batch", 8, "streaming mode: rounds per wire frame")
 	windowRounds := fs.Int("window", 0, "streaming mode: requested window cap in rounds (0 = server default)")
@@ -162,8 +163,8 @@ func run(args []string) error {
 		return fmt.Errorf("-chaos applies to the single-daemon path; fleet mode injects faults server-side")
 	case *servers != "" && streaming:
 		return fmt.Errorf("-stream/-stream-resume apply to the single-daemon path; a windowed session pins one connection")
-	case *statsURL != "" && (*servers != "" || streaming):
-		return fmt.Errorf("-stats applies to the single-daemon request path")
+	case *statsURL != "" && *servers != "":
+		return fmt.Errorf("-stats applies to the single-daemon paths")
 	case *chaos && *streamResume:
 		return fmt.Errorf("-chaos and -stream-resume are mutually exclusive; resume mode interposes its own connection-killing proxy")
 	case streaming && deadline.Nanoseconds() > math.MaxUint32:
@@ -275,6 +276,12 @@ func run(args []string) error {
 		if *streamResume {
 			kills = fmt.Sprintf(" with %d scheduled connection kills", *streamKills)
 		}
+		var before server.Snapshot
+		if *statsURL != "" {
+			if before, err = daemonStats(*statsURL); err != nil {
+				return err
+			}
+		}
 		fmt.Fprintf(os.Stderr, "astrea-loadgen: streaming %d d=%d rounds to %s%s (codec=%s, rate=%s, batch=%d)\n",
 			*n, *d, *addr, kills, *codecName, rateLabel(*rate), *streamBatch)
 		rep, err := server.RunStreamLoad(scfg)
@@ -284,6 +291,13 @@ func run(args []string) error {
 		}
 		if err != nil {
 			return err
+		}
+		if *statsURL != "" {
+			after, err := daemonStats(*statsURL)
+			if err != nil {
+				return err
+			}
+			rep.CommitsPerFlush = float64(after.FramesOut-before.FramesOut) / float64(max(after.Flushes-before.Flushes, 1))
 		}
 		return renderStream(rep, scfg)
 	}
@@ -521,6 +535,12 @@ func renderStream(rep *server.StreamLoadReport, cfg server.StreamLoadConfig) err
 	}
 	t.AddRow("rounds/s", rep.RoundsPerSec)
 	t.AddRow("windows/s", rep.WindowsPerSec)
+	if rep.RoundsPerWrite > 0 {
+		t.AddRow("rounds frames per client write", fmt.Sprintf("%.2f", rep.RoundsPerWrite))
+	}
+	if rep.CommitsPerFlush > 0 {
+		t.AddRow("frames per daemon write (/stats)", fmt.Sprintf("%.2f", rep.CommitsPerFlush))
+	}
 	t.AddRow("window cap / gap / pad", fmt.Sprintf("%d / %d / %d rounds",
 		rep.Resolved.WindowRounds, rep.Resolved.GapRounds, rep.Resolved.PadRounds))
 	t.AddRow("row budget", time.Duration(rep.Resolved.RowBudgetNs).String())

@@ -117,6 +117,22 @@ func TestRequestReportInlineShare(t *testing.T) {
 	}
 }
 
+// TestStreamReportFramesPerWrite checks both halves of the stream path's
+// socket coalescing in the stream report: the client's rounds frames per
+// write, and with -stats the daemon's frames per write over this run.
+func TestStreamReportFramesPerWrite(t *testing.T) {
+	leakcheck.Check(t)
+	srv, addr := startServer(t)
+	stats := httptest.NewServer(srv.StatsHandler())
+	defer stats.Close()
+	report := runReport(t, []string{"-addr", addr, "-d", "3", "-stream", "-n", "2000", "-stats", stats.URL})
+	for _, row := range []string{"rounds frames per client write", "frames per daemon write (/stats)"} {
+		if !strings.Contains(report, row) {
+			t.Errorf("stream report has no %q row:\n%s", row, report)
+		}
+	}
+}
+
 // TestRunRejectsConflictingFlags checks every mutually exclusive flag pair
 // and the stream-mode -deadline overflow: each must fail with an error
 // naming the conflict, before anything is dialled (no daemon listens on
@@ -131,8 +147,7 @@ func TestRunRejectsConflictingFlags(t *testing.T) {
 		"servers+stream":        {[]string{"-servers", dead, "-stream"}, "single-daemon path"},
 		"servers+stream-resume": {[]string{"-servers", dead, "-stream-resume"}, "single-daemon path"},
 		"servers+chaos":         {[]string{"-servers", dead, "-chaos"}, "single-daemon path"},
-		"servers+stats":         {[]string{"-servers", dead, "-stats", "http://" + dead + "/stats"}, "single-daemon request path"},
-		"stream+stats":          {[]string{"-addr", dead, "-stream", "-stats", "http://" + dead + "/stats"}, "single-daemon request path"},
+		"servers+stats":         {[]string{"-servers", dead, "-stats", "http://" + dead + "/stats"}, "single-daemon paths"},
 		"chaos+stream-resume":   {[]string{"-addr", dead, "-chaos", "-stream-resume"}, "mutually exclusive"},
 		"both fingerprints": {[]string{"-servers", dead, "-expect-fingerprint", "0123456789abcdef",
 			"-expect-fingerprint-artifact", "none.astc"}, "mutually exclusive"},

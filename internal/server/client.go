@@ -57,9 +57,12 @@ const maxQueuedSend = 16 << 10
 // once when a Send finds the read half already blocked. So a pipelining
 // caller pays one write per burst of requests, a depth-1 Decode still pays
 // exactly one, and a frame is never stranded, even behind a sender goroutine
-// that never calls Recv. Every other frame (handshake, Ping, stream frames)
-// is written at once, behind whatever is queued. Close drops queued frames:
-// their answers could never be read anyway.
+// that never calls Recv. A stream's rounds frames queue the same way, under
+// their own rule (see Stream.SendRounds): they are written at once only
+// while the rounds already written are too few to force a commit. Every
+// other frame (handshake, Ping, stream open, resume and close) is written at
+// once, behind whatever is queued. Close drops queued frames: their answers
+// could never be read anyway.
 type Client struct {
 	conn        net.Conn
 	br          *bufio.Reader
@@ -85,6 +88,9 @@ type Client struct {
 	wbuf []byte
 	enc  []byte
 	werr atomic.Pointer[error]
+	// rowsQueued counts the stream rounds inside wbuf's rounds frames (wmu):
+	// an open stream's written-rounds watermark is its sent count minus it.
+	rowsQueued uint64
 	// parked is set while the read half is in, or about to enter, a socket
 	// read: a Send that finds it set flushes the queue itself.
 	parked atomic.Bool
@@ -272,7 +278,7 @@ func (c *Client) flushLocked() error {
 			err = c.writeErr()
 		}
 	}
-	c.wbuf = resetFrameBuf(c.wbuf)
+	c.wbuf, c.rowsQueued = resetFrameBuf(c.wbuf), 0
 	return err
 }
 

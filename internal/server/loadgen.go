@@ -533,6 +533,18 @@ type StreamLoadReport struct {
 	RoundsPerSec  float64
 	WindowsPerSec float64
 	ObsMask       uint64 // cumulative correction (XOR of all commits)
+
+	// RoundsPerWrite is StreamRounds frames sent per client socket write
+	// after the open — the stream's own coalescing: rounds queue while the
+	// rounds already written hold a due commit, and leave in one write when
+	// the receiver is about to block. Near 1 means every SendRounds wrote.
+	// Zero in resume mode, whose proxy and reconnects own the writes.
+	RoundsPerWrite float64
+	// CommitsPerFlush is the daemon's frames_out / flushes over the run,
+	// read from /stats snapshots taken around it: how many commit frames
+	// each daemon write carried. RunStreamLoad cannot see the daemon's
+	// stats and leaves it zero; astrea-loadgen -stats fills it in.
+	CommitsPerFlush float64
 }
 
 // loadSession is what the stream driver needs of a session; *Stream and
@@ -566,29 +578,37 @@ func (k *loadKills) fire(sent int) (landed int) {
 
 // openLoadSession opens the session a stream run drives and returns it
 // with what the caller must defer-close, in acquisition order. Plain mode
-// is one FeatureStream session straight at the daemon; resume mode
-// interposes a connection-killing proxy, opens a resumable session through
-// it and returns the kill schedule the sender fires.
-func openLoadSession(cfg StreamLoadConfig) (loadSession, *loadKills, []io.Closer, error) {
+// is one FeatureStream session straight at the daemon, over a conn that
+// counts its writes (returned; nil in resume mode); resume mode interposes
+// a connection-killing proxy, opens a resumable session through it and
+// returns the kill schedule the sender fires.
+func openLoadSession(cfg StreamLoadConfig) (loadSession, *loadKills, *ioCounter, []io.Closer, error) {
 	if !cfg.Resume {
-		client, err := DialOptions(cfg.Addr, cfg.Distance, cfg.Codec, ClientOptions{
+		nc, err := net.DialTimeout("tcp", cfg.Addr, DefaultHandshakeTimeout)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		conn := &ioCounter{Conn: nc}
+		client, err := NewClientOptions(conn, cfg.Distance, cfg.Codec, ClientOptions{
 			Features: FeatureStream | FeatureChecksum,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			//lint:allow errwrap teardown of a conn whose handshake failed; the handshake error is the one returned
+			nc.Close()
+			return nil, nil, nil, nil, err
 		}
 		st, err := client.OpenStream(cfg.Window)
 		if err != nil {
 			//lint:allow errwrap teardown of a conn whose open failed; the open error is the one returned
 			client.Close()
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
-		return st, nil, []io.Closer{client}, nil
+		return st, nil, conn, []io.Closer{client}, nil
 	}
 
 	proxy, err := faultinject.NewProxy(cfg.Addr, faultinject.Config{Seed: cfg.Seed ^ 0x6B11})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	rs, err := NewResumingStream(func() (*Client, error) {
 		return DialOptions(proxy.Addr(), cfg.Distance, cfg.Codec, ClientOptions{
@@ -598,7 +618,7 @@ func openLoadSession(cfg StreamLoadConfig) (loadSession, *loadKills, []io.Closer
 	if err != nil {
 		//lint:allow errwrap teardown of a proxy nothing went through; the open error is the one returned
 		proxy.Close()
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	// Kill thresholds: distinct seeded points in the send schedule, away
 	// from the very first batch so the session is established.
@@ -612,7 +632,7 @@ func openLoadSession(cfg StreamLoadConfig) (loadSession, *loadKills, []io.Closer
 		kills.at = append(kills.at, v)
 	}
 	sort.Ints(kills.at)
-	return rs, kills, []io.Closer{proxy, rs}, nil
+	return rs, kills, nil, []io.Closer{proxy, rs}, nil
 }
 
 // RunStreamLoad opens a streaming session and drives it open-loop: a
@@ -646,9 +666,13 @@ func RunStreamLoad(cfg StreamLoadConfig) (*StreamLoadReport, error) {
 		close(stop)
 		sendWG.Wait()
 	}()
-	st, kills, closers, err := openLoadSession(cfg)
+	st, kills, conn, closers, err := openLoadSession(cfg)
 	if err != nil {
 		return nil, err
+	}
+	var openWrites int64
+	if conn != nil {
+		openWrites = conn.writes.Load()
 	}
 	for _, c := range closers {
 		defer c.Close()
@@ -661,6 +685,8 @@ func RunStreamLoad(cfg StreamLoadConfig) (*StreamLoadReport, error) {
 	sendAtNs := make([]atomic.Int64, cfg.Rounds)
 	sendErr := make(chan error, 1)
 	pacer := startLoadPacer(cfg.RatePerSec)
+	// roundsFrames is written by the sender and read after sendErr delivers.
+	var roundsFrames int64
 	sendWG.Add(1)
 	go func() {
 		defer sendWG.Done()
@@ -679,6 +705,7 @@ func RunStreamLoad(cfg StreamLoadConfig) (*StreamLoadReport, error) {
 				sendErr <- fmt.Errorf("server: stream send at round %d: %w", i, err)
 				return
 			}
+			roundsFrames += int64((end - i + maxStreamRowsPerFrame - 1) / maxStreamRowsPerFrame)
 			// Read by the caller only after sendErr delivers.
 			rep.Kills += kills.fire(end)
 		}
@@ -742,6 +769,9 @@ func RunStreamLoad(cfg StreamLoadConfig) (*StreamLoadReport, error) {
 	}
 	rep.RoundsPerSec = perSec(rep.Rounds, rep.ElapsedSec)
 	rep.WindowsPerSec = perSec(rep.Windows, rep.ElapsedSec)
+	if conn != nil {
+		rep.RoundsPerWrite = float64(roundsFrames) / float64(max(conn.writes.Load()-openWrites, 1))
+	}
 	if rs, ok := st.(*ResumingStream); ok {
 		rep.Reconnects = rs.Reconnects()
 		rep.ReplayedRounds = rs.ReplayedRounds()

@@ -330,6 +330,11 @@ type conn struct {
 	werr    error
 	// wTimeout bounds each flush (0 disables).
 	wTimeout time.Duration
+	// parked is set while a stream session's reader is in, or about to
+	// enter, a socket read: the session's pump, which queues commits, then
+	// flushes them itself. The reader sets it before its flush and the pump
+	// checks it after its append, so whichever comes second writes.
+	parked atomic.Bool
 
 	// lastActive is the UnixNano of the last completed inbound frame; the
 	// idle reaper closes connections whose lastActive is too old.
@@ -393,6 +398,28 @@ func (c *conn) queueResult(rf ResultFrame) {
 	start := len(c.wbuf)
 	c.wbuf = endFrame(rf.AppendTo(beginFrame(c.wbuf, FrameResult)), start, c.checked())
 	c.wframes++
+}
+
+// queueCommit encodes a stream commit in place behind whatever is queued
+// and leaves it there, returning the connection's sticky failure instead
+// when it is closed. carry is the commit's resolved seam in row words,
+// appended little-endian after f's own bytes — so a fresh commit passes its
+// words with a nil f.Carry and a retained one its serialised f.Carry alone,
+// and the wire bytes are StreamCorrections.AppendTo's either way.
+func (c *conn) queueCommit(f StreamCorrections, carry []uint64) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr != nil {
+		return c.werr
+	}
+	start := len(c.wbuf)
+	b := f.AppendTo(beginFrame(c.wbuf, FrameStreamCorrections))
+	for _, w := range carry {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	c.wbuf = endFrame(b, start, c.checked())
+	c.wframes++
+	return nil
 }
 
 // flush writes every queued frame with one Write. A peer that stopped

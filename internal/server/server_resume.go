@@ -259,8 +259,10 @@ func (s *Server) serveStreamResume(c *conn, codec compress.Codec, payload []byte
 		return err // this conn is dead too; the session stays parked
 	}
 	for _, cm := range sess.retained[start:] {
+		// Queued, not written: the summary below or runStream's first
+		// flush carries them, all in one write.
 		cm.AckRows = rows
-		if err := c.writeFrame(FrameStreamCorrections, cm.AppendTo(nil)); err != nil {
+		if err := c.queueCommit(cm, nil); err != nil {
 			sess.mu.Unlock()
 			return err
 		}

@@ -330,7 +330,10 @@ func (s *Server) pumpStream(sess *streamSession) {
 	}
 }
 
-// deliver retains and writes one commit. A write failure detaches the
+// deliver retains one commit and queues it on the attached connection. It
+// writes the queue only when the session's reader is parked in a socket
+// read; otherwise the reader flushes before its next read that could block,
+// so a burst of commits leaves in one write. A write failure detaches the
 // connection (the read loop observes the closed conn and parks or aborts
 // the session); a session that cannot be resumed also aborts its pipeline
 // at once.
@@ -356,25 +359,36 @@ func (sess *streamSession) deliver(cm stream.Commit) {
 	}
 	if cm.Forced {
 		f.CarrySeam = uint16(cm.CarryRows)
-		f.Carry = make([]byte, len(cm.Carry)*8)
-		for i, w := range cm.Carry {
-			binary.LittleEndian.PutUint64(f.Carry[i*8:], w)
-		}
 	}
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.resumable {
-		sess.retain(f)
+		// The ring's entry owns a serialised copy of the carry; the frame
+		// below encodes the words in place.
+		r := f
+		if cm.Forced {
+			r.Carry = make([]byte, 0, len(cm.Carry)*8)
+			for _, w := range cm.Carry {
+				r.Carry = binary.LittleEndian.AppendUint64(r.Carry, w)
+			}
+		}
+		sess.retain(r)
 	}
 	c := sess.attached
 	if c == nil || sess.writeErr != nil {
 		return
 	}
 	f.AckRows = sess.rowsReceived.Load()
-	if err := c.writeFrame(FrameStreamCorrections, f.AppendTo(nil)); err != nil {
-		// writeFrame already closed the conn; the read loop observes the
-		// death and parks (resumable) or aborts the session.
+	err := c.queueCommit(f, cm.Carry)
+	// Append, then check the park flag: a reader that parked after this
+	// load flushes the commit itself.
+	if err == nil && c.parked.Load() {
+		err = c.flush()
+	}
+	if err != nil {
+		// The failed flush already closed the conn; the read loop observes
+		// the death and parks (resumable) or aborts the session.
 		sess.writeErr = err
 		sess.attached = nil
 		if !sess.resumable {
@@ -392,7 +406,17 @@ func (s *Server) runStream(c *conn, codec compress.Codec, sess *streamSession) e
 	p := sess.p
 	row := bitvec.New(sess.width)
 	for {
+		if !c.frameBuffered() {
+			// The next read may block: park, then flush the commits the
+			// pump queued; one it queues after this flush finds the flag
+			// set and writes itself.
+			c.parked.Store(true)
+			if err := c.flush(); err != nil {
+				return s.suspendStream(sess, err)
+			}
+		}
 		t, payload, err := c.readFrame(s.cfg.MaxFrameBytes, s.cfg.IdleTimeout)
+		c.parked.Store(false)
 		if errors.Is(err, ErrChecksum) {
 			// Rounds are contiguous by contract: a corrupted frame cannot
 			// be skipped the way a lone decode request can, so this
