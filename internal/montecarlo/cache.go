@@ -15,8 +15,9 @@ import (
 // after construction, so one build can serve them all.
 //
 // The cache is bounded: a long-lived decode server that rotates through
-// artifact generations keeps resolving stream-window environments at new
-// physical error rates, and an unbounded map would grow with every
+// artifact generations keeps resolving stream-window environments (one per
+// operating point and window shape, WindowRounds+2·PadRounds rounds tall)
+// at new physical error rates, and an unbounded map would grow with every
 // recalibration forever. Completed entries beyond the count or byte caps
 // are evicted least-recently-used; an evicted operating point simply
 // rebuilds on next use (callers hold their own *Env references, which stay

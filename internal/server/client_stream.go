@@ -56,9 +56,9 @@ type Stream struct {
 
 // holdRows is the most rounds a session with these resolved parameters can
 // hold pushed but uncommitted once every window it has cut is committed.
-// The planner cuts as soon as its buffer reaches WindowRounds, except that a
-// clean cut waits for a carried seam prefix to clear, which bounds the
-// buffer by PadRounds + GapRounds/2 + 1; the sum of the three is above both.
+// The planner cuts by the time its buffer reaches WindowRounds (a clean cut
+// waits for a carried seam prefix to clear, but never past that cap); the
+// sum of the three is a margin above it.
 func holdRows(ack StreamOpenAck) uint64 {
 	return uint64(ack.WindowRounds) + uint64(ack.PadRounds) + uint64(ack.GapRounds)
 }

@@ -65,8 +65,15 @@ func (s *Server) parkStream(sess *streamSession) bool {
 	sess.mu.Unlock()
 	s.stats.streamsParked.Add(1)
 
+	// A reconnect may have reattached, and even finished, the session since
+	// sess.mu was released: cache it only while it is still parked, or a
+	// finished session would stay in the cache for good.
 	s.resumeMu.Lock()
-	s.parked[sess.token] = sess
+	sess.mu.Lock()
+	if sess.state == sessionParked {
+		s.parked[sess.token] = sess
+	}
+	sess.mu.Unlock()
 	victims := s.overflowLocked()
 	s.resumeMu.Unlock()
 	for _, v := range victims {

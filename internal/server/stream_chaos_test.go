@@ -10,6 +10,7 @@ import (
 	"astrea/internal/compress"
 	"astrea/internal/faultinject"
 	"astrea/internal/montecarlo"
+	"astrea/internal/prng"
 )
 
 // TestStreamChaosSoak is the streaming chaos acceptance test: sessions
@@ -199,11 +200,12 @@ func TestStreamChaosSoak(t *testing.T) {
 
 // TestStreamChaosSoakResume is the resume-enabled chaos soak: resumable
 // sessions through a fault-injecting proxy whose connections are
-// additionally slammed shut on a tight schedule. Unlike the legacy soak —
-// where a killed session is allowed to die after a valid prefix — every
-// resumable session here MUST finish: the reconnect loop absorbs kills,
-// corruption (checksummed frames turn it into connection death), stalls
-// and short reads. Invariants: each session's commit stream is a
+// additionally slammed shut on each session's seeded schedule of round
+// counts, so every session is severed however fast it runs. Unlike the
+// legacy soak — where a killed session is allowed to die after a valid
+// prefix — every resumable session here MUST finish: the reconnect loop
+// absorbs kills, corruption (checksummed frames turn it into connection
+// death), stalls and short reads. Invariants: each session's commit stream is a
 // contiguous partition with no round committed twice, the resume cache
 // drains to zero once the server shuts down, session accounting balances,
 // and no pipeline or pump goroutine leaks (package leak check).
@@ -236,24 +238,6 @@ func TestStreamChaosSoakResume(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	// Scheduled connection kills on top of the probabilistic chaos.
-	killerDone := make(chan struct{})
-	var killerWG sync.WaitGroup
-	killerWG.Add(1)
-	go func() {
-		defer killerWG.Done()
-		tick := time.NewTicker(3 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-killerDone:
-				return
-			case <-tick.C:
-				proxy.KillActive()
-			}
-		}
-	}()
-
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
 	var reconnects, replayed atomic.Int64
@@ -281,7 +265,9 @@ func TestStreamChaosSoakResume(t *testing.T) {
 			}
 			defer rs.Close()
 			rows := sampleStreamRows(env, uint64(0x2E50+g), shotsPerSession)
-			commits, summary, err := driveResumingSession(rs, proxy, rows, nil, nil)
+			// Scheduled connection kills on top of the probabilistic chaos.
+			kills := killSchedule(prng.New(uint64(0xC1A05+g)), 4, 16, len(rows))
+			commits, summary, err := driveResumingSession(rs, proxy, rows, kills, nil)
 			if err != nil {
 				errs <- fmt.Errorf("resume soak session %d: %w", g, err)
 				return
@@ -300,8 +286,6 @@ func TestStreamChaosSoakResume(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(killerDone)
-	killerWG.Wait()
 	proxy.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -16,9 +16,10 @@ type decoderKey struct {
 	dec string
 }
 
-// decoders holds a pipeline's decoder instances, built on first use and
-// released with the pipeline. Most decoders are stateful (scratch buffers)
-// and not concurrency safe; only the pushing goroutine touches them.
+// decoders holds a pipeline's decoder instances (the configured one and its
+// MWPM fallback, per environment), built on first use and released with the
+// pipeline. Most decoders are stateful (scratch buffers) and not
+// concurrency safe; only the pushing goroutine touches them.
 type decoders map[decoderKey]decoder.Decoder
 
 // decode runs the named decoder on the syndrome. An instance whose decode
@@ -46,10 +47,6 @@ func (decs decoders) decode(env *montecarlo.Env, name string, synd bitvec.Vec) (
 	}()
 	return d.Decode(synd), nil
 }
-
-// rowWidth returns the stream's row width: detectors per measurement round
-// of the environment's tracked stabiliser type.
-func rowWidth(env *montecarlo.Env) int { return env.Graph.N / (env.Rounds + 1) }
 
 // window is one planned slice of the round stream, cut and ready to decode.
 type window struct {
@@ -83,43 +80,43 @@ type decoded struct {
 	carry []uint64
 }
 
-// windowEnv resolves the embedded environment for a window of h rounds and
-// the row offset at which the window's first row lands in it. Open edges
-// receive at least pad defect-free rounds of padding; heights are rounded
-// up to the size class so the set of distinct environments stays small.
-// Closed edges align with the environment's genuine temporal boundaries:
-// a closed bottom pins the window to row 0 (the init-comparison row), a
-// closed top pins the window's last row to the final data-measurement row.
-// A window closed at both ends gets an exact-height environment.
-func windowEnv(base *montecarlo.Env, h, pad, sizeClass int, closedBottom, closedTop bool) (*montecarlo.Env, int, error) {
-	padBottom, padTop := pad, pad
-	if closedBottom {
-		padBottom = 0
-	}
-	if closedTop {
-		padTop = 0
-	}
-	detRows := h + padBottom + padTop
-	if !(closedBottom && closedTop) {
-		if rem := detRows % sizeClass; rem != 0 {
-			detRows += sizeClass - rem
-		}
-	}
-	offset := padBottom
-	if closedTop {
-		offset = detRows - h // absorb the quantisation slack below the window
-	}
-	// The base environment itself is reusable when the heights agree — the
-	// whole-stream-in-one-window case, and artifact-served operating points
-	// whose env never passed through the shared cache.
+// envOfRows returns base's operating point with detRows detector rows:
+// base itself when the heights agree (artifact-served operating points
+// never pass through the shared cache), otherwise the shared cache's.
+func envOfRows(base *montecarlo.Env, detRows int) (*montecarlo.Env, error) {
 	if detRows == base.Rounds+1 {
-		return base, offset, nil
+		return base, nil
 	}
 	env, err := montecarlo.SharedEnvBasis(base.Basis, base.Distance, detRows-1, base.P)
 	if err != nil {
-		return nil, 0, fmt.Errorf("stream: window environment (d=%d rounds=%d): %w", base.Distance, detRows-1, err)
+		return nil, fmt.Errorf("stream: window environment (d=%d rounds=%d): %w", base.Distance, detRows-1, err)
 	}
-	return env, offset, nil
+	return env, nil
+}
+
+// windowEnv resolves the environment a window of h rounds embeds in and the
+// row offset at which its first row lands there. Every window embeds in env,
+// the stream's environment of WindowRounds+2·pad rows, so it never holds a
+// window taller than WindowRounds. A closed bottom pins the window to row 0
+// (the init-comparison row), a closed top pins its last row to the final
+// data-measurement row, and an open edge keeps at least pad defect-free
+// rows of padding. A window closed at both ends is the whole stream and
+// gets an environment of its exact height from base's operating point.
+func windowEnv(base, env *montecarlo.Env, h, pad int, closedBottom, closedTop bool) (*montecarlo.Env, int, error) {
+	rows := env.Rounds + 1
+	if h > rows-2*pad {
+		return nil, 0, fmt.Errorf("stream: window of %d rounds is taller than the %d-round cap of its %d-row environment", h, rows-2*pad, rows)
+	}
+	switch {
+	case closedBottom && closedTop:
+		env, err := envOfRows(base, h)
+		return env, 0, err
+	case closedBottom:
+		return env, 0, nil
+	case closedTop:
+		return env, rows - h, nil
+	}
+	return env, pad, nil
 }
 
 // decodeWindow decodes one window on its embedded environment and splits
@@ -138,7 +135,7 @@ func (p *Pipeline) decodeWindow(w *window) (decoded, error) {
 		return decoded{empty: true, carry: make([]uint64, w.carrySeam*p.rowWords)}, nil
 	}
 
-	env, offset, err := windowEnv(p.cfg.Env, w.rows, p.cfg.PadRounds, p.cfg.SizeClassRounds, w.closedBottom, w.closedTop)
+	env, offset, err := p.place(w.rows, w.closedBottom, w.closedTop)
 	if err != nil {
 		return decoded{}, err
 	}
@@ -210,20 +207,15 @@ func (p *Pipeline) splitForced(w *window, env *montecarlo.Env, offset int, res d
 			continue // seam–boundary: defer, defect survives in carry
 		}
 		bi, bj := inBody(i), inBody(j)
-		switch {
-		case bi && bj:
-			obs ^= gwt.Obs(i, j)
-			weight += gwt.Weight(i, j)
-		case bi || bj:
-			obs ^= gwt.Obs(i, j)
-			weight += gwt.Weight(i, j)
-			if bi {
-				clearCarried(j)
-			} else {
-				clearCarried(i)
-			}
-		default:
-			// seam–seam: defer whole chain
+		if !bi && !bj {
+			continue // seam–seam: defer whole chain
+		}
+		obs ^= gwt.Obs(i, j)
+		weight += gwt.Weight(i, j)
+		if !bi {
+			clearCarried(i)
+		} else if !bj {
+			clearCarried(j)
 		}
 	}
 
