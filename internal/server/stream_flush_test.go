@@ -183,9 +183,13 @@ func TestStreamRoundsLiveness(t *testing.T) {
 	})
 	opts := StreamOptions{WindowRounds: 24, GapRounds: 22}
 	rows := sampleStreamRows(env, 0x11FE, 400)
-	local, _, err := stream.DecodeClosed(resolveStreamConfig(env, "astrea", StreamOpen{
+	cfg, err := resolveStreamConfig(env, "astrea", StreamOpen{
 		WindowRounds: uint16(opts.WindowRounds), GapRounds: uint16(opts.GapRounds),
-	}), rows)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, _, err := stream.DecodeClosed(cfg, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

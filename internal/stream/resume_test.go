@@ -88,7 +88,7 @@ func TestPipelineResumeBitIdentical(t *testing.T) {
 			WindowRounds: SafeGapRounds(env) + 2,
 		}
 
-		width := rowWidth(env)
+		width := RowWidth(env)
 		detRows := env.Graph.N / width
 		smp := dem.NewSampler(env.Model)
 		rng := prng.New(uint64(0x5E50E + tc.d))
@@ -157,12 +157,12 @@ func TestResumeConfigValidation(t *testing.T) {
 		t.Fatal("New accepted a seam taller than the window cap")
 	}
 
-	rowWords := (rowWidth(env) + 63) / 64
+	rowWords := (RowWidth(env) + 63) / 64
 	p, err := New(Config{Env: env, StartRow: 10, StartSeq: 2, CarrySeam: 2, Carry: make([]uint64, 2*rowWords)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.PushRow(bitvec.New(rowWidth(env))); err != nil {
+	if err := p.PushRow(bitvec.New(RowWidth(env))); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err == nil {
