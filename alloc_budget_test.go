@@ -13,6 +13,7 @@ import (
 	"astrea/internal/mwpm"
 	"astrea/internal/server"
 	"astrea/internal/sparsemwpm"
+	"astrea/internal/stream"
 )
 
 // Committed steady-state allocation budgets for warm d=7 decode.
@@ -44,6 +45,21 @@ const (
 	// allocating per frame, and 0.86 while the daemon still built the
 	// caller-owned Result.Pairs.
 	requestPathAllocBudget = 0.1
+	// streamQuietRowAllocBudget bounds a PushRow of a defect-free round on
+	// a warm pipeline, the empty windows it cuts and commits included: the
+	// row is copied into the pipeline's buffer, the window into its reused
+	// window, and an empty window decodes nothing.
+	streamQuietRowAllocBudget = 0.0
+	// streamWindowAllocBudget bounds the allocations per cut window of a
+	// warm d=5, p=1e-3 stream, sampled rounds pushed back to back. A clean
+	// window allocates nothing: its syndrome is the pipeline's, and Astrea
+	// answers it through DecodeObs. A forced window (about a fifth of them)
+	// allocates its matching's Pairs, which the seam split reads, and the
+	// carried seam its commit keeps; the rare window Astrea declines adds
+	// the MWPM fallback's Pairs: 0.37 on the sampled stream, whose 986
+	// windows a pass include 182 forced and 5 fallbacks. It was 3.0 while
+	// every window had its own window, words and syndrome.
+	streamWindowAllocBudget = 0.4
 )
 
 // TestSparseDecodeAllocBudget pins steady-state sparse decode (warm
@@ -304,5 +320,87 @@ func TestPipelinedRequestPathAllocBudget(t *testing.T) {
 		t.Errorf("pipelined loopback round trip: %.3f allocs/request, budget %.2f — a per-request allocation crept into the queued-send path", got, requestPathAllocBudget)
 	} else {
 		t.Logf("pipelined loopback round trip: %.3f allocs/request", got)
+	}
+}
+
+// TestStreamPushRowAllocBudget holds the stream pipeline's row and window
+// path — PushRow, the planner's cut, the window's embedding and decode, the
+// commit and its hand-off to the consumer — to its committed budgets, counted
+// fractionally across every goroutine as the request-path gates are.
+func TestStreamPushRowAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("samples a d=5 Monte-Carlo stream")
+	}
+	env, shots := matchingPool(t, matchingCell{D: 5, P: 1e-3, LoHW: 0, HiHW: 1 << 30}, 2000)
+	width := stream.RowWidth(env)
+	var rows []bitvec.Vec
+	for _, s := range shots {
+		for r := 0; r <= env.Rounds; r++ {
+			row := bitvec.New(width)
+			for k := 0; k < width; k++ {
+				if s.Get(r*width + k) {
+					row.Set(k)
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+
+	p, err := stream.New(stream.Config{Env: env, Decoder: "astrea"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range p.Commits() {
+		}
+	}()
+	defer func() {
+		p.Abort()
+		<-drained
+	}()
+	pushAll := func(rows []bitvec.Vec) {
+		for _, row := range rows {
+			if err := p.PushRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Warm the buffers, the window environment's decoders and the commit
+	// channel: the budgets are steady-state contracts.
+	pushAll(rows)
+	quiet := make([]bitvec.Vec, 64)
+	for i := range quiet {
+		quiet[i] = bitvec.New(width)
+	}
+	pushAll(quiet)
+
+	got := allocsPerRequest(8, len(quiet), func() { pushAll(quiet) })
+	if got > streamQuietRowAllocBudget {
+		t.Errorf("quiet PushRow: %.3f allocs/row, budget %.0f — a per-row or per-window allocation crept into the stream path", got, streamQuietRowAllocBudget)
+	} else {
+		t.Logf("quiet PushRow: %.3f allocs/row", got)
+	}
+
+	// allocsPerRequest needs the windows a pass cuts, which depend on where
+	// the previous pass left the planner; count them per pass instead.
+	perWindow := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		st0 := p.Stats()
+		runtime.ReadMemStats(&before)
+		pushAll(rows)
+		runtime.ReadMemStats(&after)
+		st1 := p.Stats()
+		windows := st1.Windows - st0.Windows
+		perWindow = math.Min(perWindow, float64(after.Mallocs-before.Mallocs)/float64(windows))
+		t.Logf("pass %d: %d windows, %d forced, %d fallback", round, windows, st1.ForcedCuts-st0.ForcedCuts, st1.Fallbacks-st0.Fallbacks)
+	}
+	if perWindow > streamWindowAllocBudget {
+		t.Errorf("sampled d=5 stream: %.3f allocs/window, budget %.2f — forced windows' Pairs and carries are the only allocations it has", perWindow, streamWindowAllocBudget)
+	} else {
+		t.Logf("sampled d=5 stream: %.3f allocs/window", perWindow)
 	}
 }

@@ -152,6 +152,13 @@ func (v Vec) Ones(dst []int) []int {
 	return dst
 }
 
+// AppendWords appends v's backing words to dst and returns the extended
+// slice: bit i of v is bit i%64 of the (i/64)-th appended word. It copies a
+// whole vector a word at a time, where Ones would cost a step per set bit.
+func (v Vec) AppendWords(dst []uint64) []uint64 {
+	return append(dst, v.words...)
+}
+
 // NextOne returns the index of the lowest set bit at or above from, or -1
 // when there is none — the allocation-free way to walk the set bits:
 //

@@ -115,6 +115,28 @@ func TestNextOneWalksOnes(t *testing.T) {
 	}
 }
 
+// AppendWords must lay bit i at bit i%64 of word i/64, after what dst held.
+func TestAppendWords(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		v := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				v.Set(i)
+			}
+		}
+		got := v.AppendWords([]uint64{7})
+		if len(got) != 1+(n+63)/64 || got[0] != 7 {
+			t.Fatalf("n=%d: appended %d words after %v, want %d after the prefix", n, len(got)-1, got[:1], (n+63)/64)
+		}
+		for i := 0; i < n; i++ {
+			if bit := got[1+i/64]>>(uint(i)%64)&1 == 1; bit != v.Get(i) {
+				t.Fatalf("n=%d: bit %d appended as %v, vector holds %v", n, i, bit, v.Get(i))
+			}
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	a := FromIndices(70, 5, 69)
 	b := a.Clone()
