@@ -94,6 +94,14 @@ func EngineOf(d Decoder) string {
 	return d.Name()
 }
 
+// ObsDecoder is the optional capability of decoders (Astrea, Astrea-G) with
+// an allocation-free entry point for callers that read only the observable
+// prediction: DecodeObs agrees with Decode on every Result field except
+// Pairs, which it may leave nil.
+type ObsDecoder interface {
+	DecodeObs(syndrome bitvec.Vec) Result
+}
+
 // Validate checks the structural sanity of a matching against the syndrome:
 // every flagged detector appears exactly once, no unflagged detector
 // appears. It returns false with a reason string on violation; decoders'

@@ -224,7 +224,7 @@ type distPool struct {
 	expected   []float64
 
 	decoders sync.Pool
-	// inline records that the pool's decoders implement obsDecoder
+	// inline records that the pool's decoders implement decoder.ObsDecoder
 	// (Astrea, Astrea-G): their HW ≤ astrea.MaxHW requests are sub-µs and are
 	// decoded on the connection's reader instead of travelling the queue.
 	inline bool
@@ -254,14 +254,6 @@ type distSlot struct {
 	requests sync.Pool
 }
 
-// obsDecoder is the optional capability of decoders (Astrea, Astrea-G) with
-// an allocation-free entry point for callers that read only the observable
-// prediction: DecodeObs agrees with Decode on every Result field except
-// Pairs, which it may leave nil.
-type obsDecoder interface {
-	DecodeObs(syndrome bitvec.Vec) decoder.Result
-}
-
 // decode runs one syndrome on a pooled instance, containing any panic: the
 // request fails with an error instead of killing the goroutine, and the
 // panicking instance is discarded rather than recycled into the pool (its
@@ -277,7 +269,7 @@ func (p *distPool) decode(s bitvec.Vec) (res decoder.Result, err error) {
 		}
 		p.put(dec)
 	}()
-	if od, ok := dec.(obsDecoder); ok {
+	if od, ok := dec.(decoder.ObsDecoder); ok {
 		return od.DecodeObs(s), nil
 	}
 	return dec.Decode(s), nil
@@ -660,7 +652,7 @@ func (s *Server) buildPool(d int, gen uint64, env *montecarlo.Env, factory monte
 		return nil, fmt.Errorf("server: building %q decoder for d=%d: %w", decoderName, d, err)
 	}
 	p.engine = decoder.EngineOf(first)
-	_, p.inline = first.(obsDecoder)
+	_, p.inline = first.(decoder.ObsDecoder)
 	p.put(first)
 	return p, nil
 }
@@ -885,7 +877,7 @@ func (s *Server) Close() error {
 // the peer hangs up or misbehaves.
 //
 // A decode request is routed where it is read. On a pool whose decoders
-// offer obsDecoder, a syndrome of Hamming weight ≤ astrea.MaxHW —
+// offer decoder.ObsDecoder, a syndrome of Hamming weight ≤ astrea.MaxHW —
 // the sub-µs common case — is decoded right here, since handing it to a
 // worker would cost several times the decode; its result is queued on the
 // connection like a worker's and flushed before the next read that could
