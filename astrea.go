@@ -31,7 +31,6 @@ import (
 	"astrea/internal/astreag"
 	"astrea/internal/bitvec"
 	"astrea/internal/clique"
-	"astrea/internal/cluster"
 	"astrea/internal/compress"
 	"astrea/internal/decodegraph"
 	"astrea/internal/decoder"
@@ -344,80 +343,16 @@ func DialDecode(addr string, distance int, codecName string) (*DecodeClient, err
 	return server.Dial(addr, distance, id)
 }
 
-// RetryingDecodeClient is the self-healing synchronous client: it dials
-// lazily, reconnects after connection loss, and honours backpressure
-// rejections with jittered, capped exponential backoff (raised to the
-// server's retry-after hint). Not safe for concurrent use.
-type RetryingDecodeClient = server.RetryingClient
-
-// DialDecodeRetrying builds a RetryingDecodeClient with default timeouts
-// and retry policy; no connection is made until the first Decode.
-func DialDecodeRetrying(addr string, distance int, codecName string) (*RetryingDecodeClient, error) {
-	id, err := compress.IDByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	return server.NewRetryingClient(addr, distance, id, server.ClientOptions{}, server.RetryPolicy{}), nil
-}
-
-// DecodeFleet is a replica-aware decode client: it pools connections to N
-// astread endpoints, health-checks each one, fails over past dead or
-// ejected replicas, optionally hedges slow requests, and quarantines any
-// replica whose configuration fingerprint disagrees with the fleet's.
-// Safe for concurrent use.
-type DecodeFleet = cluster.Fleet
-
-// DecodeFleetConfig parameterises a DecodeFleet (see cluster.Config).
-type DecodeFleetConfig = cluster.Config
-
 // ArtifactRotation describes one zero-downtime hot-swap of a running
 // DecodeServer's decoder pool to a newly compiled artifact generation
 // (DecodeServer.Rotate): in-flight requests and open streams finish on the
 // old generation while new work lands on the new one.
 type ArtifactRotation = server.Rotation
 
-// FleetRolloutConfig parameterises DecodeFleet.StageRollout — a
-// replica-by-replica artifact upgrade under live traffic, gated on each
-// replica's own pre-rotation service quality and rolled back automatically
-// on regression (ErrFleetRolloutRegression).
-type FleetRolloutConfig = cluster.RolloutConfig
-
-// FleetRolloutReport records each replica's gate windows and the rollout
-// outcome.
-type FleetRolloutReport = cluster.RolloutReport
-
-// ErrFleetRolloutRegression marks a staged rollout that was rolled back
-// because a rotated replica's quality regressed past the tolerance.
-var ErrFleetRolloutRegression = cluster.ErrRolloutRegression
-
 // Fingerprint is a stable digest of a server's decoding configuration
-// (detector error model + quantised weight table). Two replicas with the
+// (detector error model + quantised weight table). Two servers with the
 // same fingerprint produce interchangeable corrections.
 type Fingerprint = decodegraph.Fingerprint
-
-// ParseFingerprint parses the 16-hex-digit rendering a server prints at
-// startup, for pinning via DecodeFleetConfig.ExpectedFingerprint.
-func ParseFingerprint(s string) (Fingerprint, error) { return decodegraph.ParseFingerprint(s) }
-
-// FingerprintFromArtifact reads a compiled .astc bundle and returns the
-// digest to pin via DecodeFleetConfig.ExpectedFingerprint — the artifact
-// shipped to the fleet is the source of truth, so the pin needs no dialing
-// and no trust in whichever replica answers first.
-func FingerprintFromArtifact(path string) (Fingerprint, error) {
-	return cluster.FingerprintFromArtifact(path)
-}
-
-// DialDecodeFleet builds a DecodeFleet over the given replica addresses
-// with defaults (failover across all replicas, hedging off, first
-// replica's fingerprint adopted fleet-wide). Connections are dialed
-// lazily, so a dead replica surfaces on first use, not here.
-func DialDecodeFleet(addrs []string, distance int, codecName string) (*DecodeFleet, error) {
-	id, err := compress.IDByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.New(cluster.Config{Addrs: addrs, Distance: distance, CodecID: id})
-}
 
 // StreamConfig parameterises a windowed streaming decode pipeline; leave
 // Env nil when building through System.NewStreamPipeline.

@@ -52,38 +52,6 @@
 //	                  bit-identical to an uninterrupted run (-verify).
 //	-stream-kills N   scheduled connection kills (default 3)
 //
-// Fleet mode (replicated daemons):
-//
-//	-servers a,b,c        comma-separated replica addresses; enables the
-//	                      cluster client instead of the single-daemon path
-//	-failover             re-send unanswered requests to the next healthy
-//	                      replica (default true in fleet mode)
-//	-hedge                race a second replica when the first is slow
-//	-hedge-after dur      hedge trigger before RTT history warms up (default 2ms)
-//	-call-timeout dur     per-attempt timeout, the failover trigger (default 250ms)
-//	-workers N            concurrent decode workers in fleet mode (default 4)
-//	-expect-fingerprint F pin the decoding-configuration digest (16 hex chars);
-//	                      replicas advertising a different one are quarantined
-//	-expect-fingerprint-artifact f  pin the digest carried by a compiled
-//	                      .astc bundle (astrea compile) — fleet pinning from
-//	                      the deployment's source of truth, no dialing needed
-//
-// Rotation chaos mode (fleet mode only):
-//
-//	-rotate f.astc        mid-run, stage a replica-by-replica rollout to this
-//	                      compiled bundle under the live load: the bundle is
-//	                      dropped into each replica's artifact watch directory
-//	                      and the fleet's transition window plus regression
-//	                      gate drive the swap; answers are verified against
-//	                      the tables of whichever generation signed them, so
-//	                      -verify spans the rotation. A regression rolls the
-//	                      fleet back automatically and the run exits non-zero.
-//	-rotate-dirs a,b,c    each replica's -artifact-dir, parallel to -servers
-//	-rotate-after frac    fraction of shots offered before the rollout starts
-//	                      (default 0.5)
-//	-rotate-confirm dur   per-step rollout wait bound; must exceed the
-//	                      daemons' -artifact-watch interval (default 30s)
-//
 // Exit status is non-zero if any verified response disagrees with the
 // local decoder.
 package main
@@ -96,12 +64,9 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
-	"astrea/internal/cluster"
 	"astrea/internal/compress"
-	"astrea/internal/decodegraph"
 	"astrea/internal/faultinject"
 	"astrea/internal/report"
 	"astrea/internal/server"
@@ -137,18 +102,6 @@ func run(args []string) error {
 	inflight := fs.Int("inflight", 0, "streaming mode: requested commit backlog in windows (0 = default)")
 	streamResume := fs.Bool("stream-resume", false, "resilience mode: resumable session with scheduled connection kills")
 	streamKills := fs.Int("stream-kills", 3, "stream-resume mode: scheduled connection kills")
-	servers := fs.String("servers", "", "comma-separated replica addresses (fleet mode)")
-	failover := fs.Bool("failover", true, "fleet mode: re-send unanswered requests to the next healthy replica")
-	hedge := fs.Bool("hedge", false, "fleet mode: race a second replica when the first is slow")
-	hedgeAfter := fs.Duration("hedge-after", 2*time.Millisecond, "fleet mode: hedge trigger before RTT history warms up")
-	callTimeout := fs.Duration("call-timeout", 250*time.Millisecond, "fleet mode: per-attempt timeout (the failover trigger)")
-	workers := fs.Int("workers", 4, "fleet mode: concurrent decode workers")
-	expectFP := fs.String("expect-fingerprint", "", "fleet mode: pin the decoding-configuration digest (16 hex chars)")
-	expectFPArtifact := fs.String("expect-fingerprint-artifact", "", "fleet mode: pin the digest carried by a compiled .astc bundle")
-	rotate := fs.String("rotate", "", "fleet mode: stage a mid-run rollout to this compiled .astc bundle")
-	rotateDirs := fs.String("rotate-dirs", "", "rotation mode: each replica's artifact watch directory, parallel to -servers")
-	rotateAfter := fs.Float64("rotate-after", 0.5, "rotation mode: fraction of shots offered before the rollout starts")
-	rotateConfirm := fs.Duration("rotate-confirm", 30*time.Second, "rotation mode: per-step rollout wait bound")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -159,12 +112,6 @@ func run(args []string) error {
 	// Mode conflicts are settled before anything dials or listens.
 	streaming := *streamMode || *streamResume
 	switch {
-	case *servers != "" && *chaos:
-		return fmt.Errorf("-chaos applies to the single-daemon path; fleet mode injects faults server-side")
-	case *servers != "" && streaming:
-		return fmt.Errorf("-stream/-stream-resume apply to the single-daemon path; a windowed session pins one connection")
-	case *statsURL != "" && *servers != "":
-		return fmt.Errorf("-stats applies to the single-daemon paths")
 	case *chaos && *streamResume:
 		return fmt.Errorf("-chaos and -stream-resume are mutually exclusive; resume mode interposes its own connection-killing proxy")
 	case streaming && deadline.Nanoseconds() > math.MaxUint32:
@@ -184,51 +131,6 @@ func run(args []string) error {
 		Seed:          *seed,
 		Verify:        *verify,
 		VerifyDecoder: *verifyDecoder,
-	}
-
-	if *servers != "" {
-		var fp decodegraph.Fingerprint
-		switch {
-		case *expectFP != "" && *expectFPArtifact != "":
-			return fmt.Errorf("-expect-fingerprint and -expect-fingerprint-artifact are mutually exclusive")
-		case *expectFP != "":
-			if fp, err = decodegraph.ParseFingerprint(*expectFP); err != nil {
-				return err
-			}
-		case *expectFPArtifact != "":
-			if fp, err = cluster.FingerprintFromArtifact(*expectFPArtifact); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "astrea-loadgen: pinning fingerprint %s from %s\n", fp, *expectFPArtifact)
-		}
-		addrs := splitList(*servers)
-		var dirs []string
-		if *rotate != "" {
-			if *rotateDirs == "" {
-				return fmt.Errorf("-rotate needs -rotate-dirs (one watch directory per replica)")
-			}
-			dirs = splitList(*rotateDirs) // cluster.RunLoad checks one per replica
-		}
-		fmt.Fprintf(os.Stderr, "astrea-loadgen: offering %d d=%d syndromes across %d replicas (codec=%s, rate=%s, failover=%v, hedge=%v)\n",
-			*n, *d, len(addrs), *codecName, rateLabel(*rate), *failover, *hedge)
-		rep, err := cluster.RunLoad(cluster.LoadConfig{
-			LoadConfig:           load,
-			Addrs:                addrs,
-			Concurrency:          *workers,
-			Failover:             *failover,
-			Hedge:                *hedge,
-			HedgeAfter:           *hedgeAfter,
-			CallTimeout:          *callTimeout,
-			ExpectedFingerprint:  fp,
-			RotateArtifact:       *rotate,
-			RotateDirs:           dirs,
-			RotateAfterFrac:      *rotateAfter,
-			RotateConfirmTimeout: *rotateConfirm,
-		})
-		if err != nil {
-			return err
-		}
-		return renderRequests(&rep.LoadReport, rep, load, *rotate != "", nil)
 	}
 
 	if *chaos {
@@ -326,7 +228,7 @@ func run(args []string) error {
 		}
 		inline = &inlineShare{inline: after.Inline - before.Inline, accepted: after.Accepted - before.Accepted}
 	}
-	return renderRequests(rep, nil, load, false, inline)
+	return renderRequests(rep, load, inline)
 }
 
 // inlineShare is how many of a run's accepted requests the daemon answered
@@ -371,15 +273,6 @@ func rateLabel(rate float64) string {
 	return fmt.Sprintf("%g/s", rate)
 }
 
-// splitList splits a comma-separated flag value, trimming each element.
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
-}
-
 // reportWriter prints a report's sections to stdout, a blank line between
 // them, and keeps the first write error.
 type reportWriter struct {
@@ -402,12 +295,10 @@ func (w *reportWriter) cdf(title string, samplesNs []float64, budgetNs float64) 
 	w.section(func(out io.Writer) error { return report.CDF(out, title, samplesNs, budgetNs) })
 }
 
-// renderRequests prints a request-mode report and applies the exit-code
-// gates. A fleet run (fleet != nil) labels the tallies a fleet counts
-// differently, adds the requests no replica answered, and appends its
-// replica and rollout tables; rotating additionally gates on the rollout
-// having completed. A non-nil inline adds the daemon's answered-inline row.
-func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg server.LoadConfig, rotating bool, inline *inlineShare) error {
+// renderRequests prints a request-mode report and applies the
+// zero-mismatch gate. A non-nil inline adds the daemon's answered-inline
+// row.
+func renderRequests(rep *server.LoadReport, cfg server.LoadConfig, inline *inlineShare) error {
 	var out reportWriter
 	budget := float64(cfg.DeadlineNs)
 	if budget == 0 {
@@ -418,20 +309,10 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 		Title:   "astread load report",
 		Headers: []string{"metric", "value"},
 	}
-	rttTitle := "client round-trip latency"
 	t.AddRow("offered", rep.Offered)
-	if fleet == nil {
-		t.AddRow("accepted", rep.Accepted)
-		t.AddRow("rejected (backpressure)", rep.Rejected)
-		t.AddRow("errored", rep.Errored)
-	} else {
-		t.Title = "astread fleet load report"
-		rttTitle = "fleet round-trip latency (incl. failover/hedge)"
-		t.AddRow("answered", rep.Accepted)
-		t.AddRow("rejected (all replicas shed)", rep.Rejected)
-		t.AddRow("errored (server error)", rep.Errored)
-		t.AddRow("failed (no replica answered)", fleet.Failed)
-	}
+	t.AddRow("accepted", rep.Accepted)
+	t.AddRow("rejected (backpressure)", rep.Rejected)
+	t.AddRow("errored", rep.Errored)
 	t.AddRow("offered/s", rep.OfferedPerSec)
 	t.AddRow("achieved/s", rep.AchievedPerSec)
 	if rep.FramesPerRead > 0 {
@@ -465,50 +346,13 @@ func renderRequests(rep *server.LoadReport, fleet *cluster.LoadReport, cfg serve
 		})
 	}
 
-	if fleet != nil {
-		// Per-replica traffic split: how failover, hedging and the breaker
-		// actually distributed the load.
-		rt := report.Table{
-			Title:   "replica traffic split",
-			Headers: []string{"replica", "state", "req", "ok", "fail", "rej", "hedge", "probes ok/total"},
-		}
-		for _, rs := range fleet.Replicas {
-			rt.AddRow(rs.Addr, rs.State, rs.Requests, rs.Successes, rs.Failures, rs.Rejections,
-				rs.Hedges, fmt.Sprintf("%d/%d", rs.Probes-rs.ProbeFailures, rs.Probes))
-		}
-		out.section(rt.Write)
-		if fleet.Rotation != nil {
-			st := report.Table{
-				Title:   "staged rollout",
-				Headers: []string{"replica", "outcome", "baseline ok/miss", "post ok/miss"},
-			}
-			for _, step := range fleet.Rotation.Steps {
-				outcome := "passed"
-				if step.RolledBack {
-					outcome = "ROLLED BACK: " + step.Reason
-				}
-				st.AddRow(step.Addr, outcome,
-					fmt.Sprintf("%d/%d", step.Baseline.Successes, step.Baseline.DeadlineMisses),
-					fmt.Sprintf("%d/%d", step.Post.Successes, step.Post.DeadlineMisses))
-			}
-			out.section(st.Write)
-		}
-	}
-	out.cdf(rttTitle, rep.RTTNs, budget)
+	out.cdf("client round-trip latency", rep.RTTNs, budget)
 	out.cdf("server-side sojourn (arrival→decode)", rep.ServerSojournNs, budget)
-	switch {
-	case out.err != nil:
+	if out.err != nil {
 		return out.err
-	case rep.Mismatches > 0:
+	}
+	if rep.Mismatches > 0 {
 		return fmt.Errorf("%d responses disagree with the local %s decoder", rep.Mismatches, cfg.VerifyDecoder)
-	case fleet == nil:
-		return nil
-	case fleet.Failed > 0:
-		return fmt.Errorf("%d requests exhausted every replica", fleet.Failed)
-	case fleet.RotationErr != "":
-		return fmt.Errorf("staged rollout failed: %s", fleet.RotationErr)
-	case rotating && (fleet.Rotation == nil || !fleet.Rotation.Completed):
-		return fmt.Errorf("staged rollout never completed")
 	}
 	return nil
 }

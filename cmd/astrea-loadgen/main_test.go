@@ -72,12 +72,11 @@ func runReport(t *testing.T, args []string) string {
 // request modes verify late (deadline-missed) answers too.
 func TestRunModes(t *testing.T) {
 	leakcheck.Check(t)
-	a, b := startDaemon(t), startDaemon(t)
+	a := startDaemon(t)
 	for name, args := range map[string][]string{
 		"request":       {"-addr", a, "-d", "3", "-n", "400"},
 		"stream":        {"-addr", a, "-d", "3", "-stream", "-n", "800"},
 		"stream-resume": {"-addr", a, "-d", "3", "-stream-resume", "-n", "800", "-stream-kills", "2"},
-		"fleet":         {"-servers", a + "," + b, "-d", "3", "-n", "400"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if err := run(args); err != nil {
@@ -144,19 +143,10 @@ func TestRunRejectsConflictingFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		"servers+stream":        {[]string{"-servers", dead, "-stream"}, "single-daemon path"},
-		"servers+stream-resume": {[]string{"-servers", dead, "-stream-resume"}, "single-daemon path"},
-		"servers+chaos":         {[]string{"-servers", dead, "-chaos"}, "single-daemon path"},
-		"servers+stats":         {[]string{"-servers", dead, "-stats", "http://" + dead + "/stats"}, "single-daemon paths"},
 		"chaos+stream-resume":   {[]string{"-addr", dead, "-chaos", "-stream-resume"}, "mutually exclusive"},
-		"both fingerprints": {[]string{"-servers", dead, "-expect-fingerprint", "0123456789abcdef",
-			"-expect-fingerprint-artifact", "none.astc"}, "mutually exclusive"},
-		"rotate without dirs":    {[]string{"-servers", dead, "-rotate", "none.astc"}, "-rotate-dirs"},
-		"stream deadline wraps":  {[]string{"-addr", dead, "-stream", "-deadline", "5s"}, "4.294967295s"},
-		"resume deadline wraps":  {[]string{"-addr", dead, "-stream-resume", "-deadline", "5s"}, "4.294967295s"},
-		"unknown codec":          {[]string{"-addr", dead, "-codec", "zstd"}, "zstd"},
-		"malformed fingerprint":  {[]string{"-servers", dead, "-expect-fingerprint", "xyz"}, "xyz"},
-		"rotate dirs != servers": {[]string{"-servers", dead, "-rotate", "none.astc", "-rotate-dirs", "a,b"}, "2 rotate dirs for 1 replicas"},
+		"stream deadline wraps": {[]string{"-addr", dead, "-stream", "-deadline", "5s"}, "4.294967295s"},
+		"resume deadline wraps": {[]string{"-addr", dead, "-stream-resume", "-deadline", "5s"}, "4.294967295s"},
+		"unknown codec":         {[]string{"-addr", dead, "-codec", "zstd"}, "zstd"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			err := run(tc.args)

@@ -51,8 +51,7 @@
 // exactly the artifact operating points; an explicit -distances list is
 // served as given, hydrating from artifacts where one matches and building
 // inline otherwise. Startup logs the per-distance load-vs-build time split,
-// and each pool advertises the artifact's fingerprint, which is also what
-// fleet clients pin straight from the file (-expect-fingerprint-artifact).
+// and each pool advertises the artifact's fingerprint.
 //
 // SIGHUP triggers an immediate re-scan of -artifact-dir — drop a freshly
 // compiled, higher-generation bundle into the directory and signal the
@@ -344,10 +343,9 @@ func run(args []string) error {
 	// above; whatever New spent beyond pool plumbing is the inline builds.
 	fmt.Fprintf(os.Stderr, "astread: decoder pools ready in %v (%d loaded from artifacts, %d built inline)\n",
 		time.Since(start).Round(time.Millisecond), len(arts), len(inline))
-	// Print each distance's configuration fingerprint so operators can pin
-	// it fleet-wide (astrea-loadgen -expect-fingerprint, cluster clients):
-	// replicas built from a different DEM or weight table advertise a
-	// different digest and are quarantined instead of silently disagreeing.
+	// Print each distance's configuration fingerprint, the digest every
+	// result frame carries: a daemon built from a different DEM or weight
+	// table, or rotated to a new generation, advertises a different one.
 	fps := srv.Fingerprints()
 	for _, d := range cfg.Distances {
 		if fp, ok := fps[d]; ok {

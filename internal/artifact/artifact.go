@@ -16,7 +16,7 @@
 //     form (and the direct-path tables used by the boundary-duplication
 //     MWPM formulation);
 //   - the decodegraph.Fingerprint of the model + quantised table, the same
-//     digest a replica fleet pins at handshake time.
+//     digest a serving daemon advertises at handshake time.
 //
 // The sparse decoding graph is serialized in its canonical generating form:
 // the DEM mechanism list, which decodegraph.FromModel consumes in sorted
@@ -110,8 +110,8 @@ type Artifact struct {
 	Graph *decodegraph.Graph
 	// GWT is the Global Weight Table.
 	GWT *decodegraph.GWT
-	// Fingerprint digests Model + the quantised GWT; it is what a replica
-	// fleet pins and what Decode re-verifies.
+	// Fingerprint digests Model + the quantised GWT; it is what a serving
+	// daemon advertises and what Decode re-verifies.
 	Fingerprint decodegraph.Fingerprint
 }
 

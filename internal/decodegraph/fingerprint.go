@@ -13,10 +13,10 @@ import (
 // and probabilities) plus the quantised Global Weight Table (weights and
 // chain observable parities). Two decode servers produce byte-identical
 // corrections for the same syndrome stream only if they agree on exactly
-// this data, so the digest is what a replicated fleet compares at handshake
-// time: a replica deployed with a perturbed noise model, a different
-// distance, or a stale GWT hashes differently and can be quarantined before
-// it mixes corrections from the wrong graph into a stream.
+// this data, so the digest is what a client compares at handshake time: a
+// server deployed with a perturbed noise model, a different distance, or a
+// stale GWT hashes differently and can be refused before it mixes
+// corrections from the wrong graph into a stream.
 //
 // The hash is FNV-1a over a fixed little-endian serialisation; it depends
 // only on the model and table contents, never on pointer identity or map

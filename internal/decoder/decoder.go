@@ -79,8 +79,8 @@ func IsConcurrentSafe(d Decoder) bool {
 
 // EngineNamer is the optional capability a Decoder implements to name the
 // exact-matching engine behind it ("dense", "sparse"), so serving stats and
-// load reports can attribute answers to an engine across fleets and
-// rotations even when two engines share one decoder name.
+// load reports can attribute answers to an engine across rotations even
+// when two engines share one decoder name.
 type EngineNamer interface {
 	EngineName() string
 }

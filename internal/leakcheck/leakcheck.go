@@ -1,8 +1,9 @@
-// Package leakcheck is the shared goroutine-leak checker used by the
-// service-layer test suites (internal/server, internal/cluster). It
-// snapshots the live goroutines when a test starts and fails the test if
-// any goroutine running this module's code is still alive at cleanup —
-// the property every Close path in the decode service is held to.
+// Package leakcheck is the shared goroutine-leak checker used by the test
+// suites of the packages that start goroutines (internal/server,
+// internal/stream, …). It snapshots the live goroutines when a test starts
+// and fails the test if any goroutine running this module's code is still
+// alive at cleanup — the property every Close path in the decode service
+// is held to.
 package leakcheck
 
 import (

@@ -7,10 +7,9 @@ import (
 
 // deterministicPkgs are the packages whose output must be a pure function
 // of their inputs: everything on the compile and decode paths that feeds
-// byte-identical .astc artifacts and fingerprint-pinned fleets. The
-// service layers (server, cluster, realtime, faultinject, experiments,
-// report, cmd/*) legitimately read clocks and environment and are out of
-// scope.
+// byte-identical .astc artifacts and stable fingerprints. The service
+// layers (server, realtime, faultinject, experiments, report, cmd/*)
+// legitimately read clocks and environment and are out of scope.
 var deterministicPkgs = map[string]bool{
 	"internal/bitvec":      true,
 	"internal/prng":        true,
@@ -30,7 +29,6 @@ var deterministicPkgs = map[string]bool{
 	"internal/hwmodel":     true,
 	"internal/artifact":    true,
 	"internal/compress":    true,
-	"internal/drift":       true,
 }
 
 // nondetCalls are the ambient-input functions forbidden in deterministic

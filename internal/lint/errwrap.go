@@ -13,8 +13,7 @@ import (
 // and %w checks run — flagging every discarded Close() in example code
 // would bury the signal.
 var droppedErrPkgs = map[string]bool{
-	"internal/server":  true,
-	"internal/cluster": true,
+	"internal/server": true,
 }
 
 // Errwrap enforces the error-flow discipline: sentinel comparisons use

@@ -9,8 +9,7 @@ import (
 // Close and becomes a shutdown race: PR 1's send-on-closed-channel panic
 // came from exactly one of these slipping through review.
 var goPkgs = map[string]bool{
-	"internal/server":  true,
-	"internal/cluster": true,
+	"internal/server": true,
 }
 
 // goLaunchHelpers are method names allowed to contain the Add themselves:
@@ -27,7 +26,7 @@ var goLaunchHelpers = map[string]bool{}
 // account for it.
 var Gohygiene = &Analyzer{
 	Name:  "gohygiene",
-	Doc:   "no untracked goroutines in server/cluster: WaitGroup.Add must be visible in the launching function",
+	Doc:   "no untracked goroutines in server: WaitGroup.Add must be visible in the launching function",
 	Scope: goPkgs,
 	Run:   runGohygiene,
 }

@@ -21,7 +21,6 @@ type fixtureLoad struct {
 
 var fixtureLoads = []fixtureLoad{
 	{dir: "determinism", rel: "internal/dem"},
-	{dir: "determinism", rel: "internal/drift"},
 	{dir: "determinism", rel: "internal/sparsemwpm"},
 	{dir: "floateq", rel: "internal/sparsemwpm"},
 	{dir: "floateq", rel: "internal/exactmatch"},
@@ -29,10 +28,10 @@ var fixtureLoads = []fixtureLoad{
 	{dir: "errwrap", rel: "internal/server"},
 	{dir: "exhaustive", rel: "internal/compress"},
 	{dir: "floateq", rel: "internal/blossom"},
-	{dir: "gohygiene", rel: "internal/cluster"},
+	{dir: "gohygiene", rel: "internal/server"},
 	{dir: "allowlist", rel: "internal/blossom"},
-	{dir: "lockorder", rel: "internal/cluster"},
-	{dir: "lockorder_allow", rel: "internal/cluster"},
+	{dir: "lockorder", rel: "internal/server"},
+	{dir: "lockorder_allow", rel: "internal/server"},
 	{dir: "hotalloc", rel: "internal/bitvec"},
 	{dir: "hotalloc_allow", rel: "internal/bitvec"},
 	{dir: "wiresym", rel: "internal/server"},

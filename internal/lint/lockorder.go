@@ -15,9 +15,8 @@ import (
 // packages share no exported mutexes, so cross-package cycles cannot form
 // without an in-package edge appearing first.
 var lockPkgs = map[string]bool{
-	"internal/server":  true,
-	"internal/cluster": true,
-	"internal/stream":  true,
+	"internal/server": true,
+	"internal/stream": true,
 }
 
 // Lockorder builds a per-package mutex-acquisition graph (mutex classes are

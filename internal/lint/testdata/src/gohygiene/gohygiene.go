@@ -1,4 +1,4 @@
-// Fixture for the gohygiene analyzer, loaded under rel "internal/cluster"
+// Fixture for the gohygiene analyzer, loaded under rel "internal/server"
 // (in scope) and rel "internal/realtime" (out of scope, expecting silence).
 package fixture
 

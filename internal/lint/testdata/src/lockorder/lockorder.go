@@ -1,4 +1,4 @@
-// Fixture for the lockorder analyzer, loaded under rel "internal/cluster"
+// Fixture for the lockorder analyzer, loaded under rel "internal/server"
 // (in scope) and rel "internal/report" (out of scope, expecting silence).
 package fixture
 

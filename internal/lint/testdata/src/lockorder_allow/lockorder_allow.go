@@ -1,5 +1,5 @@
 // Allow-mechanics fixture for the lockorder analyzer, loaded under rel
-// "internal/cluster" (in scope): the justified suppression stays silent
+// "internal/server" (in scope): the justified suppression stays silent
 // and a stale directive is itself reported.
 package fixture
 

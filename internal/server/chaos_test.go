@@ -383,132 +383,3 @@ func TestMaxConnsRefusal(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// scriptedServer runs a per-connection protocol script for client tests
-// that need exact server behaviour (rejects, mid-call disconnects).
-func startScripted(t *testing.T, script func(connIndex int, nc net.Conn)) net.Addr {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func(i int, nc net.Conn) {
-				defer wg.Done()
-				defer nc.Close()
-				script(i, nc)
-			}(i, nc)
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		wg.Wait()
-	})
-	return ln.Addr()
-}
-
-// scriptHandshake accepts any Hello with an 8-detector dense stream.
-func scriptHandshake(nc net.Conn) bool {
-	ft, _, err := ReadFrame(nc, 0)
-	if err != nil || ft != FrameHello {
-		return false
-	}
-	return WriteFrame(nc, FrameHelloAck, HelloAck{
-		Version:      ProtocolVersion,
-		Status:       StatusOK,
-		NumDetectors: 8,
-		Codec:        compress.IDDense,
-		QueueDepth:   4,
-	}.AppendTo(nil)) == nil
-}
-
-// readSeq reads one decode frame and returns its sequence number.
-func readSeq(nc net.Conn) (uint64, bool) {
-	ft, payload, err := ReadFrame(nc, 0)
-	if err != nil || ft != FrameDecode {
-		return 0, false
-	}
-	req, err := ParseDecodeRequest(payload)
-	if err != nil {
-		return 0, false
-	}
-	return req.Seq, true
-}
-
-// TestRetryingClientHonorsRejectHint: a scripted server rejects the first
-// attempt with a retry-after hint and answers the second; the client must
-// back off at least half the hint (jitter floor) and then succeed.
-func TestRetryingClientHonorsRejectHint(t *testing.T) {
-	leakCheck(t)
-	const hint = 20 * time.Millisecond
-	addr := startScripted(t, func(_ int, nc net.Conn) {
-		if !scriptHandshake(nc) {
-			return
-		}
-		if seq, ok := readSeq(nc); ok {
-			WriteFrame(nc, FrameReject, RejectFrame{Seq: seq, RetryAfterNs: uint64(hint.Nanoseconds())}.AppendTo(nil))
-		}
-		if seq, ok := readSeq(nc); ok {
-			WriteFrame(nc, FrameResult, ResultFrame{Seq: seq, ObsMask: 7}.AppendTo(nil))
-		}
-	})
-	rc := NewRetryingClient(addr.String(), 3, compress.IDDense, ClientOptions{}, RetryPolicy{
-		MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond, Seed: 5,
-	})
-	defer rc.Close()
-	start := time.Now()
-	resp, err := rc.Decode(42, 0, bitvec.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Seq != 42 || resp.ObsMask != 7 {
-		t.Fatalf("wrong answer after retry: %+v", resp)
-	}
-	if elapsed := time.Since(start); elapsed < hint/2 {
-		t.Fatalf("retried after %v, ignoring the %v retry-after hint", elapsed, hint)
-	}
-}
-
-// TestRetryingClientReconnects: the first connection dies mid-call; the
-// client must redial and retry the request on a fresh connection.
-func TestRetryingClientReconnects(t *testing.T) {
-	leakCheck(t)
-	var conns atomic.Int64
-	addr := startScripted(t, func(i int, nc net.Conn) {
-		conns.Add(1)
-		if !scriptHandshake(nc) {
-			return
-		}
-		seq, ok := readSeq(nc)
-		if !ok {
-			return
-		}
-		if i == 0 {
-			return // hang up without answering: connection loss mid-call
-		}
-		WriteFrame(nc, FrameResult, ResultFrame{Seq: seq, ObsMask: 3}.AppendTo(nil))
-	})
-	rc := NewRetryingClient(addr.String(), 3, compress.IDDense, ClientOptions{}, RetryPolicy{
-		MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond, Seed: 9,
-	})
-	defer rc.Close()
-	resp, err := rc.Decode(1, 0, bitvec.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ObsMask != 3 {
-		t.Fatalf("wrong answer after reconnect: %+v", resp)
-	}
-	if got := conns.Load(); got != 2 {
-		t.Fatalf("served %d connections, want 2 (original + reconnect)", got)
-	}
-}

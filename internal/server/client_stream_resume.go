@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -16,12 +17,50 @@ import (
 // bounding the client's memory.
 const DefaultMaxReplayRows = 1 << 16
 
+// RetryPolicy tunes a ResumingStream's reconnect-and-backoff behaviour.
+type RetryPolicy struct {
+	// MaxAttempts bounds the dial-and-reattach tries per recovery. Default 6.
+	MaxAttempts int
+	// BaseBackoff is the first wait; attempt k waits roughly
+	// BaseBackoff·2^k, jittered to half-to-full of that value so synced
+	// clients fan out instead of retrying in lockstep. Default 1ms.
+	BaseBackoff time.Duration
+	// MaxBackoff caps every wait. Default 500ms.
+	MaxBackoff time.Duration
+	// Seed drives the jitter stream (deterministic replay in tests).
+	Seed uint64
+	// Sleep overrides the waiter between attempts; nil means time.Sleep.
+	// Tests inject a recorder to assert backoff behaviour without real
+	// waiting.
+	Sleep func(time.Duration)
+	// Rand overrides the jitter source with a function returning uniform
+	// values in [0, 1); nil draws from a prng stream seeded with Seed.
+	// Injecting a constant makes every backoff exactly predictable.
+	Rand func() float64
+}
+
+func (p *RetryPolicy) applyDefaults() {
+	if p.MaxAttempts <= 0 {
+		p.MaxAttempts = 6
+	}
+	if p.BaseBackoff <= 0 {
+		p.BaseBackoff = time.Millisecond
+	}
+	if p.MaxBackoff <= 0 {
+		p.MaxBackoff = 500 * time.Millisecond
+	}
+}
+
+// ErrRetriesExhausted is wrapped by a ResumingStream that could not
+// (re-)establish its session within RetryPolicy.MaxAttempts.
+var ErrRetriesExhausted = errors.New("server: retries exhausted")
+
 // ResumingStreamOptions tunes a ResumingStream.
 type ResumingStreamOptions struct {
 	// Stream is the window-parameter request passed to every (re-)open.
 	Stream StreamOptions
 	// Retry tunes the reconnect loop after a connection loss: attempts and
-	// jittered exponential backoff, exactly as RetryingClient uses it.
+	// jittered exponential backoff.
 	Retry RetryPolicy
 	// MaxReplayRows bounds the uncommitted tail held for replay; SendRounds
 	// fails once the tail would exceed it (drain commits, then retry). 0
@@ -88,12 +127,11 @@ type ResumingStream struct {
 // NewResumingStream dials and opens a resumable session. dial must return
 // a handshaken Client that negotiated FeatureStream|FeatureStreamResume
 // (offer both in ClientOptions.Features); it is re-invoked on every
-// reconnect, so a fleet dialer may return a connection to a different —
-// fingerprint-consistent — replica. The initial dial+open runs under the
-// same retry policy as later reconnects: a session whose very first
-// handshake is severed by a transient fault retries instead of failing,
-// but a peer that answers and declines the resume capability fails
-// immediately — redialing cannot change what the server offers.
+// reconnect. The initial dial+open runs under the same retry policy as
+// later reconnects: a session whose very first handshake is severed by a
+// transient fault retries instead of failing, but a peer that answers and
+// declines the resume capability fails immediately — redialing cannot
+// change what the server offers.
 func NewResumingStream(dial func() (*Client, error), o ResumingStreamOptions) (*ResumingStream, error) {
 	o.Retry.applyDefaults()
 	if o.MaxReplayRows <= 0 {
@@ -503,9 +541,10 @@ func (r *ResumingStream) reopen(c *Client) (*Stream, error) {
 	return st, nil
 }
 
-// backoff sleeps before attempt+1, jittered into [w/2, w) and capped, the
-// RetryingClient shape. Callers hold mu (the peer goroutine cannot make
-// progress without the recovery anyway).
+// backoff sleeps before attempt+1: the exponential base wait
+// BaseBackoff·2^attempt, capped at MaxBackoff and jittered into [w/2, w).
+// Callers hold mu (the peer goroutine cannot make progress without the
+// recovery anyway).
 func (r *ResumingStream) backoff(attempt int) {
 	w := r.pol.BaseBackoff << uint(attempt)
 	if w <= 0 || w > r.pol.MaxBackoff {

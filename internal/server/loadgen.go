@@ -120,19 +120,15 @@ func perSec(n int, elapsedSec float64) float64 {
 	return float64(n) / elapsedSec
 }
 
-// loadAnswer is one accepted answer awaiting verification against local.
+// loadAnswer is one accepted answer awaiting local verification.
 type loadAnswer struct {
-	seq   int
-	obs   uint64
-	local decoder.Decoder
+	seq int
+	obs uint64
 }
 
-// LoadConfig parameterises one request load run. It is the whole
-// configuration of a single-daemon run and the shared half of a fleet run
-// (cluster.LoadConfig embeds it).
+// LoadConfig parameterises one request load run.
 type LoadConfig struct {
-	// Addr is the daemon's TCP address (unused by a fleet run, which lists
-	// its replicas in cluster.LoadConfig.Addrs).
+	// Addr is the daemon's TCP address.
 	Addr string
 	// Distance and P select the DEM the syndromes are sampled from; they
 	// must match a distance the daemon serves (P only shapes the client's
@@ -170,8 +166,8 @@ type LoadReport struct {
 	Errored  int // per-request server errors
 
 	// Mismatches counts verified responses whose observable prediction
-	// disagreed with the local decoder (Verify only), each checked against
-	// the tables of the generation that signed it.
+	// disagreed with the local decoder (Verify only). Only answers signed by
+	// the run's own generation are checked; see OtherGeneration.
 	Mismatches int
 	// VerifyEngine names the exact-matching engine behind the local
 	// verification decoder (decoder.EngineOf; empty without Verify), so a
@@ -184,8 +180,7 @@ type LoadReport struct {
 	// the run holds no tables for (the daemon rotated to a new artifact
 	// mid-run). They are excluded from Mismatches: the answers come from
 	// weights the generator does not hold, so disagreement is expected and
-	// benign. A fleet rotation run is told its target generation up front
-	// and counts any other as a mismatch.
+	// benign.
 	OtherGeneration int
 
 	// RTTNs holds one client-observed latency (send → response) per
@@ -206,13 +201,13 @@ type LoadReport struct {
 	// returned data — the client's view of the daemon's write coalescing
 	// (the daemon's own ratio is frames_out / flushes on /stats). Near 1
 	// means every answer paid for its own write; a pipelined saturating run
-	// sees several. Zero for a fleet run, which has no single connection.
+	// sees several.
 	FramesPerRead float64
 	// RequestsPerWrite is request frames sent per client socket write — the
 	// client's own coalescing: Send queues, and the queue leaves in one write
 	// when the read half is about to block (or a Send finds it blocked). Near
 	// 1 means the receiver was always parked, so every Send wrote; a
-	// single-goroutine pipeliner sees several. Zero for a fleet run.
+	// single-goroutine pipeliner sees several.
 	RequestsPerWrite float64
 }
 
@@ -235,141 +230,39 @@ func (c *ioCounter) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// LoadRun is the transport-independent part of a request load run: the
-// pre-sampled syndromes, the arrival clock, the per-generation verifier and
-// the report being tallied. RunLoad drives it over one pipelined
-// connection; cluster.RunLoad over a fleet's synchronous workers.
-type LoadRun struct {
-	// Config is the run's configuration with defaults applied.
-	Config LoadConfig
-	// Env is the environment the syndromes were sampled from.
-	Env *montecarlo.Env
-	// Syndromes holds the Config.Shots syndromes to offer, in send order.
-	Syndromes []bitvec.Vec
-
-	pacer loadPacer
-	rep   LoadReport
-	// gens maps a generation fingerprint to its local reference decoder,
-	// the run's VerifyDecoder (nil without Verify). Decoder instances carry
-	// scratch state, so they are only ever called from LoadRun.Finish, on
-	// the caller's goroutine.
-	gens    map[uint64]decoder.Decoder
-	answers []loadAnswer
-}
-
-// NewLoadRun applies cfg's defaults, resolves the environment (env if
-// non-nil, else the shared one at cfg's operating point) and pre-samples
-// the syndromes. rotated lists the environments of further artifact
-// generations whose answers the run must be able to verify.
-func NewLoadRun(cfg LoadConfig, env *montecarlo.Env, rotated ...*montecarlo.Env) (*LoadRun, error) {
+// RunLoad samples DEM syndromes and drives them through the client path at
+// the configured arrival rate: a sender goroutine paces Send calls on one
+// pipelined connection while the caller's goroutine drains responses, so
+// queueing happens at the daemon, not in the generator.
+func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Shots <= 0 {
 		cfg.Shots = 1000
 	}
 	if cfg.VerifyDecoder == "" {
 		cfg.VerifyDecoder = "astrea"
 	}
-	env, err := loadEnv(env, &cfg.Distance, &cfg.P)
+	env, err := loadEnv(cfg.env, &cfg.Distance, &cfg.P)
 	if err != nil {
 		return nil, err
 	}
-	r := &LoadRun{
-		Config:    cfg,
-		Env:       env,
-		Syndromes: sampleLoadSyndromes(env, cfg.Seed, cfg.Shots),
-		gens:      make(map[uint64]decoder.Decoder, 1+len(rotated)),
-	}
-	r.rep.Offered = cfg.Shots
-	var factory montecarlo.Factory
+	syndromes := sampleLoadSyndromes(env, cfg.Seed, cfg.Shots)
+	rep := &LoadReport{Offered: cfg.Shots}
+	// local re-decodes the answers signed by fp, the generation whose
+	// tables the syndromes were sampled against (nil without Verify).
+	fp := uint64(decodegraph.FingerprintOf(env.Model, env.GWT))
+	var local decoder.Decoder
+	var answers []loadAnswer
 	if cfg.Verify {
-		if factory, err = FactoryFor(cfg.VerifyDecoder); err != nil {
+		factory, err := FactoryFor(cfg.VerifyDecoder)
+		if err != nil {
 			return nil, err
 		}
-		r.answers = make([]loadAnswer, 0, cfg.Shots)
-	}
-	for _, genv := range append([]*montecarlo.Env{env}, rotated...) {
-		var local decoder.Decoder
-		if cfg.Verify {
-			if local, err = factory(genv); err != nil {
-				return nil, err
-			}
+		if local, err = factory(env); err != nil {
+			return nil, err
 		}
-		r.gens[uint64(decodegraph.FingerprintOf(genv.Model, genv.GWT))] = local
+		rep.VerifyEngine = decoder.EngineOf(local)
+		answers = make([]loadAnswer, 0, cfg.Shots)
 	}
-	if base := r.gens[uint64(decodegraph.FingerprintOf(env.Model, env.GWT))]; base != nil {
-		r.rep.VerifyEngine = decoder.EngineOf(base)
-	}
-	return r, nil
-}
-
-// Start starts the arrival clock. Call it once the transport is up, right
-// before the first Pace.
-func (r *LoadRun) Start() { r.pacer = startLoadPacer(r.Config.RatePerSec) }
-
-// Pace blocks until shot i is due under Config.RatePerSec; it reports
-// false if stop closed first (a nil stop never fires). Safe for concurrent
-// use.
-func (r *LoadRun) Pace(i int, stop <-chan struct{}) bool { return r.pacer.wait(i, stop) }
-
-// Record classifies the response to shot seq, observed rttNs after its
-// send, and queues accepted answers for verification. Not safe for
-// concurrent use: call it from the single receiving goroutine or under the
-// lock that guards the run.
-func (r *LoadRun) Record(seq int, resp Response, rttNs float64) {
-	rep := &r.rep
-	switch {
-	case resp.Rejected:
-		rep.Rejected++
-		if resp.RetryAfterNs > rep.MaxRetryAfterNs {
-			rep.MaxRetryAfterNs = resp.RetryAfterNs
-		}
-		return
-	case resp.Err != "":
-		rep.Errored++
-		return
-	}
-	rep.Accepted++
-	rep.RTTNs = append(rep.RTTNs, rttNs)
-	rep.ServerSojournNs = append(rep.ServerSojournNs, float64(resp.SojournNs))
-	if resp.DeadlineMiss {
-		rep.DeadlineMisses++
-	}
-	local, known := r.gens[resp.Fingerprint]
-	switch {
-	case !known:
-		rep.OtherGeneration++
-	case r.Config.Verify:
-		r.answers = append(r.answers, loadAnswer{seq, resp.ObsMask, local})
-	}
-}
-
-// Finish stops the clock, verifies the recorded answers and returns the
-// report. Verification runs here rather than up front or in Record: only
-// what was actually answered is decoded — by the generation that answered
-// it — and no local decode sits between two socket reads to inflate the
-// next RTT.
-func (r *LoadRun) Finish() *LoadReport {
-	rep := &r.rep
-	rep.ElapsedSec = time.Since(r.pacer.start).Seconds()
-	rep.OfferedPerSec = perSec(rep.Offered, rep.ElapsedSec)
-	rep.AchievedPerSec = perSec(rep.Accepted, rep.ElapsedSec)
-	for _, a := range r.answers {
-		if a.local.Decode(r.Syndromes[a.seq]).ObsPrediction != a.obs {
-			rep.Mismatches++
-		}
-	}
-	return rep
-}
-
-// RunLoad samples DEM syndromes and drives them through the client path at
-// the configured arrival rate: a sender goroutine paces Send calls on one
-// pipelined connection while the caller's goroutine drains responses, so
-// queueing happens at the daemon, not in the generator.
-func RunLoad(cfg LoadConfig) (*LoadReport, error) {
-	run, err := NewLoadRun(cfg, cfg.env)
-	if err != nil {
-		return nil, err
-	}
-	cfg = run.Config
 
 	// The sender is tracked so an early receive-side error cannot leave it
 	// pacing into a dead connection: stop is closed and the goroutine
@@ -395,24 +288,24 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		return nil, err
 	}
 	handshakeReads, handshakeWrites := conn.reads.Load(), conn.writes.Load()
-	if client.NumDetectors() != run.Env.Model.NumDetectors {
+	if client.NumDetectors() != env.Model.NumDetectors {
 		return nil, fmt.Errorf("server: daemon syndrome length %d != local model %d (mismatched noise model?)",
-			client.NumDetectors(), run.Env.Model.NumDetectors)
+			client.NumDetectors(), env.Model.NumDetectors)
 	}
 
 	// Send timestamps are clock-relative nanoseconds stored atomically: the
 	// sender and receiver goroutines synchronise only through the daemon.
 	sendAtNs := make([]atomic.Int64, cfg.Shots)
 	sendErr := make(chan error, 1)
-	run.Start()
+	pacer := startLoadPacer(cfg.RatePerSec)
 	sendWG.Add(1)
 	go func() {
 		defer sendWG.Done()
-		for i, s := range run.Syndromes {
-			if !run.Pace(i, stop) {
+		for i, s := range syndromes {
+			if !pacer.wait(i, stop) {
 				return
 			}
-			sendAtNs[i].Store(run.pacer.sinceNs())
+			sendAtNs[i].Store(pacer.sinceNs())
 			if err := client.Send(uint64(i), cfg.DeadlineNs, s); err != nil {
 				sendErr <- fmt.Errorf("server: send %d: %w", i, err)
 				return
@@ -426,16 +319,46 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: recv after %d responses: %w", got, err)
 		}
-		nowNs := run.pacer.sinceNs()
+		nowNs := pacer.sinceNs()
 		if resp.Seq >= uint64(cfg.Shots) {
 			return nil, fmt.Errorf("server: response for unknown seq %d", resp.Seq)
 		}
-		run.Record(int(resp.Seq), resp, float64(nowNs-sendAtNs[resp.Seq].Load()))
+		switch {
+		case resp.Rejected:
+			rep.Rejected++
+			rep.MaxRetryAfterNs = max(rep.MaxRetryAfterNs, resp.RetryAfterNs)
+			continue
+		case resp.Err != "":
+			rep.Errored++
+			continue
+		}
+		rep.Accepted++
+		rep.RTTNs = append(rep.RTTNs, float64(nowNs-sendAtNs[resp.Seq].Load()))
+		rep.ServerSojournNs = append(rep.ServerSojournNs, float64(resp.SojournNs))
+		if resp.DeadlineMiss {
+			rep.DeadlineMisses++
+		}
+		switch {
+		case resp.Fingerprint != fp:
+			rep.OtherGeneration++
+		case cfg.Verify:
+			answers = append(answers, loadAnswer{int(resp.Seq), resp.ObsMask})
+		}
 	}
 	if err := <-sendErr; err != nil {
 		return nil, err
 	}
-	rep := run.Finish()
+	rep.ElapsedSec = time.Since(pacer.start).Seconds()
+	rep.OfferedPerSec = perSec(rep.Offered, rep.ElapsedSec)
+	rep.AchievedPerSec = perSec(rep.Accepted, rep.ElapsedSec)
+	// Verification runs after the last answer rather than up front or per
+	// answer: only what was actually answered is decoded, and no local
+	// decode sits between two socket reads to inflate the next RTT.
+	for _, a := range answers {
+		if local.Decode(syndromes[a.seq]).ObsPrediction != a.obs {
+			rep.Mismatches++
+		}
+	}
 	rep.FramesPerRead = float64(cfg.Shots) / float64(max(conn.reads.Load()-handshakeReads, 1))
 	rep.RequestsPerWrite = float64(cfg.Shots) / float64(max(conn.writes.Load()-handshakeWrites, 1))
 	return rep, nil

@@ -7,7 +7,6 @@ import (
 
 	"astrea/internal/artifact"
 	"astrea/internal/decodegraph"
-	"astrea/internal/drift"
 	"astrea/internal/montecarlo"
 )
 
@@ -29,8 +28,8 @@ import (
 // When the last reference drops, the superseded generation retires — the
 // same drain discipline Close applies to the whole daemon, scoped to one
 // pool. The retiring generation's fingerprint stays in the advertised
-// live set until then, so a fleet running a staged rollout can accept
-// answers from both sides of the transition window.
+// live set until then, so a client can accept answers from both sides of
+// the transition window.
 
 // Rotation describes one hot-swap: the compiled artifact to serve and,
 // optionally, the decoder to build over it.
@@ -43,11 +42,6 @@ type Rotation struct {
 	// Decoder optionally selects the matcher for the new generation
 	// (FactoryFor names); empty keeps the server's configured decoder.
 	Decoder string
-	// Factory overrides the decoder constructor for the new generation.
-	// This is a testing and chaos-injection hook — rollout tests install
-	// deliberately slow or faulty decoders to exercise the regression gate
-	// — and takes precedence over Decoder when non-nil.
-	Factory montecarlo.Factory
 }
 
 // Rotate hot-swaps the artifact's distance to the new generation and
@@ -79,20 +73,13 @@ func (s *Server) Rotate(rot Rotation) (decodegraph.Fingerprint, error) {
 		return 0, fmt.Errorf("server: rotation %s changes the operating point shape (serving r=%d basis=%s)",
 			a.Meta, cur.env.Rounds, cur.env.Basis)
 	}
-	factory := rot.Factory
-	if factory == nil {
-		name := rot.Decoder
-		if name == "" {
-			name = s.cfg.Decoder
-		}
-		factory, err = FactoryFor(name)
-		if err != nil {
-			return 0, err
-		}
-	}
 	name := rot.Decoder
 	if name == "" {
 		name = s.cfg.Decoder
+	}
+	factory, err := FactoryFor(name)
+	if err != nil {
+		return 0, err
 	}
 	next, err := s.buildPool(a.Meta.Distance, a.Meta.Generation, env, factory, name)
 	if err != nil {
@@ -191,9 +178,6 @@ type GenerationStatus struct {
 	LiveFingerprints []string `json:"live_fingerprints"`
 	// P is the physical error rate the current tables are programmed for.
 	P float64 `json:"p"`
-	// Drift scores the current generation's observed detector-flip rates
-	// against its tables' expectations (absent until any shot arrives).
-	Drift *drift.Report `json:"drift,omitempty"`
 }
 
 // generationStatuses shapes the per-distance rotation state for the
@@ -211,22 +195,12 @@ func (s *Server) generationStatuses() map[string]GenerationStatus {
 			live[i] = p.fp.String()
 		}
 		s.rotateMu.Unlock()
-		gs := GenerationStatus{
+		out[fmt.Sprintf("%d", d)] = GenerationStatus{
 			Generation:       cur.gen,
 			Fingerprint:      cur.fp.String(),
 			LiveFingerprints: live,
 			P:                cur.p,
 		}
-		if shots := cur.driftShots.Load(); shots > 0 {
-			counts := make([]int64, len(cur.driftFlips))
-			for i := range cur.driftFlips {
-				counts[i] = cur.driftFlips[i].Load()
-			}
-			if rep, err := drift.Evaluate(cur.expected, counts, shots); err == nil {
-				gs.Drift = &rep
-			}
-		}
-		out[fmt.Sprintf("%d", d)] = gs
 	}
 	return out
 }

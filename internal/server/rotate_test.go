@@ -293,9 +293,6 @@ func TestRotateUnderLoad(t *testing.T) {
 			if want := decodegraph.Fingerprint(fp2).String(); gs.Fingerprint != want || gs.LiveFingerprints[0] != want {
 				t.Fatalf("post-drain generation state %+v, want sole fingerprint %s", gs, want)
 			}
-			if gs.Drift == nil || gs.Drift.Shots == 0 {
-				t.Fatalf("new generation accumulated no drift statistics: %+v", gs.Drift)
-			}
 			break
 		}
 		if time.Now().After(deadline) {

@@ -19,7 +19,6 @@ import (
 	"astrea/internal/compress"
 	"astrea/internal/decodegraph"
 	"astrea/internal/decoder"
-	"astrea/internal/drift"
 	"astrea/internal/experiments"
 	"astrea/internal/hwmodel"
 	"astrea/internal/montecarlo"
@@ -189,8 +188,7 @@ type distPool struct {
 	env   *montecarlo.Env
 	riceK uint8
 	// fp is the decoding-configuration digest advertised in handshakes and
-	// results: a replica fleet refuses to mix answers from servers whose
-	// fingerprints disagree.
+	// results, so a client can tell which generation's tables answered.
 	fp decodegraph.Fingerprint
 
 	// dist, gen and p identify the generation for rotation accounting:
@@ -201,9 +199,9 @@ type distPool struct {
 	gen  uint64
 	p    float64
 	// engine names the exact-matching engine behind the pool's decoders
-	// (decoder.EngineOf of a constructed instance), surfaced on /stats so
-	// fleets can attribute answers to an engine across rotations — two
-	// engines can share one decoder name ("MWPM" dense vs sparse).
+	// (decoder.EngineOf of a constructed instance), surfaced on /stats to
+	// attribute answers to an engine across rotations — two engines can
+	// share one decoder name ("MWPM" dense vs sparse).
 	engine string
 
 	// refs counts the holders that keep a superseded generation alive: one
@@ -216,13 +214,6 @@ type distPool struct {
 	// set; guarded by Server.rotateMu.
 	retired bool
 
-	// Drift accumulators: per-detector flip counts and total shots observed
-	// by this generation's decode path, compared against expected (the
-	// DEM-predicted per-detector flip rates) to score calibration drift.
-	driftShots atomic.Int64
-	driftFlips []atomic.Int64
-	expected   []float64
-
 	decoders sync.Pool
 	// inline records that the pool's decoders implement decoder.ObsDecoder
 	// (Astrea, Astrea-G): their HW ≤ astrea.MaxHW requests are sub-µs and are
@@ -232,15 +223,6 @@ type distPool struct {
 
 func (p *distPool) get() decoder.Decoder  { return p.decoders.Get().(decoder.Decoder) }
 func (p *distPool) put(d decoder.Decoder) { p.decoders.Put(d) }
-
-// recordDrift folds one observed syndrome into the generation's drift
-// accumulators — a handful of atomic adds per request.
-func (p *distPool) recordDrift(s bitvec.Vec) {
-	for d := s.NextOne(0); d >= 0; d = s.NextOne(d + 1) {
-		p.driftFlips[d].Add(1)
-	}
-	p.driftShots.Add(1)
-}
 
 // distSlot is one served distance's hot-swap indirection: cur is the
 // generation new work lands on, swapped atomically by Rotate; live lists
@@ -629,14 +611,12 @@ func New(cfg Config) (*Server, error) {
 // by New for the startup generations and by Rotate for hot-swapped ones.
 func (s *Server) buildPool(d int, gen uint64, env *montecarlo.Env, factory montecarlo.Factory, decoderName string) (*distPool, error) {
 	p := &distPool{
-		env:        env,
-		riceK:      uint8(compress.NewRice(env.Model.NumDetectors, env.Model.ExpectedDetectorFlips()).K),
-		fp:         decodegraph.FingerprintOf(env.Model, env.GWT),
-		dist:       d,
-		gen:        gen,
-		p:          env.P,
-		driftFlips: make([]atomic.Int64, env.Model.NumDetectors),
-		expected:   drift.ExpectedRates(env.Model),
+		env:   env,
+		riceK: uint8(compress.NewRice(env.Model.NumDetectors, env.Model.ExpectedDetectorFlips()).K),
+		fp:    decodegraph.FingerprintOf(env.Model, env.GWT),
+		dist:  d,
+		gen:   gen,
+		p:     env.P,
 	}
 	p.decoders.New = func() interface{} {
 		dec, err := factory(env)
@@ -709,9 +689,8 @@ func (s *Server) Distances() []int {
 }
 
 // Fingerprints returns the current decoding-configuration digest per
-// served distance — what the handshake advertises and what every
-// replica of a fleet must agree on. After a rotation this is the new
-// generation's digest even while the old one drains.
+// served distance — what the handshake advertises. After a rotation this
+// is the new generation's digest even while the old one drains.
 func (s *Server) Fingerprints() map[int]decodegraph.Fingerprint {
 	out := make(map[int]decodegraph.Fingerprint, len(s.pools))
 	for d, slot := range s.pools {
@@ -1154,10 +1133,6 @@ func (r *request) recycle() {
 // delivered, flagged FlagDeadlineMiss.
 func (s *Server) decodeOne(r *request, fl *flusher) {
 	defer s.releasePool(r.pool)
-	// Every observed syndrome feeds the generation's drift accumulators —
-	// a handful of atomic adds — so /stats can score live detector-flip
-	// rates against the tables' compiled-in expectations.
-	r.pool.recordDrift(r.syndrome)
 	res, err := r.pool.decode(r.syndrome)
 	done := time.Now()
 	sojournNs := float64(done.Sub(r.arrival).Nanoseconds())

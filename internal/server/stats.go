@@ -91,21 +91,21 @@ type Snapshot struct {
 	Pings            int64 `json:"pings"`
 
 	// Fingerprints maps each served distance to its decoding-configuration
-	// digest (DEM + quantised GWT), the value replicas must agree on before
-	// a fleet client will mix their answers. Keys are decimal distances.
+	// digest (DEM + quantised GWT), the value every result frame carries.
+	// Keys are decimal distances.
 	Fingerprints map[string]string `json:"fingerprints"`
 
 	// Engines maps each served distance to the exact-matching engine behind
 	// its current generation's decoders ("dense", "sparse", or the decoder
 	// name for decoders that are their own engine). Two generations can
-	// share a decoder name while differing here, so load reports and fleet
-	// audits attribute answers to the engine that produced them.
+	// share a decoder name while differing here, so load reports attribute
+	// answers to the engine that produced them.
 	Engines map[string]string `json:"engines"`
 
 	// Generations maps each served distance to its rotation state: current
 	// generation ordinal and fingerprint, the still-draining fingerprint
-	// set, and a calibration-drift score of observed detector-flip rates
-	// against the tables' expectations. Keys are decimal distances.
+	// set and the physical error rate the tables are programmed for. Keys
+	// are decimal distances.
 	Generations map[string]GenerationStatus `json:"generations"`
 	// Rotations counts completed hot-swaps; GenerationsRetired counts
 	// superseded generations that have fully drained (after a quiescent

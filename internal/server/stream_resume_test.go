@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -611,4 +613,80 @@ func TestRunStreamLoadResume(t *testing.T) {
 	}
 	t.Logf("resume load: %d kills, %d reconnects, %d rounds replayed, recoveries %v",
 		rep.Kills, rep.Reconnects, rep.ReplayedRounds, rep.RecoveryNs)
+}
+
+// recordBackoffs opens a ResumingStream against a dialer that always
+// fails, so every attempt after the first backs off once: MaxAttempts
+// attempts record the waits for backoff(0) … backoff(MaxAttempts-2).
+func recordBackoffs(t *testing.T, pol RetryPolicy) []time.Duration {
+	t.Helper()
+	var slept []time.Duration
+	pol.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	dial := func() (*Client, error) { return nil, errors.New("dial refused") }
+	if _, err := NewResumingStream(dial, ResumingStreamOptions{Retry: pol}); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("open against a dead dialer = %v, want ErrRetriesExhausted", err)
+	}
+	return slept
+}
+
+// TestBackoffJitterWithinDocumentedCap drives the reconnect backoff with an
+// injected jitter source sweeping [0, 1) and asserts every wait lands in
+// the documented envelope — [w/2, w) around the exponential base — and
+// never exceeds MaxBackoff once the schedule passes the cap.
+func TestBackoffJitterWithinDocumentedCap(t *testing.T) {
+	const (
+		base = 2 * time.Millisecond
+		cap  = 50 * time.Millisecond
+	)
+	for _, j := range []float64{0, 0.25, 0.5, 0.999999} {
+		slept := recordBackoffs(t, RetryPolicy{
+			MaxAttempts: 9,
+			BaseBackoff: base,
+			MaxBackoff:  cap,
+			Rand:        func() float64 { return j },
+		})
+		if len(slept) != 8 {
+			t.Fatalf("jitter=%v: recorded %d backoffs, want 8", j, len(slept))
+		}
+		for i, d := range slept {
+			// Expected base wait: the exponential schedule clipped to the cap.
+			w := base << uint(i)
+			if w > cap || w <= 0 {
+				w = cap
+			}
+			lo, hi := w/2, w
+			if d < lo || d >= hi {
+				t.Errorf("jitter=%v attempt %d: slept %v, want [%v, %v)", j, i, d, lo, hi)
+			}
+			if d > cap {
+				t.Errorf("jitter=%v attempt %d: slept %v beyond the %v cap", j, i, d, cap)
+			}
+		}
+	}
+}
+
+// TestBackoffDeterministicReplay: the same Seed must reproduce the same
+// jitter sequence, and distinct seeds must diverge — the property chaos
+// tests rely on to replay a failing run exactly.
+func TestBackoffDeterministicReplay(t *testing.T) {
+	record := func(seed uint64) []time.Duration {
+		return recordBackoffs(t, RetryPolicy{
+			MaxAttempts: 7,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  time.Second,
+			Seed:        seed,
+		})
+	}
+	a, b, c := record(7), record(7), record(8)
+	if len(a) != 6 {
+		t.Fatalf("recorded %d backoffs, want 6", len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+	if slices.Equal(a, c) {
+		t.Fatal("distinct seeds produced identical jitter sequences")
+	}
 }

@@ -112,7 +112,7 @@ const (
 	// instead of decoded into a silently wrong correction.
 	FeatureChecksum uint32 = 1 << 0
 	// FeatureProbe enables Ping/Pong health-probe frames on the stream, so
-	// a fleet client can verify liveness without spending a decode.
+	// a client can verify liveness without spending a decode.
 	FeatureProbe uint32 = 1 << 1
 	// FeatureStream enables windowed streaming sessions (the FrameStream*
 	// frames): unbounded syndrome-round streams decoded in overlapping
@@ -335,13 +335,13 @@ type HelloAck struct {
 	// Features is the accepted feature-bit set. Fingerprint is the server's
 	// current decoding-configuration digest for the pinned distance
 	// (decodegraph.FingerprintOf over the DEM and quantised GWT), so a
-	// fleet client can refuse a replica serving a different noise model.
+	// client can refuse a server serving a different noise model.
 	Features    uint32
 	Fingerprint uint64
 	// FingerprintSet is every fingerprint the server currently answers with
 	// for the pinned distance, newest generation first (so FingerprintSet[0]
 	// == Fingerprint). During a hot-swap drain both the new and the retiring
-	// generation appear; a fleet client in a staged rollout accepts any
+	// generation appear; a client may accept an answer signed by any
 	// member of the set. Refusals carry none.
 	FingerprintSet []uint64
 	Message        string
