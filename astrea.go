@@ -133,11 +133,11 @@ func NewCustom(distance, rounds int, basis Basis, nm NoiseMap) (*System, error) 
 }
 
 // Artifact is a compiled operating point: the versioned, checksummed,
-// deterministic binary bundle (".astc") holding everything a decoder pool
-// needs — circuit metadata, the detector error model, the decoding graph
-// and the Global Weight Table — so serving processes load it instead of
-// re-running the expensive build pipeline. See internal/artifact for the
-// format.
+// deterministic binary bundle (".astc") holding the circuit metadata, the
+// detector error model and the fingerprint of the tables built from it. A
+// loader rebuilds the decoding graph and Global Weight Table from the
+// model and checks them against the fingerprint. See internal/artifact for
+// the format.
 type Artifact = artifact.Artifact
 
 // ArtifactMeta identifies the operating point an artifact was compiled for.
@@ -150,13 +150,15 @@ func Compile(distance, rounds int, basis Basis, p float64) (*Artifact, error) {
 	return artifact.Compile(distance, rounds, p, basis)
 }
 
-// ReadArtifact reads and fully validates a compiled .astc bundle.
+// ReadArtifact reads and validates a compiled .astc bundle; its fingerprint
+// is checked when a system is hydrated from it.
 func ReadArtifact(path string) (*Artifact, error) { return artifact.ReadFile(path) }
 
-// SystemFromArtifact hydrates a decoding stack from a compiled artifact,
-// skipping DEM extraction and the all-pairs Dijkstra: decoders minted from
-// the loaded system are bit-identical to ones built by New at the same
-// operating point.
+// SystemFromArtifact hydrates a decoding stack from a compiled artifact:
+// it adopts the artifact's model, skipping DEM extraction, and rebuilds the
+// decoding graph and weight table from it, refusing them unless they
+// digest to the stored fingerprint. Decoders minted from the loaded system
+// are bit-identical to ones built by New at the same operating point.
 func SystemFromArtifact(a *Artifact) (*System, error) {
 	env, err := montecarlo.NewEnvFromArtifact(a)
 	if err != nil {
@@ -166,7 +168,7 @@ func SystemFromArtifact(a *Artifact) (*System, error) {
 }
 
 // LoadSystem reads an .astc file and hydrates the decoding stack it
-// describes. This is the cheap path New avoids paying at every startup.
+// describes (see SystemFromArtifact).
 func LoadSystem(path string) (*System, error) {
 	a, err := artifact.ReadFile(path)
 	if err != nil {
@@ -176,7 +178,7 @@ func LoadSystem(path string) (*System, error) {
 }
 
 // Artifact exports the system as a compiled bundle (see Compile); the
-// bundle shares the system's immutable tables.
+// bundle shares the system's immutable model.
 func (s *System) Artifact() (*Artifact, error) { return s.env.Artifact() }
 
 // Fingerprint returns the system's decoding-configuration digest — what an

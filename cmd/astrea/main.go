@@ -7,11 +7,13 @@
 //	astrea [flags] <output-file> <experiment> [args...]
 //	astrea compile [-out dir] [-distances 3,5,7] [-rounds N] [-p rate] [-basis Z|X] [-gen N]
 //
-// The compile subcommand runs the expensive build pipeline (surface code →
-// noisy circuit → detector error model → decoding graph → Global Weight
-// Table) once per distance and writes each operating point as a versioned,
-// checksummed .astc bundle that astread (-artifact / -artifact-dir) and
-// astrea.LoadSystem hydrate at startup without rebuilding anything.
+// The compile subcommand runs the build pipeline (surface code → noisy
+// circuit → detector error model → decoding graph → Global Weight Table)
+// once per distance and writes each operating point's model, fingerprinted
+// with its table, as a versioned, checksummed .astc bundle. astread
+// (-artifact / -artifact-dir) and astrea.LoadSystem hydrate it at startup:
+// they rebuild the table from the model and check it against the
+// fingerprint.
 // Compilation is deterministic: the same operating point always produces a
 // byte-identical bundle. -gen stamps the bundles with a generation ordinal
 // for zero-downtime rotation: a running astread picks up a strictly newer

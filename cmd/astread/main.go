@@ -38,8 +38,9 @@
 //	                  sessions (buffers + retained commits) before oldest-
 //	                  first eviction (default 16MiB)
 //	-artifact files   comma-separated compiled .astc bundles (astrea compile)
-//	                  to hydrate decoder pools from, skipping the inline
-//	                  build pipeline (DEM extraction + BuildGWT) entirely
+//	                  to hydrate decoder pools from: each pool adopts its
+//	                  bundle's model and rebuilds the weight table from it,
+//	                  checked against the bundle's fingerprint
 //	-artifact-dir dir load every *.astc bundle in a directory; when several
 //	                  bundles cover one distance the highest generation wins
 //	-artifact-watch dur  re-scan -artifact-dir at this interval and hot-swap
@@ -50,8 +51,9 @@
 // When artifacts are supplied and -distances is not, the daemon serves
 // exactly the artifact operating points; an explicit -distances list is
 // served as given, hydrating from artifacts where one matches and building
-// inline otherwise. Startup logs the per-distance load-vs-build time split,
-// and each pool advertises the artifact's fingerprint.
+// inline otherwise. Startup logs each bundle's read time and the time the
+// pools took to build their tables, and each pool advertises the artifact's
+// fingerprint.
 //
 // SIGHUP triggers an immediate re-scan of -artifact-dir — drop a freshly
 // compiled, higher-generation bundle into the directory and signal the
@@ -227,7 +229,7 @@ func loadArtifacts(opts *options) (map[int]*artifact.Artifact, error) {
 			return nil, fmt.Errorf("%s: compiled for p=%g, daemon configured for p=%g (pass a matching -p)",
 				a.Meta, a.Meta.P, opts.cfg.P)
 		}
-		fmt.Fprintf(os.Stderr, "astread: loaded artifact d=%d (%s, fingerprint %s) in %v — BuildGWT skipped\n",
+		fmt.Fprintf(os.Stderr, "astread: read artifact d=%d (%s, fingerprint %s) in %v; its pool rebuilds the tables from its model\n",
 			d, a.Meta, a.Fingerprint, loadNs[d].Round(time.Millisecond))
 	}
 	if !opts.distancesSet {
@@ -339,8 +341,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The load-vs-build split: loadArtifacts logged each bundle's load time
-	// above; whatever New spent beyond pool plumbing is the inline builds.
+	// loadArtifacts logged each bundle's read time above; New builds every
+	// pool's tables, from a bundle's model or inline.
 	fmt.Fprintf(os.Stderr, "astread: decoder pools ready in %v (%d loaded from artifacts, %d built inline)\n",
 		time.Since(start).Round(time.Millisecond), len(arts), len(inline))
 	// Print each distance's configuration fingerprint, the digest every

@@ -1,31 +1,26 @@
 // Package artifact compiles one decoding operating point into a versioned,
-// checksummed, deterministic binary bundle — the split PyMatching and Sparse
-// Blossom apply to matching decoders, brought to this reproduction: build
-// the expensive tables once (surface code → noisy circuit → detector error
-// model → decoding graph → Global Weight Table, including the all-pairs
-// Dijkstra of §5.1), serialize them, and let every serving process load the
-// result instead of rebuilding it.
+// checksummed, deterministic binary bundle. The bundle is the model, not
+// the tables derived from it: like PyMatching and Sparse Blossom, which
+// ship a detector error model and build their matching structures when
+// they load it, an .astc file stores what the decoding graph and the
+// Global Weight Table are a function of, and a loader rebuilds both
+// (Artifact.Tables: decodegraph.FromModel, then the all-pairs Dijkstra of
+// BuildGWT, §5.1).
 //
-// An artifact captures everything a decoder pool needs:
+// An artifact captures:
 //
 //   - the operating-point metadata (distance, rounds, physical error rate,
-//     measurement basis) from which the circuit can be cheaply regenerated;
+//     measurement basis, generation) from which the circuit can be cheaply
+//     regenerated;
 //   - the per-detector coordinates (stabilizer index, round);
-//   - the extracted detector error model;
-//   - the Global Weight Table in float, quantised and observable-parity
-//     form (and the direct-path tables used by the boundary-duplication
-//     MWPM formulation);
+//   - the extracted detector error model, whose sorted mechanism list is
+//     also the decoding graph's canonical generating form;
 //   - the decodegraph.Fingerprint of the model + quantised table, the same
-//     digest a serving daemon advertises at handshake time.
+//     digest a serving daemon advertises at handshake time. Tables checks
+//     the rebuilt table against it, so a bundle that was tampered with or
+//     produced by an incompatible builder never reaches a decoder.
 //
-// The sparse decoding graph is serialized in its canonical generating form:
-// the DEM mechanism list, which decodegraph.FromModel consumes in sorted
-// order. Rebuilding the graph from that list at load time is O(edges) and
-// reproduces the original adjacency byte-for-byte — storing the adjacency
-// itself could only introduce an inconsistency the generating form cannot
-// express.
-//
-// # File format (.astc, versions 1 and 2)
+// # File format (.astc, version 3)
 //
 // All integers are little-endian; floats are IEEE-754 bit patterns.
 //
@@ -33,18 +28,15 @@
 //	section:  u32 tag | u64 payload length | payload | u32 CRC32C(payload)
 //	trailer:  u32 CRC32C(everything before the trailer)
 //
-// Version 2 differs from version 1 only in the META payload, which gains a
-// trailing u64 generation ordinal (zero-downtime rotation's "which bundle
-// is newer" order); a generation-0 artifact always encodes as version 1,
-// so the two layouts never alias.
-//
-// Sections appear in a fixed order (META, DETM, DEMM, GWTB), every section
+// Three sections appear in a fixed order (META, DETM, DEMM), every section
 // payload has a fixed field layout, and all inputs are canonically ordered
 // upstream, so encoding is deterministic: the same operating point always
 // produces byte-identical files. Decode verifies the magic, version, every
-// section checksum, the file checksum, every field boundary, and finally
-// that the stored fingerprint matches one recomputed from the decoded model
-// and table, failing with a typed error at the first violation.
+// section checksum, the file checksum, every field boundary and the
+// detector count the operating point implies, failing with a typed error
+// at the first violation; it allocates no more than its input bounds.
+// Versions 1 and 2, which also stored the weight table, are refused with
+// ErrVersion.
 package artifact
 
 import (
@@ -57,17 +49,13 @@ import (
 	"astrea/internal/surface"
 )
 
-// Version is the baseline .astc format version. Artifacts carrying a
-// non-zero Generation encode as VersionGeneration instead (the META section
-// gains a trailing generation ordinal); Decode accepts both.
-const Version = 1
+// Version is the .astc format version this build writes and reads.
+const Version = 3
 
-// VersionGeneration is the .astc format version whose META section carries
-// a generation ordinal, used by zero-downtime artifact rotation to order
-// recalibrated bundles for one operating point. A generation-0 artifact
-// still encodes as version 1 byte for byte, so rotation metadata changes
-// nothing for existing bundles.
-const VersionGeneration = 2
+// maxDetectors bounds the detector count Decode accepts, and so the table
+// a load builds: at 33 B per detector pair, 4 096 detectors is a ~553 MB
+// table. It admits d ≤ 19 at rounds = d.
+const maxDetectors = 4096
 
 // Meta identifies the operating point an artifact was compiled for.
 type Meta struct {
@@ -82,8 +70,7 @@ type Meta struct {
 	// Generation orders recalibrated bundles of one operating point for
 	// zero-downtime rotation: a watch directory or SIGHUP reload picks the
 	// highest generation per distance, and a rotated server reports the
-	// ordinal in /stats. Zero (the default) means "unversioned" and keeps
-	// the encoded file byte-identical to the version-1 format.
+	// ordinal in /stats. Zero (the default) means "unversioned".
 	Generation uint64
 }
 
@@ -106,43 +93,56 @@ type Artifact struct {
 	Metas []circuit.DetMeta
 	// Model is the detector error model.
 	Model *dem.Model
-	// Graph is the sparse decoding graph (rebuilt from Model on decode).
-	Graph *decodegraph.Graph
-	// GWT is the Global Weight Table.
-	GWT *decodegraph.GWT
-	// Fingerprint digests Model + the quantised GWT; it is what a serving
-	// daemon advertises and what Decode re-verifies.
+	// Fingerprint digests Model + the quantised GWT built from it; it is
+	// what a serving daemon advertises and what Tables re-verifies.
 	Fingerprint decodegraph.Fingerprint
 }
 
-// New assembles an artifact from already-built parts, validating their
-// mutual consistency and computing the fingerprint. The parts are adopted,
-// not copied.
-func New(meta Meta, metas []circuit.DetMeta, model *dem.Model, graph *decodegraph.Graph, gwt *decodegraph.GWT) (*Artifact, error) {
-	if model == nil || graph == nil || gwt == nil {
-		return nil, fmt.Errorf("artifact: nil part (model=%v graph=%v gwt=%v)", model != nil, graph != nil, gwt != nil)
+// New assembles an artifact from a model and the weight table already
+// built from it, validating their mutual consistency and fingerprinting
+// the pair. The metas and model are adopted, not copied; the table is only
+// hashed.
+func New(meta Meta, metas []circuit.DetMeta, model *dem.Model, gwt *decodegraph.GWT) (*Artifact, error) {
+	if model == nil || gwt == nil {
+		return nil, fmt.Errorf("artifact: nil part (model=%v gwt=%v)", model != nil, gwt != nil)
 	}
 	if len(metas) != model.NumDetectors {
 		return nil, fmt.Errorf("artifact: %d detector metas for %d detectors", len(metas), model.NumDetectors)
 	}
-	if graph.N != model.NumDetectors || gwt.N != model.NumDetectors {
-		return nil, fmt.Errorf("artifact: inconsistent sizes: model %d detectors, graph %d, gwt %d",
-			model.NumDetectors, graph.N, gwt.N)
+	if gwt.N != model.NumDetectors {
+		return nil, fmt.Errorf("artifact: inconsistent sizes: model %d detectors, gwt %d", model.NumDetectors, gwt.N)
 	}
 	return &Artifact{
 		Meta:        meta,
 		Metas:       metas,
 		Model:       model,
-		Graph:       graph,
-		GWT:         gwt,
 		Fingerprint: decodegraph.FingerprintOf(model, gwt),
 	}, nil
 }
 
+// Tables rebuilds the decoding graph and Global Weight Table from the
+// artifact's model and checks the rebuilt pair against the stored
+// fingerprint, failing with ErrFingerprint when they differ. Decode proves
+// only that a bundle is well formed; this is where its content is proven
+// to be the configuration it names. Each call builds afresh.
+func (a *Artifact) Tables() (*decodegraph.Graph, *decodegraph.GWT, error) {
+	graph, err := decodegraph.FromModel(a.Model, a.Metas)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: rebuilding decoding graph: %v", ErrMalformed, err)
+	}
+	gwt, err := graph.BuildGWT()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: building weight table: %v", ErrMalformed, err)
+	}
+	if fp := decodegraph.FingerprintOf(a.Model, gwt); fp != a.Fingerprint {
+		return nil, nil, fmt.Errorf("%w: %s: rebuilt tables digest to %s, META says %s", ErrFingerprint, a.Meta, fp, a.Fingerprint)
+	}
+	return graph, gwt, nil
+}
+
 // Compile runs the full build pipeline for one uniform operating point —
 // surface code, noisy memory circuit, DEM extraction, decoding graph,
-// BuildGWT — and bundles the result. This is the expensive path the rest of
-// the stack avoids by loading the encoded artifact instead.
+// BuildGWT — and bundles the model with the fingerprint of its table.
 func Compile(distance, rounds int, p float64, basis surface.Basis) (*Artifact, error) {
 	code, err := surface.New(distance)
 	if err != nil {
@@ -164,7 +164,7 @@ func Compile(distance, rounds int, p float64, basis surface.Basis) (*Artifact, e
 	if err != nil {
 		return nil, err
 	}
-	return New(Meta{Distance: distance, Rounds: rounds, P: p, Basis: basis}, cc.DetMetas, model, graph, gwt)
+	return New(Meta{Distance: distance, Rounds: rounds, P: p, Basis: basis}, cc.DetMetas, model, gwt)
 }
 
 // WriteFile encodes the artifact and writes it to path.
@@ -172,9 +172,9 @@ func (a *Artifact) WriteFile(path string) error {
 	return os.WriteFile(path, a.Encode(), 0o644)
 }
 
-// ReadFile reads and decodes an .astc file, running the full validation
+// ReadFile reads and decodes an .astc file, running Decode's validation
 // chain (magic, version, section and file checksums, field boundaries,
-// fingerprint).
+// detector count). The fingerprint is checked by Tables.
 func ReadFile(path string) (*Artifact, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -65,8 +65,8 @@ func TestEncodeDecodeReEncode(t *testing.T) {
 	if !reflect.DeepEqual(got.Model, a.Model) {
 		t.Error("model differs after round-trip")
 	}
-	if !reflect.DeepEqual(got.GWT.Data(), a.GWT.Data()) {
-		t.Error("GWT tables differ after round-trip")
+	if _, _, err := got.Tables(); err != nil {
+		t.Errorf("Tables of the decoded artifact: %v", err)
 	}
 	re := got.Encode()
 	if !bytes.Equal(re, enc) {
@@ -79,23 +79,21 @@ func TestGenerationRoundTrip(t *testing.T) {
 	a := *base
 	a.Meta.Generation = 7
 	enc := a.Encode()
-	if v := enc[4]; v != VersionGeneration {
-		t.Fatalf("generation-carrying artifact encoded as version %d, want %d", v, VersionGeneration)
+	if v := binary.LittleEndian.Uint16(enc[4:]); v != Version {
+		t.Fatalf("generation-carrying artifact encoded as version %d, want %d", v, Version)
+	}
+	if len(enc) != len(base.Encode()) {
+		t.Fatalf("generation 7 encodes to %d bytes, generation 0 to %d: META has one layout", len(enc), len(base.Encode()))
 	}
 	got, err := Decode(enc)
 	if err != nil {
-		t.Fatalf("Decode of version-%d image: %v", VersionGeneration, err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if got.Meta != a.Meta {
 		t.Fatalf("meta round-trip: got %+v, want %+v", got.Meta, a.Meta)
 	}
 	if !bytes.Equal(got.Encode(), enc) {
-		t.Fatal("version-2 re-encode is not byte-identical")
-	}
-	// Generation 0 keeps the version-1 bytes exactly — rotation metadata
-	// changes nothing for existing bundles.
-	if !bytes.Equal(base.Encode(), compiled(t).Encode()) || base.Encode()[4] != Version {
-		t.Fatal("generation-0 artifact no longer encodes as the version-1 layout")
+		t.Fatal("re-encode is not byte-identical")
 	}
 	if s := a.Meta.String(); !strings.Contains(s, "gen=7") {
 		t.Fatalf("Meta.String() = %q, want the generation shown", s)
@@ -141,10 +139,17 @@ func TestFileName(t *testing.T) {
 
 func TestNewRejectsInconsistentParts(t *testing.T) {
 	a := compiled(t)
-	if _, err := New(a.Meta, a.Metas, nil, a.Graph, a.GWT); err == nil {
+	_, gwt, err := a.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(a.Meta, a.Metas, nil, gwt); err == nil {
 		t.Error("New accepted a nil model")
 	}
-	if _, err := New(a.Meta, a.Metas[:len(a.Metas)-1], a.Model, a.Graph, a.GWT); err == nil {
+	if _, err := New(a.Meta, a.Metas, a.Model, nil); err == nil {
+		t.Error("New accepted a nil table")
+	}
+	if _, err := New(a.Meta, a.Metas[:len(a.Metas)-1], a.Model, gwt); err == nil {
 		t.Error("New accepted a short detector-meta slice")
 	}
 }
@@ -164,16 +169,15 @@ func refit(img []byte) []byte {
 	return le32(append([]byte{}, body...), crc32.Checksum(body, castagnoli))
 }
 
-// reassemble frames the four (possibly mutated) payloads with correct
+// reassemble frames the three (possibly mutated) payloads with correct
 // section CRCs and trailer, so only semantic validation can reject them.
-func reassemble(meta, detm, demm, gwtb []byte) []byte {
+func reassemble(meta, detm, demm []byte) []byte {
 	out := append([]byte{}, magic[:]...)
 	out = le16(out, Version)
 	out = le16(out, uint16(len(sectionOrder)))
 	out = appendSection(out, secMeta, meta)
 	out = appendSection(out, secDetm, detm)
 	out = appendSection(out, secDemm, demm)
-	out = appendSection(out, secGwtb, gwtb)
 	return le32(out, crc32.Checksum(out, castagnoli))
 }
 
@@ -183,7 +187,6 @@ func TestDecodeCorruption(t *testing.T) {
 	meta0 := a.encodeMeta(nil)
 	detm0 := a.encodeDetMetas(nil)
 	demm0 := a.encodeModel(nil)
-	gwtb0 := a.encodeGWT(nil)
 	clone := func(b []byte) []byte { return append([]byte{}, b...) }
 
 	// Offset of the first section header; sections start right after the
@@ -204,7 +207,12 @@ func TestDecodeCorruption(t *testing.T) {
 		}, ErrBadMagic},
 		{"unsupported version", func() []byte {
 			img := clone(good)
-			put16(img, 4, VersionGeneration+1)
+			put16(img, 4, Version+1)
+			return img
+		}, ErrVersion},
+		{"version 2 image", func() []byte {
+			img := clone(good)
+			put16(img, 4, 2)
 			return img
 		}, ErrVersion},
 		{"payload bit flip without refit", func() []byte {
@@ -222,7 +230,7 @@ func TestDecodeCorruption(t *testing.T) {
 		}, ErrTruncated},
 		{"wrong section count", func() []byte {
 			img := clone(good)
-			put16(img, 6, 3)
+			put16(img, 6, uint16(len(sectionOrder))+1)
 			return refit(img)
 		}, ErrMalformed},
 		{"wrong first tag", func() []byte {
@@ -246,112 +254,129 @@ func TestDecodeCorruption(t *testing.T) {
 			return le32(body, crc32.Checksum(body, castagnoli))
 		}, ErrMalformed},
 		{"meta: truncated fingerprint", func() []byte {
-			return reassemble(clone(meta0)[:len(meta0)-1], detm0, demm0, gwtb0)
+			return reassemble(clone(meta0)[:len(meta0)-8-1], detm0, demm0) // generation gone too
 		}, ErrTruncated},
 		{"meta: trailing byte", func() []byte {
-			return reassemble(append(clone(meta0), 0), detm0, demm0, gwtb0)
+			return reassemble(append(clone(meta0), 0), detm0, demm0)
 		}, ErrMalformed},
 		{"meta: even distance", func() []byte {
 			m := clone(meta0)
 			put32(m, 0, 4)
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrMalformed},
 		{"meta: zero rounds", func() []byte {
 			m := clone(meta0)
 			put32(m, 4, 0)
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrMalformed},
 		{"meta: NaN p", func() []byte {
 			m := clone(meta0)
 			putF64(m, 8, math.NaN())
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrMalformed},
 		{"meta: unknown basis", func() []byte {
 			m := clone(meta0)
 			m[16] = 7
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrMalformed},
 		{"meta: nonzero pad", func() []byte {
 			m := clone(meta0)
 			m[17] = 1
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
+		}, ErrMalformed},
+		{"meta: distance disagrees with detector count", func() []byte {
+			m := clone(meta0)
+			put32(m, 0, 999)
+			return reassemble(m, detm0, demm0)
+		}, ErrMalformed},
+		{"meta: detector count over the limit", func() []byte {
+			// d=21 over 21 rounds is a consistent 4 840-detector operating
+			// point, past the 4 096 whose table a load would build; DETM
+			// and an empty DEMM agree with it, so only the limit refuses.
+			m := clone(meta0)
+			put32(m, 0, 21)
+			put32(m, 4, 21)
+			put32(m, 20, 4840)
+			detm := append(le32(nil, 4840), make([]byte, 4840*8)...)
+			return reassemble(m, detm, le32(leF64(nil, 0), 0))
 		}, ErrMalformed},
 		{"meta: zero detectors", func() []byte {
 			m := clone(meta0)
 			put32(m, 20, 0)
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrMalformed},
 		{"meta: 65 observables", func() []byte {
 			m := clone(meta0)
 			put32(m, 24, 65)
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrMalformed},
 		{"meta: fingerprint flip", func() []byte {
 			m := clone(meta0)
 			m[28] ^= 0xff
-			return reassemble(m, detm0, demm0, gwtb0)
+			return reassemble(m, detm0, demm0)
 		}, ErrFingerprint},
 		{"detm: count mismatch", func() []byte {
 			d := clone(detm0)
 			put32(d, 0, uint32(len(a.Metas))+1)
-			return reassemble(meta0, d, demm0, gwtb0)
+			return reassemble(meta0, d, demm0)
 		}, ErrMalformed},
 		{"detm: truncated", func() []byte {
-			return reassemble(meta0, clone(detm0)[:len(detm0)-2], demm0, gwtb0)
+			return reassemble(meta0, clone(detm0)[:len(detm0)-2], demm0)
 		}, ErrTruncated},
 		{"demm: impossible count", func() []byte {
 			d := clone(demm0)
 			put32(d, 8, ^uint32(0))
-			return reassemble(meta0, detm0, d, gwtb0)
+			return reassemble(meta0, detm0, d)
 		}, ErrTruncated},
 		{"demm: maxP disagrees", func() []byte {
 			d := clone(demm0)
 			putF64(d, 0, 0.5)
-			return reassemble(meta0, detm0, d, gwtb0)
+			return reassemble(meta0, detm0, d)
 		}, ErrMalformed},
 		{"demm: mechanism flips 3 detectors", func() []byte {
 			d := clone(demm0)
 			d[12] = 3
-			return reassemble(meta0, detm0, d, gwtb0)
+			return reassemble(meta0, detm0, d)
 		}, ErrMalformed},
 		{"demm: detector out of bounds", func() []byte {
 			d := clone(demm0)
 			put32(d, 13, uint32(len(a.Metas)))
-			return reassemble(meta0, detm0, d, gwtb0)
+			return reassemble(meta0, detm0, d)
 		}, ErrMalformed},
 		{"demm: probability out of range", func() []byte {
 			d := clone(demm0)
 			ndet := int(d[12])
 			putF64(d, 13+4*ndet+8, 1.5) // first mechanism's p field
-			return reassemble(meta0, detm0, d, gwtb0)
-		}, ErrMalformed},
-		{"gwtb: dimension mismatch", func() []byte {
-			g := clone(gwtb0)
-			put32(g, 0, uint32(len(a.Metas))+1)
-			return reassemble(meta0, detm0, demm0, g)
-		}, ErrMalformed},
-		{"gwtb: truncated tables", func() []byte {
-			return reassemble(meta0, detm0, demm0, clone(gwtb0)[:len(gwtb0)-1])
-		}, ErrTruncated},
-		{"gwtb: trailing byte", func() []byte {
-			return reassemble(meta0, detm0, demm0, append(clone(gwtb0), 0))
+			return reassemble(meta0, detm0, d)
 		}, ErrMalformed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			art, err := Decode(tc.build())
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Decode: got error %v, want %v", err, tc.want)
-			}
-			if art != nil {
+			if err != nil && art != nil {
 				t.Fatal("Decode returned a non-nil artifact alongside an error")
+			}
+			if err == nil && tc.want == ErrFingerprint {
+				// A well-formed image whose fingerprint lies is caught
+				// where a load builds its tables.
+				_, _, err = art.Tables()
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Decode, then Tables: got error %v, want %v", err, tc.want)
 			}
 		})
 	}
 
+	// An old bundle is told how to become a current one.
+	old := clone(good)
+	put16(old, 4, 2)
+	if _, err := Decode(old); err == nil || !strings.Contains(err.Error(), "astrea compile") {
+		t.Fatalf("Decode of a version-2 image: %v, want a hint to re-run astrea compile", err)
+	}
+
 	// The matrix must not have mutated the shared payloads: the pristine
 	// reassembly still decodes.
-	if _, err := Decode(reassemble(meta0, detm0, demm0, gwtb0)); err != nil {
+	if _, err := Decode(reassemble(meta0, detm0, demm0)); err != nil {
 		t.Fatalf("pristine reassembly no longer decodes: %v", err)
 	}
 }

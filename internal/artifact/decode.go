@@ -13,13 +13,13 @@ import (
 	"astrea/internal/surface"
 )
 
-// Typed decode failures. Every error Decode returns wraps exactly one of
+// Typed failures. Every error Decode and Tables return wraps exactly one of
 // these sentinels (os errors excepted in ReadFile), so callers can classify
 // failures with errors.Is while the message pinpoints the offending field.
 var (
 	// ErrBadMagic: the input does not start with the ASTC magic.
 	ErrBadMagic = errors.New("artifact: bad magic (not an .astc file)")
-	// ErrVersion: the format version is not supported by this build.
+	// ErrVersion: the format version is not the one this build reads.
 	ErrVersion = errors.New("artifact: unsupported format version")
 	// ErrTruncated: the input ends before a field, section or trailer it
 	// promised.
@@ -30,9 +30,9 @@ var (
 	// (wrong section tag, impossible count, inconsistent sizes, trailing
 	// bytes, invalid probability...).
 	ErrMalformed = errors.New("artifact: malformed")
-	// ErrFingerprint: the stored fingerprint disagrees with one recomputed
-	// from the decoded model and table — the content was tampered with or
-	// was produced by an incompatible builder.
+	// ErrFingerprint: the stored fingerprint disagrees with the table
+	// Tables rebuilt from the model — the content was tampered with or was
+	// produced by an incompatible builder.
 	ErrFingerprint = errors.New("artifact: fingerprint mismatch")
 )
 
@@ -91,10 +91,9 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Decode parses and validates an .astc image (format version 1, or version
-// 2 with the META generation ordinal). It never panics on arbitrary input;
-// the first violation aborts with an error wrapping one of the typed
-// sentinels above.
+// Decode parses and validates an .astc image. It never panics on arbitrary
+// input and builds no table; the first violation aborts with an error
+// wrapping one of the typed sentinels above.
 func Decode(b []byte) (*Artifact, error) {
 	const headerLen = 4 + 2 + 2
 	if len(b) < headerLen+4 {
@@ -105,9 +104,9 @@ func Decode(b []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: got %q", ErrBadMagic, b[:4])
 	}
 	version := binary.LittleEndian.Uint16(b[4:])
-	if version != Version && version != VersionGeneration {
-		return nil, fmt.Errorf("%w: file is version %d, this build reads versions %d and %d",
-			ErrVersion, version, Version, VersionGeneration)
+	if version != Version {
+		return nil, fmt.Errorf("%w: file is version %d, this build reads version %d; re-run `astrea compile` to rebuild it",
+			ErrVersion, version, Version)
 	}
 	// Whole-file integrity first: the trailer CRC covers everything before
 	// it, so a flipped bit anywhere is caught even if it lands in framing
@@ -118,8 +117,8 @@ func Decode(b []byte) (*Artifact, error) {
 	}
 	nSections := int(binary.LittleEndian.Uint16(b[6:]))
 	if nSections != len(sectionOrder) {
-		return nil, fmt.Errorf("%w: header declares %d sections, version %d has %d",
-			ErrMalformed, nSections, version, len(sectionOrder))
+		return nil, fmt.Errorf("%w: header declares %d sections, want %d",
+			ErrMalformed, nSections, len(sectionOrder))
 	}
 
 	// Walk the fixed section sequence.
@@ -156,7 +155,7 @@ func Decode(b []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %d bytes between last section and trailer", ErrMalformed, len(body)-off)
 	}
 
-	meta, numDet, numObs, storedFP, err := decodeMeta(payloads[secMeta], version)
+	meta, numDet, numObs, fp, err := decodeMeta(payloads[secMeta])
 	if err != nil {
 		return nil, err
 	}
@@ -168,34 +167,14 @@ func Decode(b []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	gwt, err := decodeGWT(payloads[secGwtb], numDet, metas)
-	if err != nil {
-		return nil, err
-	}
-	// The graph is rebuilt from its canonical generating form (the model's
-	// sorted mechanism list), reproducing the original adjacency exactly.
-	graph, err := decodegraph.FromModel(model, metas)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rebuilding decoding graph: %v", ErrMalformed, err)
-	}
-	if fp := decodegraph.FingerprintOf(model, gwt); fp != storedFP {
-		return nil, fmt.Errorf("%w: content digests to %s, META section says %s", ErrFingerprint, fp, storedFP)
-	}
-	return &Artifact{
-		Meta:        meta,
-		Metas:       metas,
-		Model:       model,
-		Graph:       graph,
-		GWT:         gwt,
-		Fingerprint: storedFP,
-	}, nil
+	return &Artifact{Meta: meta, Metas: metas, Model: model, Fingerprint: fp}, nil
 }
 
 func tagName(tag uint32) string {
 	return string([]byte{byte(tag), byte(tag >> 8), byte(tag >> 16), byte(tag >> 24)})
 }
 
-func decodeMeta(payload []byte, version uint16) (meta Meta, numDet, numObs int, fp decodegraph.Fingerprint, err error) {
+func decodeMeta(payload []byte) (meta Meta, numDet, numObs int, fp decodegraph.Fingerprint, err error) {
 	r := &reader{b: payload, section: "META"}
 	fail := func(e error) (Meta, int, int, decodegraph.Fingerprint, error) {
 		return Meta{}, 0, 0, 0, e
@@ -237,18 +216,9 @@ func decodeMeta(payload []byte, version uint16) (meta Meta, numDet, numObs int, 
 	if err != nil {
 		return fail(err)
 	}
-	var generation uint64
-	if version >= VersionGeneration {
-		generation, err = r.u64("generation")
-		if err != nil {
-			return fail(err)
-		}
-		if generation == 0 {
-			// A zero generation encodes as version 1; accepting it here
-			// would make two byte layouts decode to the same artifact and
-			// break the canonical re-encode invariant.
-			return fail(fmt.Errorf("%w: META: version %d file carries generation 0", ErrMalformed, version))
-		}
+	generation, err := r.u64("generation")
+	if err != nil {
+		return fail(err)
 	}
 	if err := r.done(); err != nil {
 		return fail(err)
@@ -262,13 +232,24 @@ func decodeMeta(payload []byte, version uint16) (meta Meta, numDet, numObs int, 
 		return fail(fmt.Errorf("%w: META: physical error rate %v out of (0,1)", ErrMalformed, p))
 	case basis != uint8(surface.BasisZ) && basis != uint8(surface.BasisX):
 		return fail(fmt.Errorf("%w: META: unknown basis %d", ErrMalformed, basis))
-	case nd == 0 || nd > 1<<24:
-		return fail(fmt.Errorf("%w: META: detector count %d out of range", ErrMalformed, nd))
+	case nd > maxDetectors:
+		return fail(fmt.Errorf("%w: META: %d detectors exceed the limit of %d", ErrMalformed, nd, maxDetectors))
+	case uint64(nd) != detectorCount(d, rounds):
+		return fail(fmt.Errorf("%w: META: %d detectors, but a d=%d memory experiment of %d rounds has %d",
+			ErrMalformed, nd, d, rounds, detectorCount(d, rounds)))
 	case no > 64:
 		return fail(fmt.Errorf("%w: META: %d observables exceed the 64-bit mask", ErrMalformed, no))
 	}
 	meta = Meta{Distance: int(d), Rounds: int(rounds), P: p, Basis: surface.Basis(basis), Generation: generation}
 	return meta, int(nd), int(no), decodegraph.Fingerprint(fpv), nil
+}
+
+// detectorCount is the number of detectors of a distance-d memory
+// experiment over the given rounds: one per same-type stabilizer, (d²−1)/2
+// of them, per round plus the final data-measurement row. Decode bounds d
+// and rounds by 2^16 first, so the product cannot overflow.
+func detectorCount(d, rounds uint32) uint64 {
+	return (uint64(d)*uint64(d) - 1) / 2 * (uint64(rounds) + 1)
 }
 
 func decodeDetMetas(payload []byte, numDet int) ([]circuit.DetMeta, error) {
@@ -377,54 +358,4 @@ func decodeModel(payload []byte, numDet, numObs int) (*dem.Model, error) {
 	}
 	m.MaxP = maxP
 	return m, nil
-}
-
-func decodeGWT(payload []byte, numDet int, metas []circuit.DetMeta) (*decodegraph.GWT, error) {
-	r := &reader{b: payload, section: "GWTB"}
-	n, err := r.u32("n")
-	if err != nil {
-		return nil, err
-	}
-	if int(n) != numDet {
-		return nil, fmt.Errorf("%w: GWTB: table dimension %d for %d detectors", ErrMalformed, n, numDet)
-	}
-	n2 := int(n) * int(n)
-	if err := r.need(n2*(8+1+8+8+8), "tables"); err != nil {
-		return nil, err
-	}
-	data := decodegraph.GWTData{
-		N:         int(n),
-		W:         make([]float64, n2),
-		Q:         make([]uint8, n2),
-		Obs:       make([]uint64, n2),
-		Direct:    make([]float64, n2),
-		DirectObs: make([]uint64, n2),
-	}
-	b := r.b[r.off:]
-	for i := 0; i < n2; i++ {
-		data.W[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	b = b[n2*8:]
-	copy(data.Q, b[:n2])
-	b = b[n2:]
-	for i := 0; i < n2; i++ {
-		data.Obs[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	b = b[n2*8:]
-	for i := 0; i < n2; i++ {
-		data.Direct[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	b = b[n2*8:]
-	for i := 0; i < n2; i++ {
-		data.DirectObs[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	r.off += n2 * (8 + 1 + 8 + 8 + 8)
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	gwt, err := decodegraph.GWTFromData(data, metas)
-	if err != nil {
-		return nil, fmt.Errorf("%w: GWTB: %v", ErrMalformed, err)
-	}
-	return gwt, nil
 }

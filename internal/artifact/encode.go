@@ -11,11 +11,10 @@ const (
 	secMeta = uint32('M') | uint32('E')<<8 | uint32('T')<<16 | uint32('A')<<24
 	secDetm = uint32('D') | uint32('E')<<8 | uint32('T')<<16 | uint32('M')<<24
 	secDemm = uint32('D') | uint32('E')<<8 | uint32('M')<<16 | uint32('M')<<24
-	secGwtb = uint32('G') | uint32('W')<<8 | uint32('T')<<16 | uint32('B')<<24
 )
 
-// sectionOrder is the fixed section sequence of a version-1 file.
-var sectionOrder = [...]uint32{secMeta, secDetm, secDemm, secGwtb}
+// sectionOrder is the fixed section sequence of a file.
+var sectionOrder = [...]uint32{secMeta, secDetm, secDemm}
 
 var magic = [4]byte{'A', 'S', 'T', 'C'}
 
@@ -39,37 +38,29 @@ func appendSection(b []byte, tag uint32, payload []byte) []byte {
 	return le32(b, crc32.Checksum(payload, castagnoli))
 }
 
-// Encode serializes the artifact into the .astc layout: version 1 for
-// generation-0 artifacts (byte-identical to the original format), version
-// 2 when Meta.Generation is set (the META section grows a trailing
-// generation ordinal). Either way the output is deterministic: the same
-// artifact content always yields byte-identical files.
+// Encode serializes the artifact into the .astc layout. The output is
+// deterministic: the same artifact content always yields byte-identical
+// files.
 func (a *Artifact) Encode() []byte {
 	meta := a.encodeMeta(nil)
 	detm := a.encodeDetMetas(nil)
 	demm := a.encodeModel(nil)
-	gwtb := a.encodeGWT(nil)
 
-	version := uint16(Version)
-	if a.Meta.Generation > 0 {
-		version = VersionGeneration
-	}
 	size := len(magic) + 2 + 2 +
-		4*(4+8+4) + len(meta) + len(detm) + len(demm) + len(gwtb) + 4
+		len(sectionOrder)*(4+8+4) + len(meta) + len(detm) + len(demm) + 4
 	out := make([]byte, 0, size)
 	out = append(out, magic[:]...)
-	out = le16(out, version)
+	out = le16(out, Version)
 	out = le16(out, uint16(len(sectionOrder)))
 	out = appendSection(out, secMeta, meta)
 	out = appendSection(out, secDetm, detm)
 	out = appendSection(out, secDemm, demm)
-	out = appendSection(out, secGwtb, gwtb)
 	return le32(out, crc32.Checksum(out, castagnoli))
 }
 
 // encodeMeta lays out the META payload: distance u32, rounds u32, p f64,
 // basis u8, 3 zero pad bytes, numDetectors u32, numObservables u32,
-// fingerprint u64, and — version 2 only — generation u64.
+// fingerprint u64, generation u64.
 func (a *Artifact) encodeMeta(b []byte) []byte {
 	b = le32(b, uint32(a.Meta.Distance))
 	b = le32(b, uint32(a.Meta.Rounds))
@@ -78,10 +69,7 @@ func (a *Artifact) encodeMeta(b []byte) []byte {
 	b = le32(b, uint32(a.Model.NumDetectors))
 	b = le32(b, uint32(a.Model.NumObservables))
 	b = le64(b, uint64(a.Fingerprint))
-	if a.Meta.Generation > 0 {
-		b = le64(b, a.Meta.Generation)
-	}
-	return b
+	return le64(b, a.Meta.Generation)
 }
 
 // encodeDetMetas lays out the DETM payload: count u32, then per detector
@@ -109,32 +97,6 @@ func (a *Artifact) encodeModel(b []byte) []byte {
 		}
 		b = le64(b, e.ObsMask)
 		b = leF64(b, e.P)
-	}
-	return b
-}
-
-// encodeGWT lays out the GWTB payload: n u32, then the five dense tables as
-// raw arrays — w f64×n², q u8×n², obs u64×n², direct f64×n², directObs
-// u64×n².
-func (a *Artifact) encodeGWT(b []byte) []byte {
-	d := a.GWT.Data()
-	n2 := d.N * d.N
-	if b == nil {
-		b = make([]byte, 0, 4+n2*(8+1+8+8+8))
-	}
-	b = le32(b, uint32(d.N))
-	for _, v := range d.W {
-		b = leF64(b, v)
-	}
-	b = append(b, d.Q...)
-	for _, v := range d.Obs {
-		b = le64(b, v)
-	}
-	for _, v := range d.Direct {
-		b = leF64(b, v)
-	}
-	for _, v := range d.DirectObs {
-		b = le64(b, v)
 	}
 	return b
 }

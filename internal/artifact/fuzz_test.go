@@ -25,6 +25,9 @@ func FuzzArtifactDecode(f *testing.F) {
 	mut := append([]byte{}, enc...)
 	mut[len(mut)/3] ^= 0x40
 	f.Add(mut)
+	meta := a.encodeMeta(nil)
+	put32(meta, 0, 999) // a distance the detector count contradicts
+	f.Add(reassemble(meta, a.encodeDetMetas(nil), a.encodeModel(nil)))
 
 	sentinels := []error{ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum, ErrMalformed, ErrFingerprint}
 	f.Fuzz(func(t *testing.T, b []byte) {

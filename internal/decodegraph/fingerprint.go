@@ -75,26 +75,3 @@ func FingerprintOf(m *dem.Model, t *GWT) Fingerprint {
 	}
 	return Fingerprint(s.h)
 }
-
-// ParseFingerprint parses the 16-hex-digit rendering produced by String.
-func ParseFingerprint(s string) (Fingerprint, error) {
-	if len(s) != 16 {
-		return 0, fmt.Errorf("decodegraph: fingerprint %q is %d chars, want 16", s, len(s))
-	}
-	var v uint64
-	for _, c := range s {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("decodegraph: fingerprint %q has non-hex char %q", s, c)
-		}
-		v = v<<4 | d
-	}
-	return Fingerprint(v), nil
-}

@@ -70,21 +70,3 @@ func TestFingerprintDetectsPerturbation(t *testing.T) {
 		t.Fatal("fingerprint not a pure function of contents")
 	}
 }
-
-// TestFingerprintParseRoundTrip covers the textual form operators and the
-// loadgen pass around.
-func TestFingerprintParseRoundTrip(t *testing.T) {
-	fp, _, _ := buildFP(t, 3, 1e-3)
-	back, err := ParseFingerprint(fp.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != fp {
-		t.Fatalf("round trip %s -> %s", fp, back)
-	}
-	for _, bad := range []string{"", "zz", "123", "g123456789abcdef", "0123456789abcdef0"} {
-		if _, err := ParseFingerprint(bad); err == nil {
-			t.Errorf("ParseFingerprint(%q) accepted", bad)
-		}
-	}
-}

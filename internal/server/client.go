@@ -53,14 +53,14 @@ const maxQueuedSend = 16 << 10
 //
 // Send queues its request frame instead of writing it, and the queue leaves
 // in one write the next time the read half is about to block on the socket
-// — when Recv, Decode or Ping needs bytes that are not buffered yet — or at
+// — when Recv or Decode needs bytes that are not buffered yet — or at
 // once when a Send finds the read half already blocked. So a pipelining
 // caller pays one write per burst of requests, a depth-1 Decode still pays
 // exactly one, and a frame is never stranded, even behind a sender goroutine
 // that never calls Recv. A stream's rounds frames queue the same way, under
 // their own rule (see Stream.SendRounds): they are written at once only
 // while the rounds already written are too few to force a commit. Every
-// other frame (handshake, Ping, stream open, resume and close) is written at
+// other frame (handshake, stream open, resume and close) is written at
 // once, behind whatever is queued. Close drops queued frames: their answers
 // could never be read anyway.
 type Client struct {
@@ -97,13 +97,12 @@ type Client struct {
 
 	// rbuf is the inbound frame body, reused across reads (rmu): a payload
 	// readFrame returns is valid only until the next read.
-	rmu      sync.Mutex
-	rbuf     []byte
-	pingNext uint64
+	rmu  sync.Mutex
+	rbuf []byte
 }
 
 // readHalf is what the client's bufio.Reader reads through. bufio calls Read
-// only when no whole frame is buffered — exactly when Recv, Ping, a stream
+// only when no whole frame is buffered — exactly when Recv, a stream
 // exchange or the handshake is about to block — so Read first sends the
 // queued requests whose answers it may be about to wait for.
 type readHalf struct{ c *Client }
@@ -421,7 +420,8 @@ func (c *Client) Recv() (Response, error) {
 		return Response{Seq: e.Seq, Err: e.Message, ErrCode: e.Code}, nil
 	default:
 		// Hello/HelloAck/Decode never arrive post-handshake toward the
-		// client, and Pong is consumed by Ping; anything else is a peer bug.
+		// client, and it sends no Ping to be answered by a Pong; anything
+		// else is a peer bug.
 		return Response{}, fmt.Errorf("server: unexpected frame type %d", t)
 	}
 }
@@ -434,47 +434,6 @@ func (c *Client) Decode(seq, deadlineNs uint64, s bitvec.Vec) (Response, error) 
 		return Response{}, err
 	}
 	return c.Recv()
-}
-
-// Ping sends a health-probe frame and waits for its echo, measuring the
-// transport round trip. It requires a stream that negotiated FeatureProbe
-// and, like Decode, exclusive use of the stream: a pong arriving between a
-// pipelined Send and its Recv would be misread as a protocol violation.
-func (c *Client) Ping() (time.Duration, error) {
-	if c.features&FeatureProbe == 0 {
-		return 0, fmt.Errorf("server: stream did not negotiate probe frames")
-	}
-	// rmu before wmu: the read half takes wmu (TryLock) to flush.
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	c.pingNext++
-	nonce := c.pingNext
-	start := time.Now()
-	if c.callTimeout > 0 {
-		//lint:allow errwrap probe-only path: an unarmable deadline surfaces as the probe's own write/read failure just below
-		c.conn.SetDeadline(start.Add(c.callTimeout))
-	}
-	c.wmu.Lock()
-	err := c.writeFrame(FramePing, AppendPing(nil, nonce))
-	c.wmu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	t, payload, err := c.readFrame()
-	if err != nil {
-		return 0, err
-	}
-	if t != FramePong {
-		return 0, fmt.Errorf("server: expected pong, got frame type %d", t)
-	}
-	echo, err := ParsePing(payload)
-	if err != nil {
-		return 0, err
-	}
-	if echo != nonce {
-		return 0, fmt.Errorf("server: pong nonce %d, want %d", echo, nonce)
-	}
-	return time.Since(start), nil
 }
 
 // errClientClosed is the sticky failure Close records.

@@ -24,7 +24,7 @@ type StreamOptions struct {
 // and Recv are independently locked (the client's write and read halves),
 // so one goroutine can feed rounds while another drains commits — the
 // open-loop shape. While a stream is open the owning Client must not be
-// used for Decode or Ping: the server is in streaming mode and the read
+// used for Decode: the server is in streaming mode and the read
 // half belongs to commit frames.
 //
 // Rounds frames leave per batch, not per SendRounds call: while the rounds

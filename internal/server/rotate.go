@@ -45,12 +45,14 @@ type Rotation struct {
 }
 
 // Rotate hot-swaps the artifact's distance to the new generation and
-// returns its fingerprint. In-flight work drains on the old generation,
-// which retires when its last reference drops; no request is dropped or
-// re-answered. Rotating to the fingerprint already being served is an
-// error (nothing to do), as is changing the operating point's shape
-// (rounds, basis, detector count) — those would break codecs and open
-// streams mid-flight.
+// returns its fingerprint. The new generation's tables are built from the
+// artifact's model, and checked against its fingerprint, before the swap,
+// while the current generation keeps answering. In-flight work drains on
+// the old generation, which retires when its last reference drops; no
+// request is dropped or re-answered. Rotating to the fingerprint already
+// being served is an error (nothing to do), as is changing the operating
+// point's shape (rounds, basis, detector count) — those would break codecs
+// and open streams mid-flight.
 func (s *Server) Rotate(rot Rotation) (decodegraph.Fingerprint, error) {
 	a := rot.Artifact
 	if a == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"astrea/internal/artifact"
 	"astrea/internal/bitvec"
 	"astrea/internal/compress"
 	"astrea/internal/decodegraph"
@@ -15,6 +16,7 @@ import (
 	"astrea/internal/montecarlo"
 	"astrea/internal/prng"
 	"astrea/internal/stream"
+	"astrea/internal/surface"
 )
 
 // rotationDeadline keeps deadline misses out of the rotation tests, whose
@@ -381,6 +383,105 @@ func TestRetiredGenerationReleased(t *testing.T) {
 		}
 	}
 	t.Fatal("the retired generation's environment was never released")
+}
+
+// TestRotationsReleaseEveryGeneration is the many-generation soak: one
+// d=3 daemon under a light request load rotates through nine generations,
+// each at its own p and passed through Encode → Decode like a bundle read
+// from disk, so each Rotate builds its table inside the daemon. Every
+// generation it retires must then be collected: the heap holds the
+// generation being served, not the history of rotations.
+func TestRotationsReleaseEveryGeneration(t *testing.T) {
+	leakCheck(t)
+	env := testEnv(t, 3)
+	srv := startServer(t, Config{
+		Distances: []int{3},
+		P:         1e-3,
+		Decoder:   "astrea",
+		Envs:      map[int]*montecarlo.Env{3: env},
+	})
+	c, err := DialOptions(srv.Addr().String(), 3, compress.IDSparse, ClientOptions{CallTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stop := make(chan struct{})
+	loadErr := make(chan error, 1)
+	go func() {
+		rng := prng.New(0x50A4)
+		smp := dem.NewSampler(env.Model)
+		buf := bitvec.New(env.Model.NumDetectors)
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-stop:
+				loadErr <- nil
+				return
+			default:
+			}
+			smp.Sample(rng, buf)
+			resp, err := c.Decode(seq, rotationDeadline, buf)
+			if err == nil && (resp.Rejected || resp.Err != "") {
+				err = fmt.Errorf("request %d answered %+v", seq, resp)
+			}
+			if err != nil {
+				loadErr <- err
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	const generations = 9
+	collected := make([]chan struct{}, generations+1)
+	for gen := uint64(1); gen <= generations; gen++ {
+		a, err := artifact.Compile(3, 3, 1e-3+2e-4*float64(gen), surface.BasisZ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Meta.Generation = gen
+		loaded, err := artifact.Decode(a.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		runtime.SetFinalizer(loaded.Model, func(*dem.Model) { close(done) })
+		collected[gen] = done
+		if _, err := srv.Rotate(Rotation{Artifact: loaded}); err != nil {
+			t.Fatalf("rotation to generation %d: %v", gen, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	if err := <-loadErr; err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Snapshot().GenerationsRetired < generations {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d superseded generations retired", srv.Snapshot().GenerationsRetired, generations)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Generations 1..8 were retired; generation 9 is serving.
+	var live []uint64
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		live = live[:0]
+		for gen := uint64(1); gen < generations; gen++ {
+			select {
+			case <-collected[gen]:
+			default:
+				live = append(live, gen)
+			}
+		}
+		if len(live) == 0 {
+			return
+		}
+	}
+	t.Fatalf("retired generations %v were never collected: something still references their environments", live)
 }
 
 // TestRotateRefusesShapeChange: a rotation may recalibrate (new error

@@ -99,9 +99,10 @@ type Config struct {
 	Envs map[int]*montecarlo.Env
 
 	// Artifacts supplies compiled operating points keyed by distance: a
-	// pool for a distance present here is hydrated from the artifact —
-	// skipping DEM extraction and BuildGWT entirely — and advertises the
-	// artifact's fingerprint. An artifact whose distance or physical error
+	// pool for a distance present here adopts the artifact's model, skips
+	// DEM extraction, rebuilds the weight table from the model and
+	// refuses it unless it digests to the artifact's fingerprint, which
+	// the pool then advertises. An artifact whose distance or physical error
 	// rate disagrees with the configuration is rejected at startup. Envs
 	// takes precedence over Artifacts for the same distance.
 	Artifacts map[int]*artifact.Artifact

@@ -80,8 +80,12 @@ const (
 	FrameResult   FrameType = 4 // server → client: decode outcome
 	FrameReject   FrameType = 5 // server → client: backpressure, retry later
 	FrameError    FrameType = 6 // server → client: per-request failure
-	FramePing     FrameType = 7 // client → server: health probe (FeatureProbe)
-	FramePong     FrameType = 8 // server → client: probe echo
+	// The probe frames are wire v3 for clients outside this module; no
+	// client here sends a Ping (TestPingRoundTrip drives the daemon's echo).
+	//lint:allow wiresym the daemon answers probes from clients outside this module
+	FramePing FrameType = 7 // client → server: health probe (FeatureProbe)
+	//lint:allow wiresym the daemon answers probes from clients outside this module
+	FramePong FrameType = 8 // server → client: probe echo
 
 	// Streaming frames (FeatureStream). A StreamOpen switches the
 	// connection into a windowed-streaming session: the client pushes
