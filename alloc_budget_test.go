@@ -9,6 +9,7 @@ import (
 	"astrea/internal/astrea"
 	"astrea/internal/bitvec"
 	"astrea/internal/compress"
+	"astrea/internal/decoder"
 	"astrea/internal/montecarlo"
 	"astrea/internal/mwpm"
 	"astrea/internal/server"
@@ -60,6 +61,10 @@ const (
 	// windows a pass include 182 forced and 5 fallbacks. It was 3.0 while
 	// every window had its own window, words and syndrome.
 	streamWindowAllocBudget = 0.4
+	// validateAllocBudget bounds decoder.Validate, which the benchmark runs
+	// on every library decode: its one-bit-per-detector scratch is pooled.
+	// It was a map, its growth and a Ones slice per call.
+	validateAllocBudget = 0.0
 )
 
 // TestSparseDecodeAllocBudget pins steady-state sparse decode (warm
@@ -259,6 +264,35 @@ func allocsPerRequest(runs, perRun int, f func()) float64 {
 		best = math.Min(best, float64(after.Mallocs-before.Mallocs)/float64(runs*perRun))
 	}
 	return best
+}
+
+// TestValidateAllocBudget holds the matching check to its budget over warm
+// dense decodes of the stratum lib_highhw draws (d=7, p=3e-3, HW 11..24).
+func TestValidateAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a d=7 Monte-Carlo environment")
+	}
+	if raceEnabled {
+		t.Skip(raceSkip)
+	}
+	env, pool := matchingPool(t, matchingCell{D: 7, P: 3e-3, LoHW: 11, HiHW: 24}, 200)
+	dec := mwpm.New(env.GWT)
+	results := make([]decoder.Result, len(pool))
+	for i, s := range pool {
+		results[i] = dec.Decode(s)
+		if ok, why := decoder.Validate(s, results[i]); !ok {
+			t.Fatalf("syndrome %d: %s", i, why)
+		}
+	}
+	j := 0
+	if got := allocsPerRequest(4*len(pool), 1, func() {
+		decoder.Validate(pool[j%len(pool)], results[j%len(pool)])
+		j++
+	}); got > validateAllocBudget {
+		t.Errorf("decoder.Validate: %.3f allocs/op, budget %.0f", got, validateAllocBudget)
+	} else {
+		t.Logf("decoder.Validate: %.3f allocs/op", got)
+	}
 }
 
 // TestRequestPathAllocBudget holds the daemon's request path — everything

@@ -7,17 +7,25 @@
 // weights along a path multiplies probabilities.
 //
 // The GWT holds, for every detector pair (i, j), the weight of the most
-// probable error chain flipping exactly that pair — the all-pairs shortest
-// path through the sparse graph — and on the diagonal the weight of the most
-// probable chain connecting detector i to the boundary. Every entry also
-// records whether that chain flips each logical observable, which is how a
-// matching is converted into a logical-correction prediction. Pair weights
-// are the minimum of the direct path and the two boundary paths
-// (w(i,bnd) + w(j,bnd)): with that convention, exhaustively pairing up the
-// flagged detectors (plus one explicit boundary node when the count is odd)
-// is exactly equivalent to minimum-weight matching with an unlimited-degree
-// boundary, which is what makes Astrea's pairing-only brute force an exact
-// MWPM (§5.2).
+// probable error chain flipping exactly that pair, and on the diagonal the
+// weight of the most probable chain connecting detector i to the boundary.
+// Every entry also records whether that chain flips each logical
+// observable, which is how a matching is converted into a logical-correction
+// prediction. Pair weights are the minimum of the direct path and the two
+// boundary paths (w(i,bnd) + w(j,bnd)): with that convention, exhaustively
+// pairing up the flagged detectors (plus one explicit boundary node when the
+// count is odd) is exactly equivalent to minimum-weight matching with an
+// unlimited-degree boundary, which is what makes Astrea's pairing-only brute
+// force an exact MWPM (§5.2).
+//
+// The paper fills the table with all-pairs Dijkstra. Here each detector's
+// Dijkstra stops at its fold radius bnd(i) + max_j bnd(j) + FoldMargin: a
+// direct chain past it is longer than bnd(i)+bnd(j) for every j, so the
+// fold there is the boundary pair whatever the direct chain weighs. The
+// folded entries are therefore exactly those of a complete search; only the
+// separately kept direct chain reads +Inf past the radius (see
+// DirectWeight, and FoldMargin for why no exact matching can use such a
+// chain).
 //
 // Entries are also quantised to the 8-bit fixed-point representation the
 // hardware design stores in SRAM (4 fractional bits, i.e. 1/16 decade
@@ -206,16 +214,30 @@ func (h *minHeap) pop() pqItem {
 	return top
 }
 
-// shortestFrom runs Dijkstra from src over the N+1 node graph, filling dist
-// and the observable parity of the chosen shortest path per node. The
-// caller supplies the frontier heap so one allocation serves every source.
+// shortestFrom runs Dijkstra from src over the N+1 node graph to
+// completion; see shortestWithin.
+func (g *Graph) shortestFrom(src int, dist []float64, obs []uint64, h *minHeap) {
+	g.shortestWithin(src, math.Inf(1), dist, obs, h)
+}
+
+// shortestWithin runs Dijkstra from src over the N+1 node graph until every
+// node within radius of src is settled, filling dist and the observable
+// parity of the chosen shortest path per node. The caller supplies the
+// frontier heap so one allocation serves every source.
+//
+// The run is a prefix of the complete run: it pops the same entries in the
+// same order and stops at the first one past radius. Edge weights are
+// positive, so a settled node's dist and obs never change afterwards, and
+// every node with dist[j] ≤ radius holds exactly the complete run's values.
+// Every other node's true distance exceeds radius; its entries are
+// tentative.
 //
 // The boundary node is an endpoint, never an intermediate hop: unless it is
 // the source it is not expanded, so dist[j] for a detector source is the
 // weight of the best boundary-avoiding ("direct") chain. A route through
 // the boundary is by definition two boundary chains, which the GWT fold and
 // the matching formulations account for separately as bnd(i)+bnd(j).
-func (g *Graph) shortestFrom(src int, dist []float64, obs []uint64, h *minHeap) {
+func (g *Graph) shortestWithin(src int, radius float64, dist []float64, obs []uint64, h *minHeap) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		obs[i] = 0
@@ -225,6 +247,9 @@ func (g *Graph) shortestFrom(src int, dist []float64, obs []uint64, h *minHeap) 
 	h.push(pqItem{node: src})
 	for len(h.items) > 0 {
 		it := h.pop()
+		if it.dist > radius {
+			break
+		}
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -242,9 +267,24 @@ func (g *Graph) shortestFrom(src int, dist []float64, obs []uint64, h *minHeap) 
 	}
 }
 
-// GWT is the Global Weight Table: dense all-pairs chain weights with the
+// FoldMargin (ε, in decades) is how far past bnd(i)+bnd(j) a direct chain
+// must lie before the table stops recording it. The exact engines round
+// each chain to a fixed point of 2⁻¹⁶ decades (exactmatch.WeightScale),
+// half a unit at most, so a margin over 1.5 units puts Base(direct) at
+// least one unit above Base(bnd(i))+Base(bnd(j)): the lifted direct chain
+// can never beat the lifted through-boundary pair, and dropping it changes
+// no decision. exactmatch's TestFoldMarginCoversRounding holds ε to at
+// least two units.
+const FoldMargin = 1e-3
+
+// foldRadius is detector i's Dijkstra radius R_i = bnd(i) + max_j bnd(j) +
+// ε: no direct chain from i longer than R_i can beat the fold to any j.
+func foldRadius(bndI, bndMax float64) float64 { return bndI + bndMax + FoldMargin }
+
+// GWT is the Global Weight Table: dense pair chain weights with the
 // boundary chain on the diagonal, in both float and hardware (8-bit
-// quantised) form, plus the observable parity of each chain.
+// quantised) form, plus the observable parity of each chain. Every entry of
+// w, q and obs is exact: min(direct, bnd(i)+bnd(j)) with its parity.
 type GWT struct {
 	N     int
 	Metas []circuit.DetMeta
@@ -253,18 +293,26 @@ type GWT struct {
 	q   []uint8
 	obs []uint64
 
-	// direct holds the raw all-pairs shortest paths without the
-	// through-boundary alternative, with matching observable parities; used
-	// by the boundary-duplication MWPM formulation and its equivalence tests.
+	// direct holds the boundary-avoiding shortest path of every pair that
+	// lies within row i's fold radius (see BuildGWT), with its observable
+	// parity; farther pairs hold +Inf and 0. The dense MWPM formulation
+	// and Score read it; both treat +Inf as "fold".
 	direct    []float64
 	directObs []uint64
 }
 
-// BuildGWT computes the Global Weight Table by running Dijkstra from every
-// node. Pair entries already include the through-boundary alternative
-// min(direct, bnd(i)+bnd(j)). The per-row Dijkstras are independent and
-// each writes only its own row, so they are split across GOMAXPROCS
-// goroutines; the table is byte-identical to a serial build.
+// BuildGWT computes the Global Weight Table: one Dijkstra from the boundary,
+// then a per-source Dijkstra from every detector i to its fold radius
+// R_i = bnd(i) + max_j bnd(j) + FoldMargin. Pair entries are the fold
+// min(direct, bnd(i)+bnd(j)). A direct chain longer than R_i exceeds
+// bnd(i)+bnd(j) for every j, so the fold is the boundary pair there, and
+// the truncated run — a prefix of the complete one — yields the complete
+// run's w, q and obs bit for bit. Only direct changes: past R_i it is +Inf
+// (see DirectWeight).
+//
+// The per-row Dijkstras are independent and each writes only its own row,
+// so they are split across GOMAXPROCS goroutines; the table does not depend
+// on the worker count.
 func (g *Graph) BuildGWT() (*GWT, error) {
 	n := g.N
 	t := &GWT{
@@ -281,12 +329,14 @@ func (g *Graph) BuildGWT() (*GWT, error) {
 	bndW := make([]float64, n+1)
 	bndObs := make([]uint64, n+1)
 	g.shortestFrom(g.Boundary(), bndW, bndObs, newMinHeap(n+1))
+	bndMax := 0.0
 	for i := 0; i < n; i++ {
 		if math.IsInf(bndW[i], 1) {
 			return nil, fmt.Errorf("decodegraph: detector %d cannot reach the boundary", i)
 		}
 		t.w[i*n+i] = bndW[i]
 		t.obs[i*n+i] = bndObs[i]
+		bndMax = max(bndMax, bndW[i])
 	}
 
 	// Every detector reaches the boundary, so every pair has the finite
@@ -301,7 +351,7 @@ func (g *Graph) BuildGWT() (*GWT, error) {
 			obs := make([]uint64, n+1)
 			h := newMinHeap(n + 1)
 			for i := k; i < n; i += workers {
-				t.fillRow(g, i, bndW, bndObs, dist, obs, h)
+				t.fillRow(g, i, foldRadius(bndW[i], bndMax), bndW, bndObs, dist, obs, h)
 			}
 		}()
 	}
@@ -310,13 +360,16 @@ func (g *Graph) BuildGWT() (*GWT, error) {
 }
 
 // fillRow fills row i of the table from one Dijkstra out of detector i,
-// using the caller's scratch.
-func (t *GWT) fillRow(g *Graph, i int, bndW []float64, bndObs []uint64, dist []float64, obs []uint64, h *minHeap) {
+// stopped at radius, using the caller's scratch.
+func (t *GWT) fillRow(g *Graph, i int, radius float64, bndW []float64, bndObs []uint64, dist []float64, obs []uint64, h *minHeap) {
 	n := t.N
-	g.shortestFrom(i, dist, obs, h)
+	g.shortestWithin(i, radius, dist, obs, h)
 	for j := 0; j < n; j++ {
 		if j != i {
 			w, o := dist[j], obs[j]
+			if w > radius {
+				w, o = math.Inf(1), 0
+			}
 			t.direct[i*n+j] = w
 			t.directObs[i*n+j] = o
 			if via := bndW[i] + bndW[j]; via < w {
@@ -343,12 +396,16 @@ func (t *GWT) Obs(i, j int) uint64 { return t.obs[i*t.N+j] }
 // BoundaryWeight is shorthand for Weight(i, i).
 func (t *GWT) BoundaryWeight(i int) float64 { return t.w[i*t.N+i] }
 
-// DirectWeight returns the raw shortest-path weight between i and j without
-// the through-boundary alternative (i must differ from j). Infinite when the
-// only connection runs through the boundary.
+// DirectWeight returns the boundary-avoiding chain between i and j (i must
+// differ from j) when it is shorter than row i's fold radius, else +Inf.
+// +Inf also covers pairs whose only connection runs through the boundary.
+// Every pair an exact matching can match directly lies inside the radius:
+// past it the direct chain exceeds bnd(i)+bnd(j)+FoldMargin, which no
+// fixed-point rounding can bring below the boundary pair.
 func (t *GWT) DirectWeight(i, j int) float64 { return t.direct[i*t.N+j] }
 
-// DirectObs returns the observable mask of the direct chain between i and j.
+// DirectObs returns the observable mask of the direct chain between i and
+// j; 0 where DirectWeight is +Inf.
 func (t *GWT) DirectObs(i, j int) uint64 { return t.directObs[i*t.N+j] }
 
 // WeightHistogram bins every off-diagonal GWT weight (and, separately

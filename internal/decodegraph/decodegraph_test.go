@@ -268,19 +268,18 @@ func TestDisconnectedGraphRejected(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildGWT times the table build at whole-shot height (d rounds)
+// for d ∈ {3, 5, 7, 9}, and at stream-window height (6d−1 rounds, the
+// default window plus its padding) for d ∈ {5, 7}, where most pairs lie
+// past the fold radius.
 func BenchmarkBuildGWT(b *testing.B) {
-	for _, d := range []int{3, 5, 7, 9} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			code, _ := surface.New(d)
-			cc, _ := code.MemoryZ(d, 1e-3)
-			m, err := dem.FromCircuit(cc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := FromModel(m, cc.DetMetas)
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range []struct{ d, rounds int }{{3, 3}, {5, 5}, {7, 7}, {9, 9}, {5, 29}, {7, 41}} {
+		name := fmt.Sprintf("d=%d", c.d)
+		if c.rounds != c.d {
+			name = fmt.Sprintf("d=%d,rounds=%d", c.d, c.rounds)
+		}
+		b.Run(name, func(b *testing.B) {
+			g := memoryGraph(b, c.d, c.rounds, 1e-3)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.BuildGWT(); err != nil {

@@ -4,6 +4,8 @@
 package decoder
 
 import (
+	"sync"
+
 	"astrea/internal/bitvec"
 )
 
@@ -105,14 +107,33 @@ type ObsDecoder interface {
 // Validate checks the structural sanity of a matching against the syndrome:
 // every flagged detector appears exactly once, no unflagged detector
 // appears. It returns false with a reason string on violation; decoders'
-// tests use it as a universal invariant.
+// tests use it as a universal invariant, and the benchmark runs it on every
+// decode, so it allocates nothing once its scratch is warm.
 func Validate(syndrome bitvec.Vec, r Result) (bool, string) {
 	if r.Pairs == nil {
 		return true, "" // table decoders carry no explicit matching
 	}
-	seen := make(map[int]bool)
-	for _, p := range r.Pairs {
-		for _, v := range []int{p[0], p[1]} {
+	seen, _ := seenPool.Get().(*bitvec.Vec)
+	if seen == nil || seen.Len() != syndrome.Len() {
+		v := bitvec.New(syndrome.Len())
+		seen = &v
+	}
+	ok, why := validate(syndrome, *seen, r.Pairs)
+	seen.Reset()
+	seenPool.Put(seen)
+	return ok, why
+}
+
+// seenPool recycles Validate's scratch: one zeroed bit per detector.
+var seenPool sync.Pool
+
+// validate is Validate over a zeroed scratch of the syndrome's length. A
+// matching that names only flagged detectors, each once, covers the
+// syndrome exactly when it names as many as are flagged.
+func validate(syndrome, seen bitvec.Vec, pairs [][2]int) (bool, string) {
+	matched := 0
+	for _, p := range pairs {
+		for _, v := range p {
 			if v == Boundary {
 				continue
 			}
@@ -122,16 +143,15 @@ func Validate(syndrome bitvec.Vec, r Result) (bool, string) {
 			if !syndrome.Get(v) {
 				return false, "matched an unflagged detector"
 			}
-			if seen[v] {
+			if seen.Get(v) {
 				return false, "detector matched twice"
 			}
-			seen[v] = true
+			seen.Set(v)
+			matched++
 		}
 	}
-	for _, idx := range syndrome.Ones(nil) {
-		if !seen[idx] {
-			return false, "flagged detector left unmatched"
-		}
+	if matched != syndrome.PopCount() {
+		return false, "flagged detector left unmatched"
 	}
 	return true, ""
 }

@@ -139,6 +139,13 @@ func pairLess(a, b [2]int) bool {
 // DirectWeight/DirectObs, boundary chains the diagonal. Both engines'
 // adapters score through this one code path, so equal matchings yield
 // bit-identical results.
+//
+// DirectWeight is +Inf past the table's fold radius, but Score never reads
+// such a pair: an engine matches i and j directly only when the lifted
+// direct chain beats LiftBoundary(i)+LiftBoundary(j), so Base(direct) ≤
+// Base(bnd(i))+Base(bnd(j)) and direct ≤ bnd(i)+bnd(j)+1.5/WeightScale,
+// which lies inside the radius because decodegraph.FoldMargin spans at
+// least two fixed-point units (TestFoldMarginCoversRounding).
 func Score(gwt *decodegraph.GWT, pairs [][2]int) (weight float64, obs uint64) {
 	for _, p := range pairs {
 		if p[1] == decoder.Boundary {
