@@ -9,12 +9,15 @@ import (
 	"astrea/internal/astrea"
 	"astrea/internal/bitvec"
 	"astrea/internal/compress"
+	"astrea/internal/decodegraph"
 	"astrea/internal/decoder"
+	"astrea/internal/dem"
 	"astrea/internal/montecarlo"
 	"astrea/internal/mwpm"
 	"astrea/internal/server"
 	"astrea/internal/sparsemwpm"
 	"astrea/internal/stream"
+	"astrea/internal/surface"
 )
 
 // Committed steady-state allocation budgets for warm d=7 decode.
@@ -65,6 +68,14 @@ const (
 	// on every library decode: its one-bit-per-detector scratch is pooled.
 	// It was a map, its growth and a Ones slice per call.
 	validateAllocBudget = 0.0
+	// gwtBytesPerPair bounds what BuildGWT allocates per detector pair: a
+	// float and a quantised weight (9 B) and one parity bit per observable
+	// plane. It was 33.7 while the table also held every pair's direct
+	// chain and a 64-bit parity word.
+	gwtBytesPerPair = 10
+	// gwtBytesPerDetector bounds the O(N) rest of a build at two row
+	// workers: the boundary vectors and each worker's Dijkstra scratch.
+	gwtBytesPerDetector = 256
 )
 
 // TestSparseDecodeAllocBudget pins steady-state sparse decode (warm
@@ -436,5 +447,48 @@ func TestStreamPushRowAllocBudget(t *testing.T) {
 		t.Errorf("sampled d=5 stream: %.3f allocs/window, budget %.2f — forced windows' Pairs and carries are the only allocations it has", perWindow, streamWindowAllocBudget)
 	} else {
 		t.Logf("sampled d=5 stream: %.3f allocs/window", perWindow)
+	}
+}
+
+// TestGWTBytesBudget holds the weight table's build to the committed bytes
+// per detector pair, at d=7 whole-shot height (7 rounds) and at the d=7
+// stream-window height (41 rounds), with two row workers.
+func TestGWTBytesBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, rounds := range []int{7, 41} {
+		code, err := surface.New(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := code.MemoryZ(rounds, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := dem.FromCircuit(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := decodegraph.FromModel(m, cc.DetMetas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := uint64(g.N)
+		budget := gwtBytesPerPair*n*n + gwtBytesPerDetector*n
+		// The least of three builds, so a concurrent allocation elsewhere
+		// in the process cannot fail the gate.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := g.BuildGWT(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("d=7 rounds=%d: %d detectors, %d B (%.2f B a pair), budget %d B", rounds, n, least, float64(least)/float64(n*n), budget)
+		if least > budget {
+			t.Errorf("d=7 rounds=%d: BuildGWT allocated %d B for %d detectors, over the %d B budget", rounds, least, n, budget)
+		}
 	}
 }

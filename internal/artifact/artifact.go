@@ -53,8 +53,8 @@ import (
 const Version = 3
 
 // maxDetectors bounds the detector count Decode accepts, and so the table
-// a load builds: at 33 B per detector pair, 4 096 detectors is a ~553 MB
-// table. It admits d ≤ 19 at rounds = d.
+// a load builds: at 9.125 B per detector pair (decodegraph.TableBytes),
+// 4 096 detectors is a ~153 MB table. It admits d ≤ 19 at rounds = d.
 const maxDetectors = 4096
 
 // Meta identifies the operating point an artifact was compiled for.

@@ -12,13 +12,24 @@ import (
 	"astrea/internal/surface"
 )
 
+// serialGWT is the table as the oracle builds it: five dense N² arrays,
+// the direct chain of every pair kept beside its fold.
+type serialGWT struct {
+	N         int
+	w         []float64
+	q         []uint8
+	obs       []uint64
+	direct    []float64
+	directObs []uint64
+}
+
 // buildGWTSerial is the one-goroutine table build BuildGWT replaced, kept
-// as its oracle: one Dijkstra per row, in row order, on shared scratch.
-func (g *Graph) buildGWTSerial() (*GWT, error) {
+// as its oracle: one complete Dijkstra per row, in row order, on shared
+// scratch.
+func (g *Graph) buildGWTSerial() (*serialGWT, error) {
 	n := g.N
-	t := &GWT{
+	t := &serialGWT{
 		N:         n,
-		Metas:     g.Metas,
 		w:         make([]float64, n*n),
 		q:         make([]uint8, n*n),
 		obs:       make([]uint64, n*n),
@@ -97,38 +108,33 @@ func memoryGraph(t testing.TB, d, rounds int, p float64) *Graph {
 	return g
 }
 
-// checkFoldRadius holds a table to the full-Dijkstra oracle under the
-// fold-radius contract: w, q and obs bit for bit everywhere; direct and
-// directObs bit for bit wherever the oracle's direct chain lies within row
-// i's radius, and elsewhere +Inf and 0 over an oracle chain longer than
-// bnd(i)+bnd(j)+FoldMargin.
-func checkFoldRadius(t testing.TB, label string, serial, got *GWT) {
+// checkFoldRadius holds a table to the full-Dijkstra oracle: w, q and Obs
+// bit for bit everywhere; DirectWeight and DirectObs bit for bit wherever
+// the oracle's direct chain is at most bnd(i)+bnd(j)+FoldMargin, and +Inf
+// and 0 everywhere else.
+func checkFoldRadius(t testing.TB, label string, serial *serialGWT, got *GWT) {
 	t.Helper()
 	n := serial.N
-	bndMax := 0.0
 	for i := 0; i < n; i++ {
-		bndMax = max(bndMax, serial.w[i*n+i])
-	}
-	for i := 0; i < n; i++ {
-		bi := serial.w[i*n+i]
-		radius := foldRadius(bi, bndMax)
 		for j := 0; j < n; j++ {
 			k := i*n + j
-			if math.Float64bits(got.w[k]) != math.Float64bits(serial.w[k]) ||
-				got.q[k] != serial.q[k] || got.obs[k] != serial.obs[k] {
+			if math.Float64bits(got.Weight(i, j)) != math.Float64bits(serial.w[k]) ||
+				got.Q(i, j) != serial.q[k] || got.Obs(i, j) != serial.obs[k] {
 				t.Fatalf("%s: folded entry (%d, %d) differs from the serial build", label, i, j)
 			}
-			if serial.direct[k] <= radius {
-				if math.Float64bits(got.direct[k]) != math.Float64bits(serial.direct[k]) || got.directObs[k] != serial.directObs[k] {
-					t.Fatalf("%s: direct entry (%d, %d) inside the radius differs from the serial build", label, i, j)
+			if j == i {
+				continue
+			}
+			dw, do := got.DirectWeight(i, j), got.DirectObs(i, j)
+			if serial.direct[k] <= serial.w[i*n+i]+serial.w[j*n+j]+FoldMargin {
+				if math.Float64bits(dw) != math.Float64bits(serial.direct[k]) || do != serial.directObs[k] {
+					t.Fatalf("%s: direct entry (%d, %d) is %v/%d, serial build %v/%d",
+						label, i, j, dw, do, serial.direct[k], serial.directObs[k])
 				}
 				continue
 			}
-			if !math.IsInf(got.direct[k], 1) || got.directObs[k] != 0 {
-				t.Fatalf("%s: direct entry (%d, %d) past the radius is %v/%d, want +Inf/0", label, i, j, got.direct[k], got.directObs[k])
-			}
-			if bj := serial.w[j*n+j]; !(serial.direct[k] > bi+bj+FoldMargin) {
-				t.Fatalf("%s: truncated pair (%d, %d) has direct %v within FoldMargin of its fold %v", label, i, j, serial.direct[k], bi+bj)
+			if !math.IsInf(dw, 1) || do != 0 {
+				t.Fatalf("%s: direct entry (%d, %d) past the fold margin is %v/%d, want +Inf/0", label, i, j, dw, do)
 			}
 		}
 	}
@@ -143,7 +149,7 @@ func TestBuildGWTMatchesSerial(t *testing.T) {
 		for _, rounds := range []int{d, 6*d - 1} {
 			for _, p := range []float64{1e-4, 1e-3, 3e-3, 1e-2} {
 				g := memoryGraph(t, d, rounds, p)
-				var serial *GWT
+				var serial *serialGWT
 				withProcs(1, func() {
 					var err error
 					if serial, err = g.buildGWTSerial(); err != nil {
@@ -185,6 +191,51 @@ func TestBuildGWTDisconnectedMatchesSerial(t *testing.T) {
 	withProcs(3, func() { _, err = g.BuildGWT() })
 	if want == nil || err == nil || err.Error() != want.Error() {
 		t.Fatalf("parallel build error %v, serial %v", err, want)
+	}
+}
+
+// TestNearListHoldsTies builds a model whose direct chains tie their fold
+// exactly (0–2: two edges of the boundary edges' weight) or lie just above
+// it (3–5): the fold shows neither, so DirectWeight must find both on the
+// near list, parities and all.
+func TestNearListHoldsTies(t *testing.T) {
+	m := &dem.Model{
+		NumDetectors:   6,
+		NumObservables: 1,
+		Errors: []dem.Error{
+			{Detectors: []int{0}, P: 0.1},
+			{Detectors: []int{0, 1}, ObsMask: 1, P: 0.1},
+			{Detectors: []int{1, 2}, P: 0.1},
+			{Detectors: []int{2}, P: 0.1},
+			{Detectors: []int{3}, P: 0.1},
+			{Detectors: []int{3, 4}, ObsMask: 1, P: 0.0999999},
+			{Detectors: []int{4, 5}, P: 0.0999999},
+			{Detectors: []int{5}, P: 0.1},
+		},
+	}
+	g, err := FromModel(m, make([]circuit.DetMeta, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := g.buildGWTSerial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.BuildGWT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFoldRadius(t, "tie model", serial, got)
+	for _, p := range [][2]int{{0, 2}, {2, 0}, {3, 5}, {5, 3}} {
+		i, j := p[0], p[1]
+		via := got.BoundaryWeight(i) + got.BoundaryWeight(j)
+		if dw := got.DirectWeight(i, j); !(via <= dw && dw <= via+FoldMargin) || got.DirectObs(i, j) != 1 {
+			t.Fatalf("pair (%d, %d): direct %v/%d, want within FoldMargin above %v with parity 1",
+				i, j, dw, got.DirectObs(i, j), via)
+		}
+	}
+	if len(got.near) != 4 {
+		t.Fatalf("near list holds %d chains, want 4", len(got.near))
 	}
 }
 

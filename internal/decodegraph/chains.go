@@ -70,7 +70,7 @@ func (g *Graph) tracePath(src, dst int) ([]ChainStep, float64, error) {
 	n := g.N + 1
 	dist := make([]float64, n)
 	prev := make([]int, n)
-	prevEdge := make([]halfEdge, n)
+	prevEdge := make([]Edge, n)
 	for k := range dist {
 		dist[k] = math.Inf(1)
 		prev[k] = -1
@@ -87,12 +87,12 @@ func (g *Graph) tracePath(src, dst int) ([]ChainStep, float64, error) {
 			break
 		}
 		for _, e := range g.adj[it.node] {
-			nd := it.dist + e.w
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = it.node
-				prevEdge[e.to] = e
-				h.push(pqItem{node: e.to, dist: nd})
+			nd := it.dist + e.W
+			if nd < dist[e.To] {
+				dist[e.To] = nd
+				prev[e.To] = it.node
+				prevEdge[e.To] = e
+				h.push(pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func (g *Graph) tracePath(src, dst int) ([]ChainStep, float64, error) {
 	var rev []ChainStep
 	for at := dst; at != src; at = prev[at] {
 		e := prevEdge[at]
-		rev = append(rev, ChainStep{From: prev[at], To: at, W: e.w, Obs: e.obs})
+		rev = append(rev, ChainStep{From: prev[at], To: at, W: e.W, Obs: e.Obs})
 	}
 	// Reverse into src → dst order.
 	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {

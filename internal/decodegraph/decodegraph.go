@@ -22,20 +22,27 @@
 // Dijkstra stops at its fold radius bnd(i) + max_j bnd(j) + FoldMargin: a
 // direct chain past it is longer than bnd(i)+bnd(j) for every j, so the
 // fold there is the boundary pair whatever the direct chain weighs. The
-// folded entries are therefore exactly those of a complete search; only the
-// separately kept direct chain reads +Inf past the radius (see
+// folded entries are therefore exactly those of a complete search.
+//
+// A pair holds its float weight, its 8-bit quantised weight (the
+// fixed-point representation the hardware design stores in SRAM: 4
+// fractional bits, i.e. 1/16 decade resolution) and one parity bit per
+// observable plane: 9.125 bytes for a one-observable memory experiment.
+// The boundary-avoiding direct chain, which only the exact matching
+// engines read, is recovered rather than stored: it is the entry itself
+// where the fold chose it, a short near list holds the few that lie within
+// FoldMargin above their fold, and every other one is +Inf (see
 // DirectWeight, and FoldMargin for why no exact matching can use such a
 // chain).
-//
-// Entries are also quantised to the 8-bit fixed-point representation the
-// hardware design stores in SRAM (4 fractional bits, i.e. 1/16 decade
-// resolution).
 package decodegraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"astrea/internal/circuit"
@@ -52,27 +59,24 @@ const QScale = 1 << QFracBits
 // saturate (the hardware treats them as "effectively impossible").
 const QMax = 255
 
-// Quantize converts a float weight (decades) to the 8-bit GWT encoding.
+// Quantize converts a float weight (decades) to the 8-bit GWT encoding:
+// w × QScale rounded half away from zero, clamped to [0, QMax]. Between
+// the clamps x + 0.5 truncates to round(x) exactly: for x ≥ 1 adding 0.5
+// is exact or carries into the next binade only at x ≥ 2^e − 0.5, where
+// round(x) is 2^e anyway; below 1 the sum lies in [1, 1.5).
 func Quantize(w float64) uint8 {
-	q := math.Round(w * QScale)
-	if q < 0 {
+	x := w * QScale
+	switch {
+	case x < 0.5:
 		return 0
-	}
-	if q > QMax {
+	case x >= QMax-0.5:
 		return QMax
 	}
-	return uint8(q)
+	return uint8(x + 0.5)
 }
 
 // Dequantize converts an 8-bit GWT weight back to decades.
 func Dequantize(q uint8) float64 { return float64(q) / QScale }
-
-// halfEdge is one directed arc of the sparse graph.
-type halfEdge struct {
-	to  int
-	w   float64
-	obs uint64
-}
 
 // Graph is the sparse decoding graph of one detector error model.
 type Graph struct {
@@ -81,7 +85,7 @@ type Graph struct {
 	// Metas carries per-detector coordinates (stabilizer index, round).
 	Metas []circuit.DetMeta
 
-	adj [][]halfEdge // length N+1; adj[N] is the boundary's adjacency
+	adj [][]Edge // length N+1; adj[N] is the boundary's adjacency
 
 	// Lazily built sparse-engine views (see sparse.go). Graphs are shared
 	// across decoder pools, so the views are built once and reused.
@@ -105,13 +109,7 @@ type Edge struct {
 
 // Neighbors returns node u's incident edges (u may be the boundary index).
 // The returned slice is owned by the graph; do not modify it.
-func (g *Graph) Neighbors(u int) []Edge {
-	out := make([]Edge, len(g.adj[u]))
-	for i, e := range g.adj[u] {
-		out[i] = Edge{To: e.to, W: e.w, Obs: e.obs}
-	}
-	return out
-}
+func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
@@ -126,32 +124,42 @@ func (g *Graph) NumEdges() int {
 // detector become boundary edges; parallel edges keep only the lowest
 // weight (they were already probability-merged per footprint by the DEM, so
 // parallel edges here differ in observable effect only through distinct
-// footprints, which FromCircuit rejects).
+// footprints, which FromCircuit rejects). Every node's edges lie in one
+// shared backing array, in mechanism order.
 func FromModel(m *dem.Model, metas []circuit.DetMeta) (*Graph, error) {
 	if len(metas) != m.NumDetectors {
 		return nil, fmt.Errorf("decodegraph: %d metas for %d detectors", len(metas), m.NumDetectors)
 	}
-	g := &Graph{
-		N:     m.NumDetectors,
-		Metas: metas,
-		adj:   make([][]halfEdge, m.NumDetectors+1),
-	}
+	n := m.NumDetectors
+	deg := make([]int, n+1)
 	for _, e := range m.Errors {
 		if e.P <= 0 || e.P >= 1 {
 			return nil, fmt.Errorf("decodegraph: mechanism probability %v out of (0,1)", e.P)
 		}
-		w := -math.Log10(e.P)
-		var u, v int
 		switch len(e.Detectors) {
 		case 1:
-			u, v = e.Detectors[0], g.N
+			deg[e.Detectors[0]]++
+			deg[n]++
 		case 2:
-			u, v = e.Detectors[0], e.Detectors[1]
+			deg[e.Detectors[0]]++
+			deg[e.Detectors[1]]++
 		default:
 			return nil, fmt.Errorf("decodegraph: mechanism with %d detectors", len(e.Detectors))
 		}
-		g.adj[u] = append(g.adj[u], halfEdge{to: v, w: w, obs: e.ObsMask})
-		g.adj[v] = append(g.adj[v], halfEdge{to: u, w: w, obs: e.ObsMask})
+	}
+	g := &Graph{N: n, Metas: metas, adj: make([][]Edge, n+1)}
+	edges := make([]Edge, 2*len(m.Errors))
+	for u, k := range deg {
+		g.adj[u], edges = edges[:0:k], edges[k:]
+	}
+	for _, e := range m.Errors {
+		w := -math.Log10(e.P)
+		u, v := e.Detectors[0], n
+		if len(e.Detectors) == 2 {
+			v = e.Detectors[1]
+		}
+		g.adj[u] = append(g.adj[u], Edge{To: v, W: w, Obs: e.ObsMask})
+		g.adj[v] = append(g.adj[v], Edge{To: u, W: w, Obs: e.ObsMask})
 	}
 	return g, nil
 }
@@ -257,24 +265,24 @@ func (g *Graph) shortestWithin(src int, radius float64, dist []float64, obs []ui
 			continue
 		}
 		for _, e := range g.adj[it.node] {
-			nd := it.dist + e.w
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				obs[e.to] = obs[it.node] ^ e.obs
-				h.push(pqItem{node: e.to, dist: nd})
+			nd := it.dist + e.W
+			if nd < dist[e.To] {
+				dist[e.To] = nd
+				obs[e.To] = obs[it.node] ^ e.Obs
+				h.push(pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
 }
 
 // FoldMargin (ε, in decades) is how far past bnd(i)+bnd(j) a direct chain
-// must lie before the table stops recording it. The exact engines round
+// may lie and still be recorded (see DirectWeight). The exact engines round
 // each chain to a fixed point of 2⁻¹⁶ decades (exactmatch.WeightScale),
 // half a unit at most, so a margin over 1.5 units puts Base(direct) at
-// least one unit above Base(bnd(i))+Base(bnd(j)): the lifted direct chain
-// can never beat the lifted through-boundary pair, and dropping it changes
-// no decision. exactmatch's TestFoldMarginCoversRounding holds ε to at
-// least two units.
+// least one unit above Base(bnd(i))+Base(bnd(j)) for every chain past it:
+// the lifted direct chain can never beat the lifted through-boundary pair,
+// and dropping it changes no decision. exactmatch's
+// TestFoldMarginCoversRounding holds ε to at least two units.
 const FoldMargin = 1e-3
 
 // foldRadius is detector i's Dijkstra radius R_i = bnd(i) + max_j bnd(j) +
@@ -283,23 +291,48 @@ func foldRadius(bndI, bndMax float64) float64 { return bndI + bndMax + FoldMargi
 
 // GWT is the Global Weight Table: dense pair chain weights with the
 // boundary chain on the diagonal, in both float and hardware (8-bit
-// quantised) form, plus the observable parity of each chain. Every entry of
-// w, q and obs is exact: min(direct, bnd(i)+bnd(j)) with its parity.
+// quantised) form, plus the observable parity of each chain. Every entry
+// is exact: min(direct, bnd(i)+bnd(j)) with its parity.
+//
+// A pair costs 9 bytes and one bit per observable plane (TableBytes). The
+// boundary-avoiding direct chain is not stored per pair: where the fold
+// chose it, it is the entry itself, and the few pairs whose direct chain
+// lies within FoldMargin above the fold are kept in a short sorted list
+// (see DirectWeight).
 type GWT struct {
 	N     int
 	Metas []circuit.DetMeta
 
-	w   []float64 // N×N, row-major; w[i*N+i] is the boundary weight of i
-	q   []uint8
-	obs []uint64
+	w []float64 // N×N, row-major; w[i*N+i] is the boundary weight of i
+	q []uint8
 
-	// direct holds the boundary-avoiding shortest path of every pair that
-	// lies within row i's fold radius (see BuildGWT), with its observable
-	// parity; farther pairs hold +Inf and 0. The dense MWPM formulation
-	// and Score read it; both treat +Inf as "fold".
-	direct    []float64
-	directObs []uint64
+	// obs holds every entry's observable parity as bit planes, one per
+	// observable some edge flips: bit j of plane p's row i is bit
+	// obsBits[p] of entry (i, j). Each row is obsWords words starting at
+	// word (p*N+i)*obsWords, so the row workers never share a word.
+	obs      []uint64
+	obsBits  []uint8
+	obsWords int
+
+	// near holds, sorted by i*N+j, the direct chains of the pairs with
+	// bnd(i)+bnd(j) ≤ direct ≤ bnd(i)+bnd(j)+FoldMargin, exact ties
+	// included: the direct chains an exact matching may use that the
+	// folded entry does not show.
+	near []nearChain
 }
+
+// nearChain is one direct chain of GWT.near: entry k = i*N+j.
+type nearChain struct {
+	k   int
+	w   float64
+	obs uint64
+}
+
+// nearChainBytes is the resident size of one nearChain.
+const nearChainBytes = 24
+
+// posInfBits is the bit pattern of +Inf.
+const posInfBits = 0x7ff0000000000000
 
 // BuildGWT computes the Global Weight Table: one Dijkstra from the boundary,
 // then a per-source Dijkstra from every detector i to its fold radius
@@ -307,24 +340,15 @@ type GWT struct {
 // min(direct, bnd(i)+bnd(j)). A direct chain longer than R_i exceeds
 // bnd(i)+bnd(j) for every j, so the fold is the boundary pair there, and
 // the truncated run — a prefix of the complete one — yields the complete
-// run's w, q and obs bit for bit. Only direct changes: past R_i it is +Inf
-// (see DirectWeight).
+// run's w, q and obs bit for bit. The near list needs only direct chains
+// up to bnd(i)+bnd(j)+FoldMargin ≤ R_i, which the truncated run settles
+// exactly too.
 //
 // The per-row Dijkstras are independent and each writes only its own row,
 // so they are split across GOMAXPROCS goroutines; the table does not depend
 // on the worker count.
 func (g *Graph) BuildGWT() (*GWT, error) {
 	n := g.N
-	t := &GWT{
-		N:         n,
-		Metas:     g.Metas,
-		w:         make([]float64, n*n),
-		q:         make([]uint8, n*n),
-		obs:       make([]uint64, n*n),
-		direct:    make([]float64, n*n),
-		directObs: make([]uint64, n*n),
-	}
-
 	// All distances to the boundary first (single Dijkstra from boundary).
 	bndW := make([]float64, n+1)
 	bndObs := make([]uint64, n+1)
@@ -334,14 +358,23 @@ func (g *Graph) BuildGWT() (*GWT, error) {
 		if math.IsInf(bndW[i], 1) {
 			return nil, fmt.Errorf("decodegraph: detector %d cannot reach the boundary", i)
 		}
-		t.w[i*n+i] = bndW[i]
-		t.obs[i*n+i] = bndObs[i]
 		bndMax = max(bndMax, bndW[i])
 	}
+
+	t := &GWT{
+		N:        n,
+		Metas:    g.Metas,
+		w:        make([]float64, n*n),
+		q:        make([]uint8, n*n),
+		obsBits:  g.obsBits(),
+		obsWords: (n + 63) / 64,
+	}
+	t.obs = make([]uint64, len(t.obsBits)*n*t.obsWords)
 
 	// Every detector reaches the boundary, so every pair has the finite
 	// through-boundary chain bnd(i)+bnd(j): no pair can be disconnected.
 	workers := min(runtime.GOMAXPROCS(0), n)
+	near := make([][]nearChain, workers)
 	var wg sync.WaitGroup
 	for k := range workers {
 		wg.Add(1)
@@ -350,36 +383,70 @@ func (g *Graph) BuildGWT() (*GWT, error) {
 			dist := make([]float64, n+1)
 			obs := make([]uint64, n+1)
 			h := newMinHeap(n + 1)
+			var mine []nearChain
 			for i := k; i < n; i += workers {
-				t.fillRow(g, i, foldRadius(bndW[i], bndMax), bndW, bndObs, dist, obs, h)
+				mine = t.fillRow(g, i, foldRadius(bndW[i], bndMax), bndW, bndObs, dist, obs, h, mine)
 			}
+			near[k] = mine
 		}()
 	}
 	wg.Wait()
+	for _, c := range near {
+		t.near = append(t.near, c...)
+	}
+	slices.SortFunc(t.near, func(a, b nearChain) int { return cmp.Compare(a.k, b.k) })
 	return t, nil
 }
 
+// obsBits lists, ascending, the observables some edge flips: the only bits
+// a chain's parity can carry.
+func (g *Graph) obsBits() []uint8 {
+	var union uint64
+	for _, arcs := range g.adj {
+		for _, e := range arcs {
+			union |= e.Obs
+		}
+	}
+	var out []uint8
+	for ; union != 0; union &= union - 1 {
+		out = append(out, uint8(bits.TrailingZeros64(union)))
+	}
+	return out
+}
+
 // fillRow fills row i of the table from one Dijkstra out of detector i,
-// stopped at radius, using the caller's scratch.
-func (t *GWT) fillRow(g *Graph, i int, radius float64, bndW []float64, bndObs []uint64, dist []float64, obs []uint64, h *minHeap) {
+// stopped at radius, using the caller's scratch, and returns near with the
+// row's near chains appended.
+func (t *GWT) fillRow(g *Graph, i int, radius float64, bndW []float64, bndObs []uint64, dist []float64, obs []uint64, h *minHeap, near []nearChain) []nearChain {
 	n := t.N
 	g.shortestWithin(i, radius, dist, obs, h)
-	for j := 0; j < n; j++ {
+	dist[i], obs[i] = bndW[i], bndObs[i] // the diagonal is the boundary chain
+	w, q := t.w[i*n:(i+1)*n], t.q[i*n:(i+1)*n]
+	for j := range w {
+		d, o := dist[j], obs[j]
 		if j != i {
-			w, o := dist[j], obs[j]
-			if w > radius {
-				w, o = math.Inf(1), 0
+			via := bndW[i] + bndW[j]
+			if via <= d && d <= via+FoldMargin {
+				near = append(near, nearChain{k: i*n + j, w: d, obs: o})
 			}
-			t.direct[i*n+j] = w
-			t.directObs[i*n+j] = o
-			if via := bndW[i] + bndW[j]; via < w {
-				w, o = via, bndObs[i]^bndObs[j]
+			if via < d {
+				d, o = via, bndObs[i]^bndObs[j]
 			}
-			t.w[i*n+j] = w
-			t.obs[i*n+j] = o
 		}
-		t.q[i*n+j] = Quantize(t.w[i*n+j])
+		w[j], q[j], obs[j] = d, Quantize(d), o
 	}
+	// Pack the row's parities, now in obs, into each plane a word at a time.
+	for p, b := range t.obsBits {
+		row := t.obs[(p*n+i)*t.obsWords:][:t.obsWords]
+		for k := range row {
+			var word uint64
+			for bit, o := range obs[k*64 : min(n, k*64+64)] {
+				word |= (o >> b & 1) << bit
+			}
+			row[k] = word
+		}
+	}
+	return near
 }
 
 // Weight returns the float chain weight between detectors i and j; Weight(i,
@@ -390,23 +457,72 @@ func (t *GWT) Weight(i, j int) float64 { return t.w[i*t.N+j] }
 func (t *GWT) Q(i, j int) uint8 { return t.q[i*t.N+j] }
 
 // Obs returns the observable mask of the chain between i and j (diagonal =
-// boundary chain).
-func (t *GWT) Obs(i, j int) uint64 { return t.obs[i*t.N+j] }
+// boundary chain), gathered from the bit planes.
+func (t *GWT) Obs(i, j int) uint64 {
+	var o uint64
+	for p, b := range t.obsBits {
+		o |= (t.obs[(p*t.N+i)*t.obsWords+j>>6] >> (j & 63) & 1) << b
+	}
+	return o
+}
 
 // BoundaryWeight is shorthand for Weight(i, i).
 func (t *GWT) BoundaryWeight(i int) float64 { return t.w[i*t.N+i] }
 
 // DirectWeight returns the boundary-avoiding chain between i and j (i must
-// differ from j) when it is shorter than row i's fold radius, else +Inf.
+// differ from j) when it is at most bnd(i)+bnd(j)+FoldMargin, else +Inf.
 // +Inf also covers pairs whose only connection runs through the boundary.
-// Every pair an exact matching can match directly lies inside the radius:
+// Below bnd(i)+bnd(j) the fold chose the direct chain, so it is Weight(i,
+// j); from there up to the margin it is on the near list (NearWeight).
+// Every pair an exact matching can match directly lies within the margin:
 // past it the direct chain exceeds bnd(i)+bnd(j)+FoldMargin, which no
 // fixed-point rounding can bring below the boundary pair.
-func (t *GWT) DirectWeight(i, j int) float64 { return t.direct[i*t.N+j] }
+func (t *GWT) DirectWeight(i, j int) float64 {
+	if w := t.w[i*t.N+j]; w < t.BoundaryWeight(i)+t.BoundaryWeight(j) {
+		return w
+	}
+	return t.NearWeight(i, j)
+}
 
 // DirectObs returns the observable mask of the direct chain between i and
 // j; 0 where DirectWeight is +Inf.
-func (t *GWT) DirectObs(i, j int) uint64 { return t.directObs[i*t.N+j] }
+func (t *GWT) DirectObs(i, j int) uint64 {
+	if t.w[i*t.N+j] < t.BoundaryWeight(i)+t.BoundaryWeight(j) {
+		return t.Obs(i, j)
+	}
+	c, _ := t.nearChain(i, j) // the zero chain, parity 0, when absent
+	return c.obs
+}
+
+// NearWeight returns the direct chain between i and j when Weight(i, j) is
+// at least bnd(i)+bnd(j) — the fold shows the boundary pair, or an exact
+// tie — and the direct chain lies within FoldMargin of it; else +Inf.
+// Callers that already hold both boundary weights read Weight(i, j) first
+// and consult NearWeight only when it is not below their sum.
+func (t *GWT) NearWeight(i, j int) float64 {
+	if len(t.near) == 0 { // the near list is empty on nearly every table
+		return math.Float64frombits(posInfBits) // math.Inf(1), cheap enough to inline
+	}
+	return t.nearWeight(i, j)
+}
+
+// nearWeight is NearWeight's search, kept out of line so the empty-list
+// test inlines into the dense MWPM adapter's pair loop.
+func (t *GWT) nearWeight(i, j int) float64 {
+	if c, ok := t.nearChain(i, j); ok {
+		return c.w
+	}
+	return math.Inf(1)
+}
+
+// nearChain looks (i, j) up on the near list.
+func (t *GWT) nearChain(i, j int) (nearChain, bool) {
+	x, ok := slices.BinarySearchFunc(t.near, i*t.N+j, func(c nearChain, k int) int { return cmp.Compare(c.k, k) })
+	if !ok {
+		return nearChain{}, false
+	}
+	return t.near[x], true
+}
 
 // WeightHistogram bins every off-diagonal GWT weight (and, separately
 // included, the diagonal boundary weights) into unit-decade buckets
@@ -429,3 +545,18 @@ func (t *GWT) WeightHistogram(maxBucket int) []int {
 // SizeBytes is the SRAM footprint of the table at one byte per entry, the
 // quantity reported in Table 6 (36 KB at d=7, 156 KB at d=9).
 func (t *GWT) SizeBytes() int { return t.N * t.N }
+
+// TableBytes is the resident size of an n-detector table whose parities
+// span planes observables: 8 bytes of float and 1 of quantised weight per
+// pair, plus one bit per pair and plane in word-aligned rows. It is 9.125
+// bytes a pair for the one-observable memory experiments.
+func TableBytes(n, planes int) int64 {
+	n64 := int64(n)
+	return n64*n64*9 + n64*int64((n+63)/64)*8*int64(planes)
+}
+
+// ResidentBytes is the table's resident size in memory: TableBytes plus
+// its near list.
+func (t *GWT) ResidentBytes() int64 {
+	return TableBytes(t.N, len(t.obsBits)) + int64(len(t.near))*nearChainBytes
+}

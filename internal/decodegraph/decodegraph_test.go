@@ -8,6 +8,7 @@ import (
 
 	"astrea/internal/circuit"
 	"astrea/internal/dem"
+	"astrea/internal/prng"
 	"astrea/internal/surface"
 )
 
@@ -48,6 +49,36 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 	if Quantize(1e9) != QMax {
 		t.Fatal("huge weights must saturate")
+	}
+}
+
+// TestQuantizeMatchesRound holds Quantize to math.Round of w × QScale,
+// clamped, at every half-unit boundary and the floats either side of it,
+// and at random weights.
+func TestQuantizeMatchesRound(t *testing.T) {
+	ref := func(w float64) uint8 {
+		q := math.Round(w * QScale)
+		return uint8(max(0, min(q, QMax)))
+	}
+	check := func(w float64) {
+		if got, want := Quantize(w), ref(w); got != want {
+			t.Fatalf("Quantize(%v) = %d, math.Round gives %d", w, got, want)
+		}
+	}
+	for k := -2; k <= 2*QMax+4; k++ {
+		w := (float64(k)/2 + 0.25) / QScale
+		check(w)
+		x := float64(k) / 2 // the half-unit boundary, in quantised units
+		for _, v := range []float64{x, math.Nextafter(x, -1), math.Nextafter(x, 1000)} {
+			check(v / QScale)
+		}
+	}
+	for _, w := range []float64{0, math.Inf(1), 1e300, -1e300, 0.49999999999999994 / QScale} {
+		check(w)
+	}
+	rng := prng.New(59)
+	for range 100000 {
+		check(rng.Float64() * 20)
 	}
 }
 

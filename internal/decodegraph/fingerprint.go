@@ -69,8 +69,10 @@ func FingerprintOf(m *dem.Model, t *GWT) Fingerprint {
 	if t != nil {
 		s.u64(uint64(t.N))
 		s.bytes(t.q)
-		for _, o := range t.obs {
-			s.u64(o)
+		for i := 0; i < t.N; i++ {
+			for j := 0; j < t.N; j++ {
+				s.u64(t.Obs(i, j))
+			}
 		}
 	}
 	return Fingerprint(s.h)

@@ -2,11 +2,11 @@ package decodegraph
 
 // This file exposes the precomputed views the sparse exact-matching engine
 // (internal/sparsemwpm) works from: a flat compressed-sparse-row copy of
-// the adjacency (cache-friendly truncated Dijkstras without the per-call
-// slice allocation Neighbors performs) and the per-detector boundary
-// chains (the same single boundary Dijkstra BuildGWT runs for the GWT
-// diagonal, so the view's floats are bit-identical to the table's). Both
-// are built lazily, once, and shared: a Graph is immutable after FromModel.
+// the adjacency (cache-friendly truncated Dijkstras over int32 indices) and
+// the per-detector boundary chains (the same single boundary Dijkstra
+// BuildGWT runs for the GWT diagonal, so the view's floats are
+// bit-identical to the table's). Both are built lazily, once, and shared: a
+// Graph is immutable after FromModel.
 
 // CSR is a compressed-sparse-row view of the decoding graph's adjacency.
 // Rows 0..N-1 are detectors, row N is the boundary. The arc list of node u
@@ -38,9 +38,9 @@ func (g *Graph) sparseInit() {
 	for u, arcs := range g.adj {
 		c.RowStart[u] = int32(len(c.To))
 		for _, e := range arcs {
-			c.To = append(c.To, int32(e.to))
-			c.W = append(c.W, e.w)
-			c.Obs = append(c.Obs, e.obs)
+			c.To = append(c.To, int32(e.To))
+			c.W = append(c.W, e.W)
+			c.Obs = append(c.Obs, e.Obs)
 		}
 	}
 	c.RowStart[g.N+1] = int32(len(c.To))

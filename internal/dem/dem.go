@@ -19,12 +19,12 @@
 // it, so the cost is linear in circuit size. Mechanisms whose detector
 // footprint is identical are then merged in forward slot order with
 // XOR-probability combination p = p₁(1−p₂) + p₂(1−p₁), the standard
-// independent-odd-firing rule.
+// independent-odd-firing rule, each found on its first detector's short
+// list of mechanisms; the model is those lists in detector order.
 package dem
 
 import (
 	"fmt"
-	"sort"
 
 	"astrea/internal/bitvec"
 	"astrea/internal/circuit"
@@ -54,33 +54,18 @@ type Model struct {
 	MaxP float64
 }
 
-// mechKey identifies a mechanism by its footprint: the detectors it flips
-// in ascending order (-1 where it flips fewer than two) and its observable
-// mask.
-type mechKey struct {
-	a, b int32
-	obs  uint64
-}
-
 // footprint is one slot outcome's effect, compacted from the sweep's bit
-// row: how many detectors it flips, and the first two of them with the
-// observables it flips.
+// row: how many detectors it flips, the first two of them in ascending
+// order (-1 where it flips fewer) and the observables it flips.
 type footprint struct {
-	n int32
-	mechKey
-}
-
-func (f footprint) detectors() []int {
-	if f.n == 1 {
-		return []int{int(f.a)}
-	}
-	return []int{int(f.a), int(f.b)}
+	n, a, b int32
+	obs     uint64
 }
 
 // compact reads a sweep row laid out as nd detector bits then observable
 // bits.
 func compact(row bitvec.Vec, nd int) footprint {
-	f := footprint{mechKey: mechKey{a: -1, b: -1}}
+	f := footprint{a: -1, b: -1}
 	for d := row.NextOne(0); d >= 0; d = row.NextOne(d + 1) {
 		if d >= nd {
 			f.obs |= 1 << uint(d-nd)
@@ -115,10 +100,20 @@ func kindsFor(op circuit.Op, p float64) ([]circuit.ErrKind, []float64) {
 	return nil, nil
 }
 
+// mech is one merged mechanism while FromCircuit runs: its second detector
+// (-1 for a boundary mechanism), observable mask and probability, and the
+// next mechanism in its first detector's list (-1 ends it).
+type mech struct {
+	b, next int32
+	obs     uint64
+	p       float64
+}
+
 // FromCircuit extracts the detector error model of c. It returns an error
 // if any mechanism flips more than two detectors (non-graphlike circuit) or
 // flips an observable while flipping no detector (an undetectable logical
-// error from a single fault, which would make decoding meaningless).
+// error from a single fault, which would make decoding meaningless), and
+// if two mechanisms flip the same detectors but different observables.
 func FromCircuit(c *circuit.Circuit) (*Model, error) {
 	m := &Model{
 		NumDetectors:   len(c.Detectors),
@@ -135,70 +130,90 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 
 	// Merge in forward slot order, so duplicate footprints combine their
 	// probabilities in a fixed float order and the first bad mechanism
-	// reported is the earliest one.
-	merged := make(map[mechKey]int) // footprint -> index into m.Errors
+	// reported is the earliest one. Each first detector heads a short list
+	// of the mechanisms it starts. Two mechanisms with the same detectors
+	// but different observable masks would make the edge's correction
+	// ambiguous: the earliest such second mechanism is reported once the
+	// walk has found no bad mechanism.
+	head := make([]int32, m.NumDetectors)
+	for i := range head {
+		head[i] = -1
+	}
+	var mechs []mech
+	var conflict error
 	for si, slot := range slots {
 		op := c.Instrs[slot.Instr].Op
 		kinds, probs := kindsFor(op, slot.P)
 		for ki, kind := range kinds {
 			inj := circuit.Injection{Instr: slot.Instr, Target: slot.Target, Kind: kind}
 			fp := fps[si][kind]
-			obs := fp.obs
 			if fp.n == 0 {
-				if obs != 0 {
-					return nil, fmt.Errorf("dem: mechanism %+v flips observable %#x with no detectors", inj, obs)
+				if fp.obs != 0 {
+					return nil, fmt.Errorf("dem: mechanism %+v flips observable %#x with no detectors", inj, fp.obs)
 				}
 				continue // harmless mechanism (e.g. Z error in a Z-memory run)
 			}
 			if fp.n > 2 {
 				return nil, fmt.Errorf("dem: mechanism %+v flips %d detectors (non-graphlike)", inj, fp.n)
 			}
-			key := fp.mechKey
-			if idx, ok := merged[key]; ok {
-				q := m.Errors[idx].P
-				pk := probs[ki]
-				m.Errors[idx].P = q*(1-pk) + pk*(1-q)
+			x := head[fp.a]
+			for x >= 0 && (mechs[x].b != fp.b || mechs[x].obs != fp.obs) {
+				x = mechs[x].next
+			}
+			if x >= 0 {
+				q, pk := mechs[x].p, probs[ki]
+				mechs[x].p = q*(1-pk) + pk*(1-q)
 				continue
 			}
-			merged[key] = len(m.Errors)
-			m.Errors = append(m.Errors, Error{
-				Detectors: fp.detectors(),
-				ObsMask:   obs,
-				P:         probs[ki],
-			})
+			for y := head[fp.a]; y >= 0 && conflict == nil; y = mechs[y].next {
+				if mechs[y].b == fp.b {
+					conflict = fmt.Errorf("dem: detector set %v carries conflicting observable masks %#x and %#x",
+						fp.detectors(), mechs[y].obs, fp.obs)
+				}
+			}
+			mechs = append(mechs, mech{b: fp.b, next: head[fp.a], obs: fp.obs, p: probs[ki]})
+			head[fp.a] = int32(len(mechs) - 1)
 		}
 	}
-
-	// Two mechanisms with the same detector pair but different observable
-	// masks would make the edge's correction ambiguous; reject loudly. The
-	// check is quadratic-free via a second map keyed on detectors alone.
-	seen := make(map[mechKey]uint64, len(m.Errors))
-	for _, e := range m.Errors {
-		k := mechKey{a: int32(e.Detectors[0]), b: int32(last(e.Detectors))}
-		if prev, ok := seen[k]; ok && prev != e.ObsMask {
-			return nil, fmt.Errorf("dem: detector set %v carries conflicting observable masks %#x and %#x",
-				e.Detectors, prev, e.ObsMask)
-		}
-		seen[k] = e.ObsMask
+	if conflict != nil {
+		return nil, conflict
 	}
 
-	sort.Slice(m.Errors, func(i, j int) bool {
-		a, b := m.Errors[i].Detectors, m.Errors[j].Detectors
-		if a[0] != b[0] {
-			return a[0] < b[0]
+	// Emit by first detector, each list sorted by second detector (a
+	// boundary mechanism first), every Detectors slice cut from one array.
+	m.Errors = make([]Error, 0, len(mechs))
+	dets := make([]int, 0, 2*len(mechs))
+	var list []int32
+	for a, x := range head {
+		list = list[:0]
+		for ; x >= 0; x = mechs[x].next {
+			list = append(list, x)
 		}
-		la, lb := last(a), last(b)
-		return la < lb
-	})
-	for _, e := range m.Errors {
-		if e.P > m.MaxP {
-			m.MaxP = e.P
+		for i := 1; i < len(list); i++ {
+			for j := i; j > 0 && mechs[list[j]].b < mechs[list[j-1]].b; j-- {
+				list[j], list[j-1] = list[j-1], list[j]
+			}
+		}
+		for _, x := range list {
+			e := &mechs[x]
+			start := len(dets)
+			dets = append(dets, a)
+			if e.b >= 0 {
+				dets = append(dets, int(e.b))
+			}
+			m.Errors = append(m.Errors, Error{Detectors: dets[start:len(dets):len(dets)], ObsMask: e.obs, P: e.p})
+			m.MaxP = max(m.MaxP, e.p)
 		}
 	}
 	return m, nil
 }
 
-func last(s []int) int { return s[len(s)-1] }
+func (f footprint) detectors() []int {
+	if f.n == 1 {
+		return []int{int(f.a)}
+	}
+	return []int{int(f.a), int(f.b)}
+}
 
 // Sampler draws detector-event shots directly from a model. It is not safe
 // for concurrent use; create one per goroutine.

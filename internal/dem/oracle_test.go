@@ -241,6 +241,7 @@ func TestSweepRejectsLikeOracle(t *testing.T) {
 				t.Fatal("expected rejection")
 			}
 			checkAgainstOracle(t, c)
+			checkAgainstMapMerge(t, c)
 		})
 	}
 }
@@ -319,14 +320,17 @@ func fuzzCircuit(data []byte) *circuit.Circuit {
 	return c
 }
 
-// FuzzSweepVsOracle: on arbitrary small circuits, the sweep and the oracle
-// must reject with the same message or build identical models.
+// FuzzSweepVsOracle: on arbitrary small circuits, the sweep, the oracle and
+// the map-based merge must reject with the same message or build identical
+// models.
 func FuzzSweepVsOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 6, 4, 2, 0, 0, 1, 3, 1, 0, 1, 2, 1, 2, 0, 1, 2, 2, 3, 0, 1, 2, 3, 3, 1, 0, 1, 1, 1, 2})
 	f.Add([]byte{4, 12, 1, 0, 3, 0, 1, 2, 3, 0, 1, 2, 4, 2, 1, 1, 3, 5, 1, 1, 2, 6, 2, 0, 0,
 		2, 3, 3, 3, 2, 1, 0, 2, 1, 1, 0, 1, 3, 1, 2, 3, 0, 2, 2, 1, 2, 0, 3, 5, 0, 1, 1, 2, 3, 4, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstOracle(t, fuzzCircuit(data))
+		cc := fuzzCircuit(data)
+		checkAgainstOracle(t, cc)
+		checkAgainstMapMerge(t, cc)
 	})
 }

@@ -140,12 +140,13 @@ func pairLess(a, b [2]int) bool {
 // adapters score through this one code path, so equal matchings yield
 // bit-identical results.
 //
-// DirectWeight is +Inf past the table's fold radius, but Score never reads
-// such a pair: an engine matches i and j directly only when the lifted
-// direct chain beats LiftBoundary(i)+LiftBoundary(j), so Base(direct) ≤
-// Base(bnd(i))+Base(bnd(j)) and direct ≤ bnd(i)+bnd(j)+1.5/WeightScale,
-// which lies inside the radius because decodegraph.FoldMargin spans at
-// least two fixed-point units (TestFoldMarginCoversRounding).
+// DirectWeight is +Inf for a direct chain past bnd(i)+bnd(j)+FoldMargin,
+// but Score never reads such a pair: an engine matches i and j directly
+// only when the lifted direct chain beats LiftBoundary(i)+LiftBoundary(j),
+// so Base(direct) ≤ Base(bnd(i))+Base(bnd(j)) and direct ≤
+// bnd(i)+bnd(j)+1.5/WeightScale, which lies within the margin because
+// decodegraph.FoldMargin spans at least two fixed-point units
+// (TestFoldMarginCoversRounding).
 func Score(gwt *decodegraph.GWT, pairs [][2]int) (weight float64, obs uint64) {
 	for _, p := range pairs {
 		if p[1] == decoder.Boundary {

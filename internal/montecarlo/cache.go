@@ -88,14 +88,12 @@ func SharedEnvCacheStats() (entries int, bytes int64, evictions int64) {
 }
 
 // envFootprint estimates an environment's resident bytes, dominated by the
-// five dense n² Global Weight Tables (w f64, q u8, obs u64, direct f64,
-// directObs u64 — 33 bytes per cell).
+// dense Global Weight Table (GWT.ResidentBytes).
 func envFootprint(e *Env) int64 {
-	if e == nil || e.Model == nil {
+	if e == nil || e.Model == nil || e.GWT == nil {
 		return 1 << 12
 	}
-	n := int64(e.Model.NumDetectors)
-	return n*n*33 + int64(len(e.Model.Errors))*40 + (1 << 12)
+	return e.GWT.ResidentBytes() + int64(len(e.Model.Errors))*40 + (1 << 12)
 }
 
 // evictEnvsLocked drops completed least-recently-used entries until both

@@ -112,13 +112,15 @@ type denseEngine struct {
 	gwt *decodegraph.GWT
 	sv  blossom.Solver
 
-	// The current Match call's lifted weights: liftBnd per flagged
-	// position, and a k×k pair table, row-major over positions a < b,
-	// holding the lifted weight of pairing them and whether the direct
-	// chain won over the through-boundary alternative. Both the solver's
-	// weight callback and the output unfolding read the table, so each
-	// pair is lifted once per call.
+	// The current Match call's lifted weights: liftBnd (and the float
+	// boundary weight bnd) per flagged position, and a k×k pair table,
+	// row-major over positions a < b, holding the lifted weight of
+	// pairing them and whether the direct chain won over the
+	// through-boundary alternative. Both the solver's weight callback and
+	// the output unfolding read the table, so each pair is lifted once per
+	// call.
 	liftBnd []int64
+	bnd     []float64
 	lifted  []int64
 	direct  []bool
 	k       int
@@ -137,9 +139,10 @@ func (e *denseEngine) Name() string { return "dense" }
 func (e *denseEngine) fill(nodes []int) {
 	k := len(nodes)
 	tb := exactmatch.TieBound(k)
-	e.liftBnd = e.liftBnd[:0]
+	e.liftBnd, e.bnd = e.liftBnd[:0], e.bnd[:0]
 	for _, i := range nodes {
 		e.liftBnd = append(e.liftBnd, exactmatch.LiftBoundary(e.gwt, i, k))
+		e.bnd = append(e.bnd, e.gwt.BoundaryWeight(i))
 	}
 	if cap(e.lifted) < k*k {
 		e.lifted = make([]int64, k*k)
@@ -150,7 +153,13 @@ func (e *denseEngine) fill(nodes []int) {
 		for b := a + 1; b < k; b++ {
 			j := nodes[b]
 			w, direct := e.liftBnd[a]+e.liftBnd[b], false
-			if dw := e.gwt.DirectWeight(i, j); !math.IsInf(dw, 1) {
+			// The direct chain (GWT.DirectWeight): the entry itself where
+			// the fold chose it, else at most a near-list chain.
+			dw := e.gwt.Weight(i, j)
+			if !(dw < e.bnd[a]+e.bnd[b]) {
+				dw = e.gwt.NearWeight(i, j)
+			}
+			if !math.IsInf(dw, 1) {
 				if lw := exactmatch.Lift(exactmatch.Base(dw), exactmatch.PairTieBounded(i, j, tb)); lw < w {
 					w, direct = lw, true
 				}

@@ -38,12 +38,12 @@ import (
 
 const (
 	// maxStreamDetRows bounds the window environment a session may demand:
-	// the Global Weight Tables are dense N² (33 B a cell), so detector rows
-	// × row width is capped regardless of what the client requests. 2 048
-	// detectors are ~138 MB, within the shared environment cache's
-	// montecarlo.DefaultEnvCacheBytes (256 MiB); a default d=7 open uses
-	// ~1 000.
-	maxStreamDetRows = 2048
+	// the Global Weight Table is dense N² (decodegraph.TableBytes, ~9.1 B a
+	// pair), so detector rows × row width is capped regardless of what the
+	// client requests. 2 560 detectors are ~60 MB, within the shared
+	// environment cache's montecarlo.DefaultEnvCacheBytes (256 MiB); a
+	// default d=7 open uses 1 008 and a default d=9 open 2 160 (~43 MB).
+	maxStreamDetRows = 2560
 	// maxStreamInflight bounds the per-session commit backlog a client may
 	// request.
 	maxStreamInflight = 64

@@ -9,6 +9,7 @@ import (
 
 	"astrea/internal/bitvec"
 	"astrea/internal/compress"
+	"astrea/internal/decodegraph"
 	"astrea/internal/dem"
 	"astrea/internal/montecarlo"
 	"astrea/internal/prng"
@@ -532,16 +533,27 @@ func TestConcurrentStreamSessions(t *testing.T) {
 // and gap at their uint16 maximum, alone and together — at every served
 // distance. The window environment the pipeline embeds every window in,
 // EnvRows = WindowRounds+2·PadRounds rows of the row width, must stay within
-// maxStreamDetRows detectors, its dense weight tables (N² × 33 B, the shared
-// cache's footprint estimate) within the cache's byte bound, and the
-// resolved configuration must be one New keeps as it is. The capped
-// environments weigh ~138 MB each, so only the default open is built, to
-// check that the pipeline's Stats.EnvRows is that same sum.
+// maxStreamDetRows detectors, its dense weight table (decodegraph.TableBytes,
+// the shared cache's footprint estimate) within the cache's byte bound, and
+// the resolved configuration must be one New keeps as it is. The capped
+// environments weigh ~60 MB each, so only the default open is built, to
+// check that the pipeline's Stats.EnvRows is that same sum. A default d=9
+// open must resolve unclamped.
 func TestStreamOpenDetectorCap(t *testing.T) {
 	leakCheck(t)
-	if n := int64(maxStreamDetRows); n*n*33 > montecarlo.DefaultEnvCacheBytes {
+	if b := decodegraph.TableBytes(maxStreamDetRows, 1); b > montecarlo.DefaultEnvCacheBytes {
 		t.Fatalf("a %d-detector window table weighs %d B, over the shared cache's %d B bound",
-			n, n*n*33, montecarlo.DefaultEnvCacheBytes)
+			maxStreamDetRows, b, montecarlo.DefaultEnvCacheBytes)
+	}
+	env9 := testEnv(t, 9)
+	want := stream.Config{Env: env9, Decoder: "astrea"}
+	if err := want.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := resolveStreamConfig(env9, "astrea", StreamOpen{}); err != nil ||
+		got.WindowRounds != want.WindowRounds || got.PadRounds != want.PadRounds || got.GapRounds != want.GapRounds {
+		t.Fatalf("d=9 default open resolved to window %d, pad %d, gap %d, want %d, %d, %d (%v)",
+			got.WindowRounds, got.PadRounds, got.GapRounds, want.WindowRounds, want.PadRounds, want.GapRounds, err)
 	}
 	envs := map[int]*montecarlo.Env{}
 	for _, d := range []int{3, 5, 7} {
